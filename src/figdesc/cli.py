@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -141,9 +142,15 @@ def _out_dir(settings: Settings) -> Path:
 
 
 def _shared_settings(settings: Settings) -> dict:
+    lambda_ = settings.get("lambda", 0.5, float)
+    if not (math.isfinite(lambda_) and lambda_ > 0):
+        raise ConfigError(f"--lambda must be positive and finite, got {lambda_}")
+    window = settings.get("window", 2, int)
+    if window < 0:
+        raise ConfigError(f"--window must be non-negative, got {window}")
     return {
-        "lambda": settings.get("lambda", 0.5, float),
-        "window": settings.get("window", 2, int),
+        "lambda": lambda_,
+        "window": window,
         "pattern": settings.get("pattern"),
         "seed": settings.get("seed", 0, int),
     }

@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 from xml.etree import ElementTree
 
 from .errors import AlignmentError, ArticleParseError, SchemaError
@@ -40,9 +41,13 @@ DEFAULT_ABBREVIATIONS: tuple[str, ...] = (
 _SPLIT_RE = re.compile(r"[.!?](?=\s+[A-Z0-9])")
 
 
-@dataclass(frozen=True)
-class Token:
-    """One parsed token; head is a 1-based token index, 0 for the root."""
+class Token(NamedTuple):
+    """One parsed token; head is a 1-based token index, 0 for the root.
+
+    A NamedTuple, so it can be built positionally as
+    Token(index, form, lemma, upos, head, deprel). The index field shadows
+    tuple.index: tok.index is the token's position, not the method.
+    """
 
     index: int
     form: str
@@ -247,6 +252,7 @@ def read_conllu(text: str) -> list[list[Token]]:
     """
     blocks: list[list[Token]] = []
     current: list[Token] = []
+    make_token = Token._make
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
@@ -269,29 +275,27 @@ def read_conllu(text: str) -> list[list[Token]]:
             head = int(cols[6])
         except ValueError as e:
             raise SchemaError(f"CoNLL-U line {lineno}: non-integer id or head") from e
-        current.append(Token(index, cols[1], cols[2], cols[3], head, cols[7]))
+        current.append(make_token((index, cols[1], cols[2], cols[3], head, cols[7])))
     if current:
         blocks.append(current)
     return blocks
 
 
 def _validate_parse(tokens: list[Token], global_index: int, text: str) -> ParsedSentence:
-    joined = "".join(t.form for t in tokens)
-    if joined != "".join(text.split()):
+    if "".join([t.form for t in tokens]) != "".join(text.split()):
         raise AlignmentError(
             f"sentence {global_index}: token forms do not match sentence text"
         )
     n = len(tokens)
-    roots = [t for t in tokens if t.head == 0]
-    if len(roots) != 1:
+    heads = [t.head for t in tokens]
+    n_roots = heads.count(0)
+    if n_roots != 1:
         raise AlignmentError(
-            f"sentence {global_index}: expected exactly one root token, got {len(roots)}"
+            f"sentence {global_index}: expected exactly one root token, got {n_roots}"
         )
-    for t in tokens:
-        if not 0 <= t.head <= n:
-            raise AlignmentError(
-                f"sentence {global_index}: head {t.head} out of range 0..{n}"
-            )
+    if min(heads) < 0 or max(heads) > n:
+        bad = next(h for h in heads if not 0 <= h <= n)
+        raise AlignmentError(f"sentence {global_index}: head {bad} out of range 0..{n}")
     return ParsedSentence(tuple(tokens))
 
 
@@ -305,22 +309,29 @@ def attach_parses(article: Article, parse_doc: str | bytes) -> Article:
     if isinstance(parse_doc, bytes):
         parse_doc = parse_doc.decode("utf-8")
     blocks = read_conllu(parse_doc)
-    sentences = article.sentences()
-    if len(blocks) != len(sentences):
+    n_sentences = sum(len(p.sentences) for p in article.paragraphs)
+    if len(blocks) != n_sentences:
         raise AlignmentError(
             "parse sidecar has %d blocks for %d sentences; first divergence at global_index %d"
-            % (len(blocks), len(sentences), min(len(blocks), len(sentences)))
+            % (len(blocks), n_sentences, min(len(blocks), n_sentences))
         )
-    parses = [
-        _validate_parse(block, sent.global_index, sent.text)
-        for block, sent in zip(blocks, sentences)
-    ]
-    by_global = {s.global_index: p for s, p in zip(sentences, parses)}
+    remaining = iter(blocks)
     paragraphs = tuple(
         Paragraph(
             p.index,
-            tuple(replace(s, parse=by_global[s.global_index]) for s in p.sentences),
+            tuple(
+                Sentence(
+                    s.paragraph_index,
+                    s.index_in_paragraph,
+                    s.global_index,
+                    s.text,
+                    _validate_parse(next(remaining), s.global_index, s.text),
+                )
+                for s in p.sentences
+            ),
         )
         for p in article.paragraphs
     )
-    return replace(article, paragraphs=paragraphs)
+    return Article(
+        article.uid, article.title, article.abstract, paragraphs, article.metadata
+    )

@@ -13,7 +13,3 @@ def fixture_path(name: str) -> Path:
     if name not in _NAMES:
         raise KeyError(f"no bundled fixture named {name!r}; have {_NAMES}")
     return Path(str(resources.files("figdesc").joinpath("data", name)))
-
-
-def read_fixture(name: str) -> bytes:
-    return fixture_path(name).read_bytes()

@@ -91,6 +91,10 @@ class EmbeddingStore:
         norms = np.linalg.norm(self._matrix, axis=1)
         norms[norms == 0.0] = 1.0  # zero vectors get similarity 0 everywhere
         self._unit = self._matrix / norms[:, None]
+        # Each word's position in lexicographic order: the top_k tie-break key.
+        by_word = sorted(range(len(self._words)), key=self._words.__getitem__)
+        self._rank = np.empty(len(by_word), dtype=np.intp)
+        self._rank[by_word] = np.arange(len(by_word))
 
     def __contains__(self, word: str) -> bool:
         return word in self._index
@@ -121,11 +125,11 @@ class EmbeddingStore:
         q = self._matrix[qi]
         qn = float(np.linalg.norm(q))
         sims = self._unit @ (q / qn if qn else q)
-        order = sorted(
-            (i for i in range(len(self._words)) if i != qi),
-            key=lambda i: (-float(sims[i]), self._words[i]),
-        )
-        return [(self._words[i], float(sims[i])) for i in order[:k]]
+        # lexsort's last key is the primary one: similarity descending, then
+        # lexicographic rank among equal similarities.
+        order = np.lexsort((self._rank, -sims))
+        order = order[order != qi][:k]
+        return [(self._words[i], float(sims[i])) for i in order.tolist()]
 
 
 def load_embeddings(data: bytes | str) -> EmbeddingStore:

@@ -96,6 +96,24 @@ class OntologyGraph:
     concepts: dict[str, Concept]
     properties: dict[str, PropertyDef]
     lexicon: dict[tuple[str, str], tuple[LexEntry, ...]] = field(default_factory=dict)
+    # Ancestor chain per declared concept, computed once: the sense search
+    # asks for senses and ancestors many times per sentence.
+    _chains: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Stable sort: equal priorities keep their declaration order.
+        self.lexicon = {
+            key: tuple(sorted(bucket, key=lambda e: e.priority))
+            for key, bucket in self.lexicon.items()
+        }
+        self._chains = {}
+        for name in self.concepts:
+            chain = []
+            current = name
+            while current not in ROOTS:
+                current = self.concepts[current].parents[0]
+                chain.append(current)
+            self._chains[name] = tuple(chain)
 
     def has_concept(self, name: str) -> bool:
         return name in self.concepts or name in ROOTS
@@ -109,23 +127,18 @@ class OntologyGraph:
         """IS-A chain above a concept, first declared parent at each step.
 
         Includes the root; the concept itself is not part of its own chain.
-        Roots have an empty chain.
+        Roots have an empty chain. Returns a fresh list on every call.
         """
         if concept_name in ROOTS:
             return []
-        if concept_name not in self.concepts:
+        chain = self._chains.get(concept_name)
+        if chain is None:
             raise IntegrityError(f"unknown concept {concept_name}")
-        chain = []
-        current = concept_name
-        while current not in ROOTS:
-            current = self.concepts[current].parents[0]
-            chain.append(current)
-        return chain
+        return list(chain)
 
     def senses(self, lemma: str, pos: str) -> list[LexEntry]:
         """Lexicon entries for (lemma, pos), best priority first; [] if none."""
-        entries = self.lexicon.get((lemma.lower(), pos.upper()), ())
-        return sorted(entries, key=lambda e: e.priority)
+        return list(self.lexicon.get((lemma.lower(), pos.upper()), ()))
 
     def attribute_applies(self, prop_name: str, bearer_concept: str) -> bool:
         """Whether an attribute property may describe the given concept.
@@ -389,6 +402,4 @@ def load_ontology(data: bytes | str) -> OntologyGraph:
             )
         bucket.append(entry)
 
-    return OntologyGraph(
-        concepts, properties, {k: tuple(v) for k, v in lexicon.items()}
-    )
+    return OntologyGraph(concepts, properties, lexicon)

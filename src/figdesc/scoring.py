@@ -53,14 +53,6 @@ class WeightTable:
     calibration_counts: tuple[int, int, int]  # (tmrs, concepts, properties)
 
 
-@dataclass(frozen=True)
-class SentenceScore:
-    global_index: int
-    weight: float
-    threshold_used: float
-    is_descriptive: bool
-
-
 def _included(kind: str, name: str, config: ScoringConfig) -> bool:
     if name == UNKNOWN:
         return False
@@ -148,8 +140,8 @@ def sentence_weight(tmr: Tmr, table: WeightTable, config: ScoringConfig) -> floa
 
 
 def compute_threshold(mean_ref_weight: float, lambda_: float) -> float:
-    if lambda_ <= 0:
-        raise ConfigError(f"lambda must be positive, got {lambda_}")
+    if not (math.isfinite(lambda_) and lambda_ > 0):
+        raise ConfigError(f"lambda must be positive and finite, got {lambda_}")
     return lambda_ * mean_ref_weight
 
 

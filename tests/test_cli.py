@@ -4,6 +4,7 @@ import pytest
 
 from figdesc import pipeline
 from figdesc.cli import main
+from figdesc.corpus import Token
 from figdesc.scoring import load_weight_table
 
 from .helpers import LABELED_PATH, MINI_CORPUS, resource_args
@@ -264,3 +265,89 @@ class TestExitCodes:
         )
         assert code == 1
         assert "lambda" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lambda(self, capsys, tmp_path, outputs, value):
+        code, _, err = run(
+            capsys,
+            "classify",
+            "--corpus",
+            str(MINI_CORPUS),
+            "--weights",
+            str(outputs / "weights.json"),
+            "--out",
+            str(tmp_path),
+            "--lambda",
+            value,
+            *resource_args(),
+        )
+        assert code == 1
+        assert "lambda" in err
+        assert not (tmp_path / "scores.jsonl").exists()
+
+    def test_negative_window(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            "detect",
+            "--corpus",
+            str(MINI_CORPUS),
+            "--out",
+            str(tmp_path),
+            "--window",
+            "-1",
+        )
+        assert code == 1
+        assert "window" in err
+        assert not (tmp_path / "detect.jsonl").exists()
+
+
+# Block 0 of M001 parses "No further treatment was applied.", a filler: no
+# figure reference in its paragraph, so it is neither a reference nor a
+# candidate. A bad parse there must still reject the corpus.
+FILLER_CORRUPTIONS = {
+    "form-mismatch": ("\ttreatment\ttreatment\t", "\ttreatmnt\ttreatment\t"),
+    "two-roots": ("1\tNo\tno\tDET\t_\t_\t3\t", "1\tNo\tno\tDET\t_\t_\t0\t"),
+}
+
+
+class TestParseChecksGuardEveryCommand:
+    @pytest.fixture(params=sorted(FILLER_CORRUPTIONS))
+    def bad_corpus(self, request, tmp_path):
+        old, new = FILLER_CORRUPTIONS[request.param]
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "M001.json").write_text((MINI_CORPUS / "M001.json").read_text())
+        blocks = (MINI_CORPUS / "M001.conllu").read_text().split("\n\n")
+        assert old in blocks[0]
+        blocks[0] = blocks[0].replace(old, new)
+        (corpus / "M001.conllu").write_text("\n\n".join(blocks))
+        return corpus
+
+    @pytest.mark.parametrize("command", ["detect", "calibrate", "classify"])
+    def test_bad_filler_parse_is_a_data_error(
+        self, capsys, tmp_path, outputs, bad_corpus, command
+    ):
+        extra = {
+            "detect": [],
+            "calibrate": resource_args(),
+            "classify": ["--weights", str(outputs / "weights.json"), *resource_args()],
+        }[command]
+        code, _, err = run(
+            capsys,
+            command,
+            "--corpus",
+            str(bad_corpus),
+            "--out",
+            str(tmp_path / "out"),
+            *extra,
+        )
+        assert code == 2
+        assert "sentence 0" in err
+
+    def test_tokens_read_by_name(self):
+        articles = pipeline.load_corpus_dir(MINI_CORPUS)
+        parse = articles[0].sentences()[0].parse
+        tok = parse.tokens[2]
+        assert (tok.index, tok.form, tok.head) == (3, "treatment", 5)
+        assert parse.root().index == 5
+        assert tok == Token(3, "treatment", "treatment", "NOUN", 5, "nsubjpass")

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from figdesc.errors import EmbeddingFormatError, OovError, SchemaError
 from figdesc.lexres import (
@@ -120,6 +124,54 @@ class TestEmbeddings:
     def test_non_finite_rejected(self):
         with pytest.raises(EmbeddingFormatError, match="non-finite"):
             load_embeddings("1 2\na inf 0\n")
+
+
+def brute_force_top_k(pairs, k):
+    """Reference ranking: similarity descending, then the word itself."""
+    return sorted(pairs, key=lambda p: (-p[1], p[0]))[:k]
+
+
+def python_cosine(a, b):
+    na = math.sqrt(math.fsum(x * x for x in a))
+    nb = math.sqrt(math.fsum(x * x for x in b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return math.fsum(x * y for x, y in zip(a, b)) / (na * nb)
+
+
+# Two-dimensional vectors with small integer components: parallel and
+# repeated vectors force exact similarity ties, and (0, 0) is a zero vector.
+vocabularies = st.dictionaries(
+    st.text(alphabet="abcd", min_size=1, max_size=3),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    min_size=2,
+    max_size=12,
+)
+
+
+class TestTopKProperties:
+    @given(vocab=vocabularies, data=st.data())
+    def test_matches_brute_force_oracle(self, vocab, data):
+        emb = store([(w, *v) for w, v in vocab.items()])
+        query = data.draw(st.sampled_from(sorted(vocab)))
+        k = data.draw(st.integers(0, len(vocab) + 3))
+        full = emb.top_k(query, len(vocab))
+        assert sorted(w for w, _ in full) == sorted(set(vocab) - {query})
+        for word, sim in full:
+            assert sim == pytest.approx(python_cosine(vocab[query], vocab[word]), abs=1e-12)
+        assert emb.top_k(query, k) == brute_force_top_k(full, k)
+
+    @given(vocab=vocabularies)
+    def test_oov_query_raises(self, vocab):
+        emb = store([(w, *v) for w, v in vocab.items()])
+        with pytest.raises(OovError, match="zzz"):
+            emb.top_k("zzz", 3)
+
+    def test_exact_ties_and_zero_query(self):
+        emb = store([("q", 0, 0), ("b", 1, 0), ("a", 0, 1), ("c", 2, 2)])
+        assert emb.top_k("q", 5) == [("a", 0.0), ("b", 0.0), ("c", 0.0)]
+        emb = store([("q", 1, 1), ("d", 2, 2), ("b", 1, 1), ("a", -1, -1)])
+        assert [w for w, _ in emb.top_k("q", 3)] == ["b", "d", "a"]
 
 
 class TestVerbExpansion:

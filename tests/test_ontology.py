@@ -86,6 +86,26 @@ class TestGraphQueries:
             ("LENS", 6),
         ]
 
+    def test_equal_priorities_keep_declaration_order(self):
+        g = load_ontology(
+            SMALL + "lex gizmo pos noun -> concept LENS priority 3\n"
+            "lex gizmo pos noun -> concept TOOL priority 1\n"
+            "lex gizmo pos noun -> concept PHYSICAL-THING priority 3\n"
+        )
+        entries = g.senses("gizmo", "NOUN")
+        assert [(e.sense.concept, e.priority) for e in entries] == [
+            ("TOOL", 1),
+            ("LENS", 3),
+            ("PHYSICAL-THING", 3),
+        ]
+
+    def test_results_are_fresh_lists(self):
+        g = load_ontology(SMALL)
+        g.senses("lens", "NOUN").clear()
+        g.ancestors("LENS").append("MOTION")
+        assert [e.sense.concept for e in g.senses("lens", "NOUN")] == ["LENS", "TOOL"]
+        assert g.ancestors("LENS") == ["TOOL", "PHYSICAL-THING", "OBJECT"]
+
 
 class TestAttributeDomains:
     def test_unrestricted_applies_everywhere(self, small):

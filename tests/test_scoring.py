@@ -226,6 +226,11 @@ class TestThresholdAndDecision:
         with pytest.raises(ConfigError):
             compute_threshold(0.4, -1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ConfigError, match="finite"):
+            compute_threshold(0.4, lam)
+
     def test_decision_is_strict(self):
         assert not classify(0.5, 0.5)
         assert classify(0.5000001, 0.5)
