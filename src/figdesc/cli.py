@@ -16,33 +16,12 @@ import sys
 from pathlib import Path
 
 from . import baseline as bl
-from . import pipeline, scoring
+from . import figref, pipeline, scoring
 from .errors import AlignmentError, ConfigError, FigdescError
 
 ENV_PREFIX = "FIGDESC_"
 
 DEFAULT_LAMBDAS = "0.1,0.3,0.5,0.7,0.9,1.5"
-
-_FLAG_NAMES = (
-    "corpus",
-    "ontology",
-    "synsets",
-    "embeddings",
-    "gazetteer",
-    "weights",
-    "lambda",
-    "window",
-    "out",
-    "seed",
-    "jobs",
-    "pattern",
-    "scores",
-    "gold",
-    "labeled",
-    "folds",
-    "lambdas",
-    "concept_metrics",
-)
 
 
 class Settings:
@@ -97,7 +76,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=int, help="neighbor window size")
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int, help="random seed (baseline folds)")
-    p.add_argument("--jobs", type=int, help="worker pool size for per-article work")
     p.add_argument("--pattern", help="override figure-reference regex")
     p.add_argument("--config", help="JSON config file with flag defaults")
 
@@ -148,10 +126,12 @@ def _shared_settings(settings: Settings) -> dict:
     window = settings.get("window", 2, int)
     if window < 0:
         raise ConfigError(f"--window must be non-negative, got {window}")
+    pattern = settings.get("pattern")
+    figref.compile_pattern(pattern)  # rejects a bad pattern before any work
     return {
         "lambda": lambda_,
         "window": window,
-        "pattern": settings.get("pattern"),
+        "pattern": pattern,
         "seed": settings.get("seed", 0, int),
     }
 
@@ -170,11 +150,9 @@ def _load_resources(settings: Settings) -> tuple[pipeline.Resources, dict]:
 
 
 def _hash_corpus(corpus_dir: str) -> dict[str, str | Path]:
-    root = Path(corpus_dir)
     return {
-        f"corpus/{f.name}": f
-        for f in sorted(root.iterdir())
-        if f.suffix in (".json", ".xml", ".conllu")
+        f"corpus/{name}": os.path.join(corpus_dir, name)
+        for name in pipeline.corpus_files(corpus_dir)
     }
 
 
@@ -183,24 +161,16 @@ def cmd_detect(settings: Settings) -> int:
     out = _out_dir(settings)
     shared = _shared_settings(settings)
     articles = pipeline.load_corpus_dir(corpus_dir)
-    jobs = settings.get("jobs", 1, int)
-    detections = pipeline.map_articles(
-        articles,
-        lambda a: pipeline.detect_article(a, shared["window"], shared["pattern"]),
-        jobs,
-    )
     records = []
-    total_refs = 0
     total_candidates = 0
-    for det in sorted(detections, key=lambda d: d.uid):
-        total_refs += len(det.refs)
+    for article in articles:
+        det = pipeline.detect_article(article, shared["window"], shared["pattern"])
         total_candidates += len(det.candidate_indices)
-        for ref in det.refs:
-            records.append({"uid": det.uid, **ref})
+        records.extend({"uid": det.uid, **ref} for ref in det.refs)
     header = pipeline.provenance(_hash_corpus(corpus_dir), shared)
     pipeline.write_jsonl(out / "detect.jsonl", header, records)
     print(
-        f"detect: {len(articles)} articles, {total_refs} figure-referring sentences, "
+        f"detect: {len(articles)} articles, {len(records)} figure-referring sentences, "
         f"{total_candidates} candidate sentences -> {out / 'detect.jsonl'}"
     )
     return 0
@@ -212,9 +182,8 @@ def cmd_calibrate(settings: Settings) -> int:
     shared = _shared_settings(settings)
     res, resource_paths = _load_resources(settings)
     articles = pipeline.load_corpus_dir(corpus_dir)
-    jobs = settings.get("jobs", 1, int)
     config = scoring.ScoringConfig(lambda_=shared["lambda"], window=shared["window"])
-    refs = pipeline.reference_tmrs(articles, res, shared["pattern"], jobs)
+    refs = pipeline.reference_tmrs(articles, res, shared["pattern"])
     table = scoring.calibrate(refs, config)
     (out / "weights.json").write_text(scoring.save_weight_table(table))
     header = pipeline.provenance(
@@ -239,13 +208,10 @@ def cmd_classify(settings: Settings) -> int:
     shared = _shared_settings(settings)
     res, resource_paths = _load_resources(settings)
     articles = pipeline.load_corpus_dir(corpus_dir)
-    jobs = settings.get("jobs", 1, int)
     config = scoring.ScoringConfig(lambda_=shared["lambda"], window=shared["window"])
     table = scoring.load_weight_table(Path(weights_path).read_bytes())
     threshold = scoring.compute_threshold(table.mean_ref_weight, config.lambda_)
-    scored = pipeline.score_candidates(
-        articles, res, table, config, shared["pattern"], jobs
-    )
+    scored = pipeline.score_candidates(articles, res, table, config, shared["pattern"])
     from .tmr import tmr_to_json
 
     records = [

@@ -65,8 +65,13 @@ class ParsedSentence:
         return next(t for t in self.tokens if t.head == 0)
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
+    """One body sentence: its position, its text and an optional parse.
+
+    A NamedTuple, so it can be built positionally as
+    Sentence(paragraph_index, index_in_paragraph, global_index, text, parse=None).
+    """
+
     paragraph_index: int
     index_in_paragraph: int
     global_index: int
@@ -93,9 +98,15 @@ class Article:
         return [s for p in self.paragraphs for s in p.sentences]
 
 
-def _is_protected(text_upto_punct: str, abbreviations: tuple[str, ...]) -> bool:
-    lowered = text_upto_punct.lower()
-    for abbr in abbreviations:
+def _is_protected(text: str, end: int, abbrs: tuple[str, ...], longest: int) -> bool:
+    # Each character lowercases on its own to one or more, so the lowered tail
+    # of longest + 1 characters ends like the lowered prefix text[:end]. Only
+    # capital sigma looks at what precedes it, so with one the whole prefix counts.
+    tail = text[max(end - longest - 1, 0):end]
+    lowered = (text[:end] if "Σ" in tail else tail).lower()
+    if not lowered.endswith(abbrs):
+        return False
+    for abbr in abbrs:
         if not lowered.endswith(abbr):
             continue
         before = len(lowered) - len(abbr)
@@ -115,10 +126,12 @@ def segment_sentences(
     whitespace: joining the result with single spaces reproduces the
     whitespace-normalized input.
     """
+    abbreviations = tuple(abbreviations)  # str.endswith takes only a tuple
+    longest = max(map(len, abbreviations), default=0)
     cuts = []
     for m in _SPLIT_RE.finditer(text):
         end = m.end()
-        if text[end - 1] == "." and _is_protected(text[:end], abbreviations):
+        if text[end - 1] == "." and _is_protected(text, end, abbreviations, longest):
             continue
         cuts.append(end)
     out = []
@@ -134,6 +147,14 @@ def segment_sentences(
     return out
 
 
+def decode_utf8(data: bytes, source: str) -> str:
+    """UTF-8 text of an input file; a bad byte raises ArticleParseError naming source."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ArticleParseError(f"{source}: not UTF-8 at byte offset {e.start}") from e
+
+
 def _build_article(
     uid: str,
     title: str,
@@ -143,13 +164,14 @@ def _build_article(
 ) -> Article:
     paragraphs = []
     gidx = 0
+    make_sentence = Sentence._make
     for pi, sents in enumerate(para_sentences):
         rows = []
         for si, text in enumerate(sents):
             stripped = text.strip()
             if not stripped:
                 raise SchemaError(f"body[{pi}][{si}]: empty sentence text")
-            rows.append(Sentence(pi, si, gidx, stripped))
+            rows.append(make_sentence((pi, si, gidx, stripped, None)))
             gidx += 1
         paragraphs.append(Paragraph(pi, tuple(rows)))
     return Article(uid, title, abstract, tuple(paragraphs), metadata)
@@ -163,7 +185,7 @@ def load_article_json(data: bytes | str) -> Article:
     the body fields are required.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = decode_utf8(data, "article")
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as e:
@@ -307,7 +329,7 @@ def attach_parses(article: Article, parse_doc: str | bytes) -> Article:
     sentence text modulo whitespace. Idempotent for identical input.
     """
     if isinstance(parse_doc, bytes):
-        parse_doc = parse_doc.decode("utf-8")
+        parse_doc = decode_utf8(parse_doc, "parse sidecar")
     blocks = read_conllu(parse_doc)
     n_sentences = sum(len(p.sentences) for p in article.paragraphs)
     if len(blocks) != n_sentences:

@@ -15,7 +15,7 @@ class ConfigError(FigdescError):
 
 
 class ArticleParseError(FigdescError):
-    """Unparseable article bytes (malformed JSON or XML); message carries the offset."""
+    """Unparseable input bytes (malformed JSON or XML, or not UTF-8); names the offset."""
 
 
 class SchemaError(FigdescError):

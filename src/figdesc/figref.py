@@ -9,11 +9,12 @@ at word boundaries so tokens embedded in longer words never fire.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .corpus import Paragraph, Sentence
-from .errors import PreconditionError
+from .errors import ConfigError, PreconditionError
 
 DEFAULT_PATTERN = r"\b(?:figures|figure|figs|fig)\.?\s*(S?\d+(?:\s*[-–,]\s*\d+)*)"
 
@@ -38,13 +39,21 @@ class CandidateSet:
 
 
 @lru_cache(maxsize=32)
-def _compile(pattern: str, ignore_case: bool) -> re.Pattern:
-    return re.compile(pattern, re.IGNORECASE if ignore_case else 0)
+def compile_pattern(pattern: str | None, ignore_case: bool = True) -> re.Pattern:
+    """Compiled regex, DEFAULT_PATTERN if empty; ConfigError if bad or lacking group 1."""
+    try:
+        rx = re.compile(pattern or DEFAULT_PATTERN, re.IGNORECASE if ignore_case else 0)
+    except re.error as e:
+        raise ConfigError(f"pattern {pattern!r} does not compile: {e}") from e
+    if rx.groups < 1:
+        raise ConfigError(f"pattern {pattern!r} has no capture group 1 for the label")
+    return rx
 
 
 def _parse_labels(raw: str) -> tuple[str, ...]:
-    # Comma lists become separate labels; dash ranges stay whole.
-    compact = re.sub(r"\s+", "", raw)
+    # Comma lists become separate labels; dash ranges stay whole. str.split
+    # and the regex \s share one definition of whitespace.
+    compact = "".join(raw.split())
     return tuple(part for part in compact.split(",") if part)
 
 
@@ -53,8 +62,8 @@ def detect_figure_refs(
     pattern: str | None = None,
     ignore_case: bool = True,
 ) -> list[FigRefMatch]:
-    """All figure references in one sentence, left to right."""
-    rx = _compile(pattern or DEFAULT_PATTERN, ignore_case)
+    """All figure references in one sentence, left to right; none if not referring."""
+    rx = compile_pattern(pattern, ignore_case)
     out = []
     for m in rx.finditer(sentence.text):
         out.append(
@@ -66,8 +75,20 @@ def detect_figure_refs(
 def is_figure_referring(
     sentence: Sentence, pattern: str | None = None, ignore_case: bool = True
 ) -> bool:
-    rx = _compile(pattern or DEFAULT_PATTERN, ignore_case)
-    return rx.search(sentence.text) is not None
+    return compile_pattern(pattern, ignore_case).search(sentence.text) is not None
+
+
+def neighbor_positions(
+    n_sentences: int, ref_index: int, window: int, referring: Callable[[int], object]
+) -> list[int]:
+    """Paragraph positions of one reference sentence's candidates, ascending.
+
+    Those within +-window of ref_index in a paragraph of n_sentences, except
+    ref_index itself and every j for which referring(j) is true.
+    """
+    lo = max(0, ref_index - window)
+    hi = min(n_sentences, ref_index + window + 1)
+    return [j for j in range(lo, hi) if j != ref_index and not referring(j)]
 
 
 def select_neighbors(
@@ -90,17 +111,13 @@ def select_neighbors(
         )
     ref = sentences[ref_index_in_paragraph]
     if not is_figure_referring(ref, pattern, ignore_case):
-        raise PreconditionError(
-            f"sentence {ref.global_index} is not figure-referring"
-        )
-    neighbors = []
-    lo = max(0, ref_index_in_paragraph - window)
-    hi = min(len(sentences) - 1, ref_index_in_paragraph + window)
-    for i in range(lo, hi + 1):
-        if i == ref_index_in_paragraph:
-            continue
-        cand = sentences[i]
-        if is_figure_referring(cand, pattern, ignore_case):
-            continue
-        neighbors.append(cand.global_index)
-    return CandidateSet(ref.global_index, tuple(neighbors))
+        raise PreconditionError(f"sentence {ref.global_index} is not figure-referring")
+    positions = neighbor_positions(
+        len(sentences),
+        ref_index_in_paragraph,
+        window,
+        lambda j: is_figure_referring(sentences[j], pattern, ignore_case),
+    )
+    return CandidateSet(
+        ref.global_index, tuple(sentences[j].global_index for j in positions)
+    )

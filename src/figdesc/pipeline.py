@@ -1,22 +1,24 @@
 """Corpus-level orchestration shared by the CLI commands.
 
 Articles live one per file in a corpus directory (.json or .xml), with an
-optional <stem>.conllu parse sidecar next to each. All fan-out is per
-article; results are always reordered by (article uid, global sentence
-index) before use, so worker scheduling never shows in the output.
+optional <stem>.conllu parse sidecar next to each. Each command scans each
+sentence for figure references once; detection picks both the reference
+sentences and their candidate neighbors from those results.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Article, attach_parses, load_article_json, load_article_xml
+from .corpus import Article, Sentence, attach_parses, decode_utf8
+from .corpus import load_article_json, load_article_xml
 from .errors import ConfigError, SchemaError
-from .figref import detect_figure_refs, is_figure_referring, select_neighbors
+from .figref import detect_figure_refs, is_figure_referring, neighbor_positions
+from .figref import select_neighbors  # noqa: F401 - bench/tracing.py patches it here
 from .lexres import EmbeddingStore, SynsetLexicon, load_embeddings, load_synsets
 from .ontology import OntologyGraph, load_ontology
 from .scoring import ScoringConfig, WeightTable, sentence_weight
@@ -29,6 +31,12 @@ class Resources:
     synsets: SynsetLexicon | None = None
     embeddings: EmbeddingStore | None = None
     gazetteer: frozenset[str] = frozenset()
+
+    def tmr(self, sentence: Sentence) -> Tmr:
+        """The sentence's meaning representation under these resources."""
+        return build_sentence_tmr(
+            sentence, self.graph, self.gazetteer, self.synsets, self.embeddings
+        )
 
 
 def load_resources(
@@ -54,26 +62,51 @@ def load_resources(
     return Resources(graph, synsets, embeddings, gazetteer)
 
 
+_CORPUS_SUFFIXES = frozenset((".json", ".xml", ".conllu"))
+
+
+def _suffix(name: str) -> str:
+    # The rule of pathlib's PurePath.suffix: a leading or trailing dot is no suffix.
+    i = name.rfind(".")
+    return name[i:] if 0 < i < len(name) - 1 else ""
+
+
+def corpus_files(path: str | Path) -> list[str]:
+    """Names of the files that make up a corpus directory, sorted.
+
+    These are the .json and .xml articles and the .conllu parse sidecars;
+    the corpus loader reads them and the commands hash them for provenance.
+    """
+    if not os.path.isdir(path):
+        raise ConfigError(f"corpus directory {path} does not exist")
+    names = sorted(os.listdir(path))
+    return [name for name in names if _suffix(name) in _CORPUS_SUFFIXES]
+
+
+def _read_bytes(*path: str | Path) -> bytes:
+    with open(os.path.join(*path), "rb") as fh:
+        return fh.read()
+
+
 def load_corpus_dir(path: str | Path) -> list[Article]:
     """Load every article file in a directory, sorted by uid.
 
     JSON and XML articles are both accepted; a <stem>.conllu file next to an
     article attaches its parses. Duplicate uids reject the corpus.
     """
-    root = Path(path)
-    if not root.is_dir():
-        raise ConfigError(f"corpus directory {root} does not exist")
+    names = corpus_files(path)
+    present = set(names)
     articles = []
-    for file in sorted(root.iterdir()):
-        if file.suffix == ".json":
-            article = load_article_json(file.read_bytes())
-        elif file.suffix == ".xml":
-            article = load_article_xml(file.read_bytes())
-        else:
+    for name in names:
+        suffix = _suffix(name)
+        if suffix == ".conllu":
             continue
-        sidecar = file.with_suffix(".conllu")
-        if sidecar.exists():
-            article = attach_parses(article, sidecar.read_text())
+        data = _read_bytes(path, name)
+        article = load_article_json(data) if suffix == ".json" else load_article_xml(data)
+        sidecar = name[: -len(suffix)] + ".conllu"
+        if sidecar in present:
+            text = decode_utf8(_read_bytes(path, sidecar), sidecar)
+            article = attach_parses(article, text)
         articles.append(article)
     seen: set[str] = set()
     for a in articles:
@@ -97,33 +130,24 @@ def detect_article(
     refs = []
     candidates: set[int] = set()
     for para in article.paragraphs:
-        for local_idx, sentence in enumerate(para.sentences):
-            matches = detect_figure_refs(sentence, pattern)
+        sentences = para.sentences
+        # One scan per sentence; an empty list marks a sentence as not referring.
+        scans = [detect_figure_refs(sentence, pattern) for sentence in sentences]
+        for local_idx, matches in enumerate(scans):
             if not matches:
                 continue
-            cand = select_neighbors(para, local_idx, window, pattern)
-            labels = sorted({label for m in matches for label in m.labels})
+            positions = neighbor_positions(len(scans), local_idx, window, scans.__getitem__)
+            neighbors = [sentences[j].global_index for j in positions]
             refs.append(
                 {
-                    "global_index": sentence.global_index,
-                    "labels": labels,
+                    "global_index": sentences[local_idx].global_index,
+                    "labels": sorted({label for m in matches for label in m.labels}),
                     "spans": [list(m.span) for m in matches],
-                    "neighbors": list(cand.neighbor_indices),
+                    "neighbors": neighbors,
                 }
             )
-            candidates.update(cand.neighbor_indices)
+            candidates.update(neighbors)
     return ArticleDetection(article.uid, refs, sorted(candidates))
-
-
-def map_articles(articles: list[Article], fn, jobs: int = 1) -> list:
-    """Apply fn to each article, optionally with a bounded worker pool.
-
-    Results come back in article order regardless of completion order.
-    """
-    if jobs <= 1:
-        return [fn(a) for a in articles]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, articles))
 
 
 @dataclass
@@ -139,26 +163,14 @@ def reference_tmrs(
     articles: list[Article],
     resources: Resources,
     pattern: str | None = None,
-    jobs: int = 1,
 ) -> list[Tmr]:
     """Representations of every figure-referring sentence, in corpus order."""
-
-    def one(article: Article) -> list[Tmr]:
-        out = []
-        for sentence in article.sentences():
-            if is_figure_referring(sentence, pattern):
-                out.append(
-                    build_sentence_tmr(
-                        sentence,
-                        resources.graph,
-                        resources.gazetteer,
-                        resources.synsets,
-                        resources.embeddings,
-                    )
-                )
-        return out
-
-    return [t for per_article in map_articles(articles, one, jobs) for t in per_article]
+    return [
+        resources.tmr(sentence)
+        for article in articles
+        for sentence in article.sentences()
+        if is_figure_referring(sentence, pattern)
+    ]
 
 
 def score_candidates(
@@ -167,44 +179,25 @@ def score_candidates(
     table: WeightTable,
     config: ScoringConfig,
     pattern: str | None = None,
-    jobs: int = 1,
 ) -> list[ScoredSentence]:
     """Weight every distinct candidate sentence, ordered by (uid, index)."""
-
-    def one(article: Article) -> list[ScoredSentence]:
+    rows = []
+    for article in articles:
         detection = detect_article(article, config.window, pattern)
         by_global = {s.global_index: s for s in article.sentences()}
-        rows = []
         for gidx in detection.candidate_indices:
             sentence = by_global[gidx]
-            tmr = build_sentence_tmr(
-                sentence,
-                resources.graph,
-                resources.gazetteer,
-                resources.synsets,
-                resources.embeddings,
-            )
-            rows.append(
-                ScoredSentence(
-                    article.uid,
-                    gidx,
-                    sentence.text,
-                    tmr,
-                    sentence_weight(tmr, table, config),
-                )
-            )
-        return rows
-
-    nested = map_articles(articles, one, jobs)
-    flat = [r for rows in nested for r in rows]
-    flat.sort(key=lambda r: (r.uid, r.global_index))
-    return flat
+            tmr = resources.tmr(sentence)
+            weight = sentence_weight(tmr, table, config)
+            rows.append(ScoredSentence(article.uid, gidx, sentence.text, tmr, weight))
+    rows.sort(key=lambda r: (r.uid, r.global_index))
+    return rows
 
 
 # ---- provenance ----
 
 def sha256_file(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return hashlib.sha256(_read_bytes(path)).hexdigest()
 
 
 def provenance(inputs: dict[str, str | Path | None], settings: dict) -> dict:

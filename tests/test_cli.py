@@ -300,6 +300,53 @@ class TestExitCodes:
         assert "window" in err
         assert not (tmp_path / "detect.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "pattern, reason",
+        [("(", "does not compile"), ("Fig", "no capture group 1")],
+        ids=["unbalanced", "no-group"],
+    )
+    @pytest.mark.parametrize("command", ["detect", "calibrate", "classify"])
+    def test_bad_pattern_is_a_config_error(
+        self, capsys, tmp_path, outputs, command, pattern, reason
+    ):
+        extra = {
+            "detect": [],
+            "calibrate": resource_args(),
+            "classify": ["--weights", str(outputs / "weights.json"), *resource_args()],
+        }[command]
+        code, _, err = run(
+            capsys,
+            command,
+            "--corpus",
+            str(MINI_CORPUS),
+            "--out",
+            str(tmp_path),
+            "--pattern",
+            pattern,
+            *extra,
+        )
+        assert code == 1
+        assert reason in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["M001.json", "M001.conllu"])
+    def test_non_utf8_file_is_a_data_error(self, capsys, tmp_path, name):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for suffix in (".json", ".conllu"):
+            source = MINI_CORPUS / f"M001{suffix}"
+            (corpus / source.name).write_bytes(source.read_bytes())
+        data = (corpus / name).read_bytes()
+        cut = data.index(b"treatment")
+        (corpus / name).write_bytes(data[:cut] + b"\xe9" + data[cut:])
+        code, _, err = run(
+            capsys, "detect", "--corpus", str(corpus), "--out", str(tmp_path / "out")
+        )
+        assert code == 2
+        assert "not UTF-8" in err
+        if name.endswith(".conllu"):
+            assert name in err
+
 
 # Block 0 of M001 parses "No further treatment was applied.", a filler: no
 # figure reference in its paragraph, so it is neither a reference nor a

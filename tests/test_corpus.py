@@ -1,10 +1,12 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from figdesc.corpus import (
+    _SPLIT_RE,
+    DEFAULT_ABBREVIATIONS,
     article_to_json,
     attach_parses,
     load_article_json,
@@ -13,6 +15,60 @@ from figdesc.corpus import (
     segment_sentences,
 )
 from figdesc.errors import AlignmentError, ArticleParseError, SchemaError
+
+
+# Reference segmenter: lowercases the whole prefix at every split candidate.
+def _oracle_is_protected(text_upto_punct, abbreviations):
+    lowered = text_upto_punct.lower()
+    for abbr in abbreviations:
+        if not lowered.endswith(abbr):
+            continue
+        before = len(lowered) - len(abbr)
+        if before == 0 or not lowered[before - 1].isalpha():
+            return True
+    return False
+
+
+def _oracle_segment(text, abbreviations=DEFAULT_ABBREVIATIONS):
+    cuts = []
+    for m in _SPLIT_RE.finditer(text):
+        end = m.end()
+        if text[end - 1] == "." and _oracle_is_protected(text[:end], abbreviations):
+            continue
+        cuts.append(end)
+    out = []
+    start = 0
+    for cut in cuts:
+        piece = text[start:cut].strip()
+        if piece:
+            out.append(piece)
+        start = cut
+    tail = text[start:].strip()
+    if tail:
+        out.append(tail)
+    return out
+
+
+# Abbreviations in any case, with letters glued on either side, next to
+# characters whose lowercase is longer (İ) or depends on context (Σ, whose
+# final form ς differs from σ).
+_ABBREVIATION_WORDS = st.sampled_from(DEFAULT_ABBREVIATIONS).flatmap(
+    lambda abbr: st.lists(st.booleans(), min_size=len(abbr), max_size=len(abbr)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(abbr, upper))
+    )
+)
+_GLUE = st.sampled_from(["", "a", "İ", "Σ", "K", "1", "-", "."])
+_WORDS = st.one_of(
+    st.tuples(_GLUE, _ABBREVIATION_WORDS).map("".join),
+    st.text(alphabet="aEfFgGiIsSxXİΣσςK.", min_size=1, max_size=4),
+    st.sampled_from(["3", "Then", "The", "x", "ΣΑΣ.", "A.Σ.", "İ.", "."]),
+)
+_CUSTOM_ABBREVIATIONS = st.lists(
+    st.sampled_from(["σ.", "ς.", "i̇.", "k.", "fig.", ""]), max_size=3
+)
+_TEXTS = st.lists(
+    st.tuples(_WORDS, st.sampled_from(["", " ", "  "])), max_size=14
+).map(lambda parts: "".join(w + sep for w, sep in parts))
 
 
 class TestSegmentation:
@@ -73,6 +129,23 @@ class TestSegmentation:
         text = " ".join(p + "." for p in pieces)
         out = segment_sentences(text)
         assert " ".join(out).split() == text.split()
+
+    @settings(max_examples=400)
+    @given(_TEXTS)
+    def test_matches_whole_prefix_oracle(self, text):
+        assert segment_sentences(text) == _oracle_segment(text)
+
+    @settings(max_examples=400)
+    @given(_TEXTS, _CUSTOM_ABBREVIATIONS)
+    def test_custom_abbreviations_match_oracle(self, text, abbreviations):
+        assert segment_sentences(text, abbreviations) == _oracle_segment(
+            text, tuple(abbreviations)
+        )
+
+    def test_capital_sigma_after_a_cased_letter(self):
+        # "AΣ." lowercases to "aς." in context but "σ." alone: the tail alone
+        # would wrongly protect the period as the abbreviation "σ.".
+        assert segment_sentences("xA.Σ. Next", ("σ.",)) == ["xA.Σ.", "Next"]
 
 
 class TestJsonLoader:
