@@ -17,7 +17,8 @@ from pathlib import Path
 
 from . import baseline as bl
 from . import figref, pipeline, scoring
-from .errors import AlignmentError, ConfigError, FigdescError
+from .corpus import decode_utf8
+from .errors import AlignmentError, ConfigError, FigdescError, SchemaError
 
 ENV_PREFIX = "FIGDESC_"
 
@@ -300,17 +301,36 @@ def cmd_evaluate(settings: Settings) -> int:
     return 0
 
 
+def _read_input(path: str, flag: str) -> bytes:
+    """Bytes of an input file; a file that cannot be read is a bad --flag value."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as e:
+        raise ConfigError(f"cannot read --{flag} file: {e}") from e
+
+
+def _load_concept_metrics(path: str) -> dict:
+    text = decode_utf8(_read_input(path, "concept-metrics"), path)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"{path}: malformed JSON: {e.msg}") from e
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: concept metrics must be a JSON object")
+    return doc.get("metrics", doc)
+
+
 def cmd_baseline(settings: Settings) -> int:
     labeled_path = settings.require("labeled")
     out = _out_dir(settings)
     folds = settings.get("folds", 10, int)
     seed = settings.get("seed", 0, int)
-    dataset = bl.load_labeled_jsonl(Path(labeled_path).read_bytes())
-    report = bl.kfold_cv(dataset, k=folds, seed=seed)
+    dataset = bl.load_labeled_jsonl(_read_input(labeled_path, "labeled"))
     comparison_path = settings.get("concept_metrics")
-    if comparison_path:
-        concept_doc = json.loads(Path(comparison_path).read_text())
-        report["concept_model"] = concept_doc.get("metrics", concept_doc)
+    concept = _load_concept_metrics(comparison_path) if comparison_path else None
+    report = bl.kfold_cv(dataset, k=folds, seed=seed)
+    if concept is not None:
+        report["concept_model"] = concept
     header = pipeline.provenance(
         {"labeled": labeled_path}, {"folds": folds, "seed": seed}
     )

@@ -38,9 +38,20 @@ class CandidateSet:
     neighbor_indices: tuple[int, ...]
 
 
-@lru_cache(maxsize=32)
 def compile_pattern(pattern: str | None, ignore_case: bool = True) -> re.Pattern:
-    """Compiled regex, DEFAULT_PATTERN if empty; ConfigError if bad or lacking group 1."""
+    """Compiled regex, DEFAULT_PATTERN if empty; ConfigError if not a string,
+    bad, or lacking group 1.
+
+    The CLI checks its pattern here before any work; the per-sentence scans
+    call the cached _compile directly, keeping this check off the hot path.
+    """
+    if pattern is not None and not isinstance(pattern, str):
+        raise ConfigError(f"pattern must be a string, got {pattern!r}")
+    return _compile(pattern, ignore_case)
+
+
+@lru_cache(maxsize=32)
+def _compile(pattern: str | None, ignore_case: bool) -> re.Pattern:
     try:
         rx = re.compile(pattern or DEFAULT_PATTERN, re.IGNORECASE if ignore_case else 0)
     except re.error as e:
@@ -63,7 +74,7 @@ def detect_figure_refs(
     ignore_case: bool = True,
 ) -> list[FigRefMatch]:
     """All figure references in one sentence, left to right; none if not referring."""
-    rx = compile_pattern(pattern, ignore_case)
+    rx = _compile(pattern, ignore_case)
     out = []
     for m in rx.finditer(sentence.text):
         out.append(
@@ -75,7 +86,7 @@ def detect_figure_refs(
 def is_figure_referring(
     sentence: Sentence, pattern: str | None = None, ignore_case: bool = True
 ) -> bool:
-    return compile_pattern(pattern, ignore_case).search(sentence.text) is not None
+    return _compile(pattern, ignore_case).search(sentence.text) is not None
 
 
 def neighbor_positions(

@@ -11,12 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
-from .corpus import Article, Sentence, attach_parses, decode_utf8
+from .corpus import Article, Sentence, attach_parses
 from .corpus import load_article_json, load_article_xml
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, FigdescError, SchemaError
 from .figref import detect_figure_refs, is_figure_referring, neighbor_positions
 from .figref import select_neighbors  # noqa: F401 - bench/tracing.py patches it here
 from .lexres import EmbeddingStore, SynsetLexicon, load_embeddings, load_synsets
@@ -88,31 +90,41 @@ def _read_bytes(*path: str | Path) -> bytes:
         return fh.read()
 
 
+def _load_file(directory: str | Path, name: str, load: Callable[[bytes], Article]) -> Article:
+    """load() of one file's bytes; its FigdescError gets the file name in front."""
+    try:
+        return load(_read_bytes(directory, name))
+    except FigdescError as e:
+        raise type(e)(f"{name}: {e}") from e
+
+
 def load_corpus_dir(path: str | Path) -> list[Article]:
     """Load every article file in a directory, sorted by uid.
 
     JSON and XML articles are both accepted; a <stem>.conllu file next to an
-    article attaches its parses. Duplicate uids reject the corpus.
+    article attaches its parses. Duplicate uids reject the corpus. An error
+    in a file names that file.
     """
     names = corpus_files(path)
     present = set(names)
     articles = []
+    file_of: dict[str, str] = {}
     for name in names:
         suffix = _suffix(name)
         if suffix == ".conllu":
             continue
-        data = _read_bytes(path, name)
-        article = load_article_json(data) if suffix == ".json" else load_article_xml(data)
+        load = load_article_json if suffix == ".json" else load_article_xml
+        article = _load_file(path, name, load)
         sidecar = name[: -len(suffix)] + ".conllu"
         if sidecar in present:
-            text = decode_utf8(_read_bytes(path, sidecar), sidecar)
-            article = attach_parses(article, text)
+            article = _load_file(path, sidecar, partial(attach_parses, article))
+        if article.uid in file_of:
+            raise SchemaError(
+                f"uid: duplicate article uid {article.uid!r} "
+                f"in {file_of[article.uid]} and {name}"
+            )
+        file_of[article.uid] = name
         articles.append(article)
-    seen: set[str] = set()
-    for a in articles:
-        if a.uid in seen:
-            raise SchemaError(f"uid: duplicate article uid {a.uid!r}")
-        seen.add(a.uid)
     return sorted(articles, key=lambda a: a.uid)
 
 

@@ -1,8 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from figdesc import baseline
 from figdesc.baseline import (
     TrainConfig,
+    _sigmoid,
     build_vocab,
     featurize,
     kfold_cv,
@@ -136,6 +142,10 @@ class TestKfold:
         with pytest.raises(ConfigError):
             kfold_split(10, 11, seed=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            kfold_split(10, 2, seed=-1)
+
     def test_cv_on_separable_texts(self):
         dataset = [(f"rising peak number {i}", 1) for i in range(10)] + [
             (f"methods section text {i}", 0) for i in range(10)
@@ -178,3 +188,149 @@ class TestLabeledLoader:
         rows = load_labeled_jsonl(path.read_bytes())
         assert len(rows) == 200
         assert sum(label for _, label in rows) == 100
+
+
+# ---- the per-fold implementation that batched training replaced, as an oracle ----
+
+
+def _masked_sigmoid(z):
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _oracle_train(X, y, config):
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    m = len(y)
+    for _ in range(config.epochs):
+        p = _masked_sigmoid(X @ w + b)
+        grad_w = X.T @ (p - y) / m + config.l2 * w
+        grad_b = float(np.mean(p - y))
+        w = w - config.learning_rate * grad_w
+        b = b - config.learning_rate * grad_b
+    return w, b
+
+
+def _oracle_folds(dataset, k, seed, config, min_freq):
+    """Per fold: (vocabulary, weights, bias, test-row logits), one training each."""
+    texts = [t for t, _ in dataset]
+    labels = np.array([l for _, l in dataset], dtype=np.float64)
+    out = []
+    for test_idx in kfold_split(len(dataset), k, seed):
+        test_mask = np.zeros(len(dataset), dtype=bool)
+        test_mask[test_idx] = True
+        train_texts = [t for t, m in zip(texts, test_mask) if not m]
+        vocab = build_vocab(train_texts, min_freq)
+        X_train = to_matrix([featurize(t, vocab) for t in train_texts], len(vocab))
+        w, b = _oracle_train(X_train, labels[~test_mask], config)
+        test_texts = [texts[i] for i in test_idx]
+        X_test = to_matrix([featurize(t, vocab) for t in test_texts], len(vocab))
+        out.append((vocab, w, b, X_test @ w + b))
+    return out
+
+
+# A small word pool, so test rows often hold words no training row has.
+_WORDS = st.sampled_from(["up", "down", "peak", "fall", "rise", "text", "zeta"])
+_TEXT = st.lists(_WORDS, max_size=4).map(" ".join)
+
+
+@st.composite
+def _cv_cases(draw):
+    n = draw(st.integers(2, 14))
+    texts = draw(st.lists(_TEXT, min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    k = draw(st.integers(2, n))
+    config = TrainConfig(
+        epochs=draw(st.integers(1, 60)), l2=draw(st.sampled_from([0.0, 0.01, 0.3]))
+    )
+    return list(zip(texts, labels)), k, draw(st.integers(0, 5)), config, draw(
+        st.integers(1, 3)
+    )
+
+
+class TestBatchedFoldsMatchPerFoldTraining:
+    @settings(max_examples=150, deadline=None)
+    @given(_cv_cases())
+    def test_weights_and_predictions(self, case):
+        dataset, k, seed, config, min_freq = case
+        calls = []
+
+        def spy(X, *args, **kwargs):
+            model = train_logreg(X, *args, **kwargs)
+            calls.append((X, model))
+            return model
+
+        with mock.patch.object(baseline, "train_logreg", spy):
+            kfold_cv(dataset, k=k, seed=seed, train_config=config, min_freq=min_freq)
+        ((X, model),) = calls  # every fold in one training run
+        preds = model.predict(X)
+        full_vocab = build_vocab([t for t, _ in dataset])
+        folds = kfold_split(len(dataset), k, seed)
+        oracle = _oracle_folds(dataset, k, seed, config, min_freq)
+        for j, (test_idx, (vocab, w, b, z)) in enumerate(zip(folds, oracle)):
+            cols = [full_vocab[tok] for tok in vocab]
+            np.testing.assert_allclose(model.weights[cols, j], w, rtol=0, atol=1e-12)
+            outside = np.ones(len(full_vocab), dtype=bool)
+            outside[cols] = False
+            assert not np.any(model.weights[outside, j])
+            assert model.bias[j] == pytest.approx(b, rel=0, abs=1e-12)
+            sure = np.abs(z) > 1e-9
+            np.testing.assert_array_equal(preds[test_idx, j][sure], (z >= 0)[sure])
+
+    def test_report_on_shipped_corpus(self):
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "data" / "labeled.jsonl"
+        dataset = load_labeled_jsonl(path.read_bytes())
+        report = kfold_cv(dataset, k=10, seed=0)
+        oracle = _oracle_folds(dataset, 10, 0, TrainConfig(), 1)
+        labels = np.array([l for _, l in dataset])
+        for fold, test_idx, (_, _, _, z) in zip(
+            report["folds"], kfold_split(len(dataset), 10, 0), oracle
+        ):
+            assert np.all(np.abs(z) > 1e-9)
+            preds = (z >= 0).astype(int)
+            assert fold == baseline._fold_metrics(preds, labels[test_idx])
+
+    def test_divergence_names_fold_and_epoch(self):
+        dataset = [("up", 0), ("down", 1), ("up down", 0), ("peak", 1)]
+        config = TrainConfig(learning_rate=1e12, epochs=100, l2=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=r"epoch \d+ in fold \d+"):
+                kfold_cv(dataset, k=2, seed=0, train_config=config)
+
+    def test_k_models_in_one_run_match_one_model_each(self):
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((12, 3))
+        y = (rng.random(12) > 0.5).astype(float)
+        rows = (rng.random((12, 4)) > 0.3).astype(float)
+        config = TrainConfig(epochs=40, l2=0.05)
+        batched = train_logreg(X, y, config, rows=rows)
+        assert batched.weights.shape == (3, 4) and batched.bias.shape == (4,)
+        assert len(batched.losses) == 40 and batched.losses[0].shape == (4,)
+        for j in range(4):
+            keep = rows[:, j] == 1
+            single = train_logreg(X[keep], y[keep], config)
+            np.testing.assert_allclose(batched.weights[:, j], single.weights, atol=1e-12)
+            assert batched.bias[j] == pytest.approx(single.bias, abs=1e-12)
+            assert batched.losses[-1][j] == pytest.approx(single.losses[-1], abs=1e-12)
+
+
+class TestSigmoid:
+    def test_equals_masked_form_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e3, -1e3, 745.2, -745.2])
+        scaled = [rng.uniform(-1, 1, 20_000) * scale for scale in (1e-3, 1, 30, 1e3)]
+        z = np.concatenate([special, *scaled])
+        new, old = _sigmoid(z), _masked_sigmoid(z)
+        assert np.array_equal(np.isnan(new), np.isnan(old))
+        finite = ~np.isnan(old)
+        assert np.array_equal(new[finite].view(np.uint64), old[finite].view(np.uint64))
+
+    def test_two_dimensional(self):
+        z = np.array([[-2.0, 0.0], [3.0, -np.inf]])
+        np.testing.assert_array_equal(_sigmoid(z), _masked_sigmoid(z.ravel()).reshape(2, 2))

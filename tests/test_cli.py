@@ -329,6 +329,46 @@ class TestExitCodes:
         assert reason in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("pattern", [5, ["Fig"], True], ids=["int", "list", "bool"])
+    @pytest.mark.parametrize("command", ["detect", "calibrate", "classify"])
+    def test_non_string_pattern_in_config_is_a_config_error(
+        self, capsys, tmp_path, outputs, command, pattern
+    ):
+        extra = {
+            "detect": [],
+            "calibrate": resource_args(),
+            "classify": ["--weights", str(outputs / "weights.json"), *resource_args()],
+        }[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pattern": pattern}))
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys,
+            command,
+            "--corpus",
+            str(MINI_CORPUS),
+            "--out",
+            str(out),
+            "--config",
+            str(cfg),
+            *extra,
+        )
+        assert code == 1
+        assert "pattern must be a string" in err
+        assert list(out.iterdir()) == []
+
+    def test_corpus_error_names_the_file(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("M001.json", "M002.json"):
+            (corpus / name).write_bytes((MINI_CORPUS / name).read_bytes())
+        (corpus / "M002.json").write_bytes((MINI_CORPUS / "M002.json").read_bytes()[:13])
+        code, _, err = run(
+            capsys, "detect", "--corpus", str(corpus), "--out", str(tmp_path / "out")
+        )
+        assert code == 2
+        assert "error: M002.json: malformed JSON" in err
+
     @pytest.mark.parametrize("name", ["M001.json", "M001.conllu"])
     def test_non_utf8_file_is_a_data_error(self, capsys, tmp_path, name):
         corpus = tmp_path / "corpus"
@@ -398,3 +438,62 @@ class TestParseChecksGuardEveryCommand:
         assert (tok.index, tok.form, tok.head) == (3, "treatment", 5)
         assert parse.root().index == 5
         assert tok == Token(3, "treatment", "treatment", "NOUN", 5, "nsubjpass")
+
+
+class TestBaselineInputs:
+    """Each bad baseline input is a usage error (1) or a data error (2)."""
+
+    def baseline(self, capsys, tmp_path, labeled, *extra):
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "baseline", "--labeled", str(labeled), "--out", str(out), *extra
+        )
+        assert not (out / "baseline.json").exists()
+        return code, err
+
+    @pytest.mark.parametrize(
+        "data, code, reason",
+        [
+            (b'{"text": "caf\xe9", "label": 1}\n', 2, "not UTF-8 at byte offset 13"),
+            (b'{"text": "a", "label": 1}\n5\n', 2, "line 2: must be a JSON object"),
+            (b'{"text": 5, "label": 1}\n', 2, "line 1: text must be a string"),
+        ],
+        ids=["non-utf8", "not-an-object", "non-string-text"],
+    )
+    def test_bad_labeled_file(self, capsys, tmp_path, data, code, reason):
+        labeled = tmp_path / "labeled.jsonl"
+        labeled.write_bytes(data)
+        got, err = self.baseline(capsys, tmp_path, labeled)
+        assert got == code
+        assert reason in err
+
+    def test_negative_seed(self, capsys, tmp_path):
+        got, err = self.baseline(capsys, tmp_path, LABELED_PATH, "--seed", "-1")
+        assert got == 1
+        assert "seed must be non-negative" in err
+
+    def test_missing_labeled_file(self, capsys, tmp_path):
+        got, err = self.baseline(capsys, tmp_path, tmp_path / "ghost.jsonl")
+        assert got == 1
+        assert "cannot read --labeled file" in err
+
+    def test_missing_concept_metrics_file(self, capsys, tmp_path):
+        got, err = self.baseline(
+            capsys, tmp_path, LABELED_PATH, "--concept-metrics", str(tmp_path / "ghost")
+        )
+        assert got == 1
+        assert "cannot read --concept-metrics file" in err
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("{bad", "malformed JSON"), ("[1,2]", "must be a JSON object")],
+        ids=["malformed", "not-an-object"],
+    )
+    def test_bad_concept_metrics_file(self, capsys, tmp_path, text, reason):
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text(text)
+        got, err = self.baseline(
+            capsys, tmp_path, LABELED_PATH, "--concept-metrics", str(metrics)
+        )
+        assert got == 2
+        assert reason in err

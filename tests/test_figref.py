@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from figdesc.errors import PreconditionError
+from figdesc.errors import ConfigError, PreconditionError
 from figdesc.figref import (
     CandidateSet,
+    compile_pattern,
     detect_figure_refs,
     is_figure_referring,
     select_neighbors,
@@ -175,3 +176,14 @@ class TestNeighborSelection:
         assert len(cs.neighbor_indices) <= 2 * window
         for gi in cs.neighbor_indices:
             assert 0 < abs(gi - cs.ref_global_index) <= window
+
+
+class TestCompilePattern:
+    @pytest.mark.parametrize("pattern", [5, b"fig (\\d)", ["Fig"], {"p": 1}, False])
+    def test_non_string_is_a_config_error(self, pattern):
+        with pytest.raises(ConfigError, match="pattern must be a string"):
+            compile_pattern(pattern)
+
+    @pytest.mark.parametrize("pattern", [None, ""])
+    def test_empty_means_default(self, pattern):
+        assert compile_pattern(pattern).search("see Fig. 2") is not None

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from figdesc import pipeline
 from figdesc.cli import main
 from figdesc.corpus import load_article_json
-from figdesc.errors import ConfigError, SchemaError
+from figdesc.errors import AlignmentError, ArticleParseError, ConfigError, SchemaError
 from figdesc.figref import detect_figure_refs, select_neighbors
 from figdesc.scoring import ScoringConfig, WeightTable, calibrate
 
@@ -38,6 +38,23 @@ class TestCorpusDir:
         (tmp_path / "a.json").write_text(json.dumps(doc))
         (tmp_path / "b.json").write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="DUP"):
+            pipeline.load_corpus_dir(tmp_path)
+
+    def test_load_errors_name_the_file_and_keep_their_type(self, tmp_path):
+        (tmp_path / "a.json").write_text(json.dumps({"uid": "A", "body": [["Fine."]]}))
+        (tmp_path / "b.json").write_text('{"uid": "B", ')
+        with pytest.raises(ArticleParseError, match="^b.json: malformed JSON"):
+            pipeline.load_corpus_dir(tmp_path)
+        (tmp_path / "b.json").write_text(json.dumps({"uid": "B"}))
+        with pytest.raises(SchemaError, match="^b.json: body: required"):
+            pipeline.load_corpus_dir(tmp_path)
+        (tmp_path / "b.json").unlink()
+        (tmp_path / "a.conllu").write_text("")
+        with pytest.raises(AlignmentError, match="^a.conllu: parse sidecar has 0 blocks"):
+            pipeline.load_corpus_dir(tmp_path)
+        (tmp_path / "a.conllu").unlink()
+        (tmp_path / "c.json").write_text(json.dumps({"uid": "A", "body": [["Again."]]}))
+        with pytest.raises(SchemaError, match="'A' in a.json and c.json"):
             pipeline.load_corpus_dir(tmp_path)
 
     def test_missing_directory(self, tmp_path):
