@@ -6,6 +6,18 @@ calibrate inverse-square-distance element weights on the referring
 sentences, and classify candidates against a scaled mean-weight threshold.
 """
 
+import os
+
+# BLAS runs on one thread unless the caller sets otherwise. The package's
+# matrices are small (the baseline's is a few thousand rows by a few hundred
+# columns), and a second BLAS thread spins between products: on a 2-core
+# host with one other busy process, k-fold training went from 0.5 s to
+# 1.1-1.8 s on two threads and stayed at 0.6 s on one. OpenBLAS and MKL read
+# these variables when numpy first loads them, so this precedes every import.
+for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .corpus import (
     Article,
     Paragraph,

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -334,3 +338,32 @@ class TestSigmoid:
     def test_two_dimensional(self):
         z = np.array([[-2.0, 0.0], [3.0, -np.inf]])
         np.testing.assert_array_equal(_sigmoid(z), _masked_sigmoid(z.ravel()).reshape(2, 2))
+
+
+class TestBlasThreads:
+    PROBE = (
+        "import os, figdesc, numpy as np\n"
+        "np.ones((2000, 180)) @ np.ones((180, 10))\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))\n"
+    )
+
+    def _probe(self, **env_vars):
+        env = {
+            k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+        }
+        env["PYTHONPATH"] = str(Path(baseline.__file__).parent.parent)
+        env.update(env_vars)
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        return done.stdout.split()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_importing_figdesc_keeps_blas_on_one_thread(self):
+        # a matrix product the size of baseline training starts no BLAS worker
+        assert self._probe() == ["1", "1"]
+
+    def test_explicit_setting_wins(self):
+        assert self._probe(OPENBLAS_NUM_THREADS="2")[0] == "2"
