@@ -150,25 +150,25 @@ def _load_resources(settings: Settings) -> tuple[pipeline.Resources, dict]:
     return res, paths
 
 
-def _hash_corpus(corpus_dir: str) -> dict[str, str | Path]:
-    return {
-        f"corpus/{name}": os.path.join(corpus_dir, name)
-        for name in pipeline.corpus_files(corpus_dir)
-    }
+def _load_corpus(corpus_dir: str) -> tuple[list, dict[str, str]]:
+    """The corpus's articles and the provenance hashes of the bytes they came from."""
+    digests: dict[str, str] = {}
+    articles = pipeline.load_corpus_dir(corpus_dir, digests)
+    return articles, {f"corpus/{name}": digest for name, digest in digests.items()}
 
 
 def cmd_detect(settings: Settings) -> int:
     corpus_dir = settings.require("corpus")
     out = _out_dir(settings)
     shared = _shared_settings(settings)
-    articles = pipeline.load_corpus_dir(corpus_dir)
+    articles, corpus_hashes = _load_corpus(corpus_dir)
     records = []
     total_candidates = 0
     for article in articles:
         det = pipeline.detect_article(article, shared["window"], shared["pattern"])
         total_candidates += len(det.candidate_indices)
         records.extend({"uid": det.uid, **ref} for ref in det.refs)
-    header = pipeline.provenance(_hash_corpus(corpus_dir), shared)
+    header = pipeline.provenance({}, shared, corpus_hashes)
     pipeline.write_jsonl(out / "detect.jsonl", header, records)
     print(
         f"detect: {len(articles)} articles, {len(records)} figure-referring sentences, "
@@ -182,14 +182,12 @@ def cmd_calibrate(settings: Settings) -> int:
     out = _out_dir(settings)
     shared = _shared_settings(settings)
     res, resource_paths = _load_resources(settings)
-    articles = pipeline.load_corpus_dir(corpus_dir)
+    articles, corpus_hashes = _load_corpus(corpus_dir)
     config = scoring.ScoringConfig(lambda_=shared["lambda"], window=shared["window"])
     refs = pipeline.reference_tmrs(articles, res, shared["pattern"])
     table = scoring.calibrate(refs, config)
     (out / "weights.json").write_text(scoring.save_weight_table(table))
-    header = pipeline.provenance(
-        {**_hash_corpus(corpus_dir), **resource_paths}, shared
-    )
+    header = pipeline.provenance(resource_paths, shared, corpus_hashes)
     (out / "weights.meta.json").write_text(
         json.dumps(header, indent=2, sort_keys=True) + "\n"
     )
@@ -208,7 +206,7 @@ def cmd_classify(settings: Settings) -> int:
     out = _out_dir(settings)
     shared = _shared_settings(settings)
     res, resource_paths = _load_resources(settings)
-    articles = pipeline.load_corpus_dir(corpus_dir)
+    articles, corpus_hashes = _load_corpus(corpus_dir)
     config = scoring.ScoringConfig(lambda_=shared["lambda"], window=shared["window"])
     table = scoring.load_weight_table(Path(weights_path).read_bytes())
     threshold = scoring.compute_threshold(table.mean_ref_weight, config.lambda_)
@@ -228,8 +226,7 @@ def cmd_classify(settings: Settings) -> int:
         for row in scored
     ]
     header = pipeline.provenance(
-        {**_hash_corpus(corpus_dir), **resource_paths, "weights": weights_path},
-        shared,
+        {**resource_paths, "weights": weights_path}, shared, corpus_hashes
     )
     pipeline.write_jsonl(out / "scores.jsonl", header, records)
     n_pos = sum(1 for r in records if r["is_descriptive"])
@@ -240,14 +237,16 @@ def cmd_classify(settings: Settings) -> int:
     return 0
 
 
+def _row_id(doc: dict) -> tuple[str, int]:
+    """(uid, global_index) of one gold or scores row."""
+    if not isinstance(doc["uid"], str):
+        raise TypeError("uid must be a string")
+    return doc["uid"], int(doc["global_index"])
+
+
 def _load_gold(path: str) -> dict[tuple[str, int], int]:
-    gold = {}
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
-        gold[(doc["uid"], int(doc["global_index"]))] = int(doc["label"])
-    return gold
+    _, rows = pipeline.read_jsonl(path, lambda doc: (_row_id(doc), int(doc["label"])))
+    return dict(rows)
 
 
 def cmd_evaluate(settings: Settings) -> int:
@@ -262,8 +261,10 @@ def cmd_evaluate(settings: Settings) -> int:
         if x.strip()
     ]
     table = scoring.load_weight_table(Path(weights_path).read_bytes())
-    _, records = pipeline.read_jsonl(Path(scores_path))
-    by_id = {(r["uid"], r["global_index"]): r for r in records}
+    _, rows = pipeline.read_jsonl(
+        scores_path, lambda doc: (_row_id(doc), float(doc["weight"]))
+    )
+    by_id = dict(rows)
     gold = _load_gold(gold_path)
     missing = sorted(k for k in gold if k not in by_id)
     if missing:
@@ -272,7 +273,7 @@ def cmd_evaluate(settings: Settings) -> int:
             + ", ".join(f"{uid}@{gi}" for uid, gi in missing)
         )
     keys = sorted(gold)
-    weights = [by_id[k]["weight"] for k in keys]
+    weights = [by_id[k] for k in keys]
     labels = [gold[k] for k in keys]
     rows = scoring.lambda_sweep(weights, table.mean_ref_weight, lambdas, labels)
     (out / "sweep.tsv").write_text(scoring.sweep_to_tsv(rows))

@@ -12,7 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 from xml.etree import ElementTree
 
@@ -57,12 +59,49 @@ class Token(NamedTuple):
     deprel: str
 
 
-@dataclass(frozen=True)
 class ParsedSentence:
-    tokens: tuple[Token, ...]
+    """One sentence's dependency parse.
+
+    ParsedSentence(tokens) holds its tokens. A parse that attach_parses takes
+    from a sidecar holds its CoNLL-U block, which was checked on load, and
+    builds its tokens from it with read_conllu when they are first read. Two
+    parses are equal when their tokens are equal.
+    """
+
+    __slots__ = ("_tokens", "_block")
+
+    def __init__(self, tokens: tuple[Token, ...]) -> None:
+        self._tokens: tuple[Token, ...] | None = tokens
+        self._block: str | None = None
+
+    @classmethod
+    def _from_block(cls, block: str) -> ParsedSentence:
+        parse = cls.__new__(cls)
+        parse._tokens = None
+        parse._block = block
+        return parse
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        if self._tokens is None:
+            (tokens,) = read_conllu(self._block)
+            self._tokens = tuple(tokens)
+            self._block = None
+        return self._tokens
 
     def root(self) -> Token:
         return next(t for t in self.tokens if t.head == 0)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.tokens == other.tokens
+
+    def __hash__(self) -> int:
+        return hash(self.tokens)
+
+    def __repr__(self) -> str:
+        return f"ParsedSentence(tokens={self.tokens!r})"
 
 
 class Sentence(NamedTuple):
@@ -265,26 +304,33 @@ def article_to_json(article: Article) -> dict:
 
 # ---- CoNLL-U sidecars ----
 
-def read_conllu(text: str) -> list[list[Token]]:
-    """Read CoNLL-U blocks into token lists.
+# ID, FORM, LEMMA, UPOS, HEAD, DEPREL: the columns a Token keeps.
+_TOKEN_COLUMNS = itemgetter(0, 1, 2, 3, 6, 7)
 
-    Uses columns FORM, LEMMA, UPOS, HEAD, DEPREL of the 10-column format.
-    Comment lines and multiword/empty-node ids (containing - or .) are
-    skipped. One block per sentence, blocks separated by blank lines.
+
+def _conllu_blocks(text: str) -> Iterator[tuple[list[str], list[list]]]:
+    """The CoNLL-U line rule: yield (lines, rows) for each block.
+
+    lines are the block's lines, comments included; rows are the columns of
+    its token lines, with ID and HEAD (columns 0 and 6) as ints. A
+    whitespace-only line ends a block, a line starting with # is a comment,
+    and multiword or empty-node ids (containing - or .) are skipped; lines
+    holding no token make no block.
     """
-    blocks: list[list[Token]] = []
-    current: list[Token] = []
-    make_token = Token._make
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    start = 0
+    rows: list[list] = []
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
-            if current:
-                blocks.append(current)
-                current = []
+            if rows:
+                yield lines[start : lineno - 1], rows
+                rows = []
+            start = lineno
             continue
-        if stripped.startswith("#"):
+        if stripped[0] == "#":
             continue
-        cols = line.split("\t")
+        cols: list = line.split("\t")
         if len(cols) != 10:
             raise SchemaError(
                 f"CoNLL-U line {lineno}: expected 10 tab-separated columns, got {len(cols)}"
@@ -293,23 +339,39 @@ def read_conllu(text: str) -> list[list[Token]]:
         if "-" in tok_id or "." in tok_id:
             continue
         try:
-            index = int(tok_id)
-            head = int(cols[6])
+            cols[0] = int(tok_id)
+            cols[6] = int(cols[6])
         except ValueError as e:
             raise SchemaError(f"CoNLL-U line {lineno}: non-integer id or head") from e
-        current.append(make_token((index, cols[1], cols[2], cols[3], head, cols[7])))
-    if current:
-        blocks.append(current)
-    return blocks
+        rows.append(cols)
+    if rows:
+        yield lines[start:], rows
 
 
-def _validate_parse(tokens: list[Token], global_index: int, text: str) -> ParsedSentence:
-    if "".join([t.form for t in tokens]) != "".join(text.split()):
+def read_conllu(text: str) -> list[list[Token]]:
+    """Read CoNLL-U blocks into token lists.
+
+    Uses columns FORM, LEMMA, UPOS, HEAD, DEPREL of the 10-column format.
+    Comment lines and multiword/empty-node ids (containing - or .) are
+    skipped. One block per sentence, blocks separated by blank lines.
+    """
+    make_token = Token._make
+    return [
+        list(map(make_token, map(_TOKEN_COLUMNS, rows)))
+        for _, rows in _conllu_blocks(text)
+    ]
+
+
+def _validate_parse(
+    block: tuple[str, str, list[int]], global_index: int, text: str
+) -> ParsedSentence:
+    """The parse of one block (its text, joined forms and heads) once it fits the sentence."""
+    conllu, forms, heads = block
+    if forms != "".join(text.split()):
         raise AlignmentError(
             f"sentence {global_index}: token forms do not match sentence text"
         )
-    n = len(tokens)
-    heads = [t.head for t in tokens]
+    n = len(heads)
     n_roots = heads.count(0)
     if n_roots != 1:
         raise AlignmentError(
@@ -318,7 +380,7 @@ def _validate_parse(tokens: list[Token], global_index: int, text: str) -> Parsed
     if min(heads) < 0 or max(heads) > n:
         bad = next(h for h in heads if not 0 <= h <= n)
         raise AlignmentError(f"sentence {global_index}: head {bad} out of range 0..{n}")
-    return ParsedSentence(tuple(tokens))
+    return ParsedSentence._from_block(conllu)
 
 
 def attach_parses(article: Article, parse_doc: str | bytes) -> Article:
@@ -326,11 +388,17 @@ def attach_parses(article: Article, parse_doc: str | bytes) -> Article:
 
     The sidecar must contain exactly one CoNLL-U block per article sentence,
     in document order, and each block's concatenated forms must equal the
-    sentence text modulo whitespace. Idempotent for identical input.
+    sentence text modulo whitespace. Every block is checked here, against
+    read_conllu's line rule and these conditions, but no token is built: a
+    sentence keeps its block's text and builds its tokens from it on first
+    use. Idempotent for identical input.
     """
     if isinstance(parse_doc, bytes):
         parse_doc = decode_utf8(parse_doc, "parse sidecar")
-    blocks = read_conllu(parse_doc)
+    blocks = [
+        ("\n".join(lines), "".join([cols[1] for cols in rows]), [cols[6] for cols in rows])
+        for lines, rows in _conllu_blocks(parse_doc)
+    ]
     n_sentences = sum(len(p.sentences) for p in article.paragraphs)
     if len(blocks) != n_sentences:
         raise AlignmentError(

@@ -9,14 +9,16 @@ sentences and their candidate neighbors from those results.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import Any
 
-from .corpus import Article, Sentence, attach_parses
+from .corpus import Article, Sentence, attach_parses, decode_utf8
 from .corpus import load_article_json, load_article_xml
 from .errors import ConfigError, FigdescError, SchemaError
 from .figref import detect_figure_refs, is_figure_referring, neighbor_positions
@@ -77,12 +79,18 @@ def corpus_files(path: str | Path) -> list[str]:
     """Names of the files that make up a corpus directory, sorted.
 
     These are the .json and .xml articles and the .conllu parse sidecars;
-    the corpus loader reads them and the commands hash them for provenance.
+    the corpus loader reads and hashes them. An entry that is not a file
+    (a directory named like one, say) is no part of the corpus.
     """
     if not os.path.isdir(path):
         raise ConfigError(f"corpus directory {path} does not exist")
-    names = sorted(os.listdir(path))
-    return [name for name in names if _suffix(name) in _CORPUS_SUFFIXES]
+    with os.scandir(path) as entries:
+        names = [
+            entry.name
+            for entry in entries
+            if _suffix(entry.name) in _CORPUS_SUFFIXES and entry.is_file()
+        ]
+    return sorted(names)
 
 
 def _read_bytes(*path: str | Path) -> bytes:
@@ -90,34 +98,42 @@ def _read_bytes(*path: str | Path) -> bytes:
         return fh.read()
 
 
-def _load_file(directory: str | Path, name: str, load: Callable[[bytes], Article]) -> Article:
-    """load() of one file's bytes; its FigdescError gets the file name in front."""
-    try:
-        return load(_read_bytes(directory, name))
-    except FigdescError as e:
-        raise type(e)(f"{name}: {e}") from e
-
-
-def load_corpus_dir(path: str | Path) -> list[Article]:
+def load_corpus_dir(
+    path: str | Path, digests: dict[str, str] | None = None
+) -> list[Article]:
     """Load every article file in a directory, sorted by uid.
 
     JSON and XML articles are both accepted; a <stem>.conllu file next to an
     article attaches its parses. Duplicate uids reject the corpus. An error
-    in a file names that file.
+    in a file names that file. Each corpus file is read once; given a dict
+    as digests, the loader puts there the sha256 of the bytes it read, by
+    file name, orphan sidecars included.
     """
     names = corpus_files(path)
     present = set(names)
+    if digests is None:
+        digests = {}
+
+    def load(name: str, parse: Callable[[bytes], Article]) -> Article:
+        data = _read_bytes(path, name)
+        digests[name] = hashlib.sha256(data).hexdigest()
+        try:
+            return parse(data)
+        except FigdescError as e:
+            raise type(e)(f"{name}: {e}") from e
+
     articles = []
     file_of: dict[str, str] = {}
     for name in names:
         suffix = _suffix(name)
+        stem = name[: -len(suffix)]
         if suffix == ".conllu":
+            if stem + ".json" not in present and stem + ".xml" not in present:
+                load(name, bytes)  # no article claims it: hashed, not parsed
             continue
-        load = load_article_json if suffix == ".json" else load_article_xml
-        article = _load_file(path, name, load)
-        sidecar = name[: -len(suffix)] + ".conllu"
-        if sidecar in present:
-            article = _load_file(path, sidecar, partial(attach_parses, article))
+        article = load(name, load_article_json if suffix == ".json" else load_article_xml)
+        if stem + ".conllu" in present:
+            article = load(stem + ".conllu", partial(attach_parses, article))
         if article.uid in file_of:
             raise SchemaError(
                 f"uid: duplicate article uid {article.uid!r} "
@@ -212,32 +228,60 @@ def sha256_file(path: str | Path) -> str:
     return hashlib.sha256(_read_bytes(path)).hexdigest()
 
 
-def provenance(inputs: dict[str, str | Path | None], settings: dict) -> dict:
-    """Input hashes plus resolved settings; no timestamps, no output paths."""
-    hashes = {
-        name: sha256_file(p) for name, p in sorted(inputs.items()) if p is not None
-    }
-    return {"inputs": hashes, "settings": dict(sorted(settings.items()))}
+def provenance(
+    inputs: dict[str, str | Path | None],
+    settings: dict,
+    digests: dict[str, str] | None = None,
+) -> dict:
+    """Input hashes plus resolved settings; no timestamps, no output paths.
+
+    inputs name the files to hash; digests are hashes already taken, by name.
+    """
+    hashes = {name: sha256_file(p) for name, p in inputs.items() if p is not None}
+    hashes.update(digests or {})
+    return {"inputs": dict(sorted(hashes.items())), "settings": dict(sorted(settings.items()))}
 
 
 def write_jsonl(path: Path, header: dict, records: list[dict]) -> None:
-    """JSONL with a first-line provenance record; keys sorted for stable bytes."""
-    lines = [json.dumps({"provenance": header}, sort_keys=True)]
-    lines.extend(json.dumps(r, sort_keys=True) for r in records)
-    path.write_text("\n".join(lines) + "\n")
+    """JSONL with a first-line provenance record; keys sorted for stable bytes.
+
+    Written a line at a time: the whole text is never held in memory.
+    """
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"provenance": header}, sort_keys=True) + "\n")
+        for r in records:
+            fh.write(json.dumps(r, sort_keys=True) + "\n")
 
 
-def read_jsonl(path: Path) -> tuple[dict, list[dict]]:
-    """Counterpart of write_jsonl; returns (provenance, records)."""
+def read_jsonl(
+    path: str | Path, record: Callable[[dict], Any] | None = None
+) -> tuple[dict, list]:
+    """Counterpart of write_jsonl; returns (provenance, records).
+
+    Every record must be a JSON object; record(obj), if given, is what is kept
+    of one. A line that is not an object, or whose record() raises KeyError,
+    TypeError or ValueError, raises SchemaError naming the file and the line.
+    """
     header: dict = {}
     records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    text = decode_utf8(_read_bytes(path), str(path))
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        if not line.strip():
+            continue
+        where = f"{path} line {lineno}"
+        try:
             doc = json.loads(line)
-            if lineno == 1 and "provenance" in doc:
-                header = doc["provenance"]
-                continue
-            records.append(doc)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"{where}: malformed JSON: {e.msg}") from e
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{where}: must be a JSON object")
+        if lineno == 1 and "provenance" in doc:
+            header = doc["provenance"]
+            continue
+        try:
+            records.append(doc if record is None else record(doc))
+        except KeyError as e:
+            raise SchemaError(f"{where}: missing key {e}") from e
+        except (TypeError, ValueError) as e:
+            raise SchemaError(f"{where}: {e}") from e
     return header, records

@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import shutil
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -388,6 +393,102 @@ class TestExitCodes:
             assert name in err
 
 
+    def test_directory_named_like_a_corpus_file_is_skipped(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for suffix in (".json", ".conllu"):
+            source = MINI_CORPUS / f"M001{suffix}"
+            (corpus / source.name).write_bytes(source.read_bytes())
+        code, _, _ = run(capsys, "detect", "--corpus", str(corpus), "--out", str(tmp_path / "a"))
+        assert code == 0
+        (corpus / "sub.json").mkdir()
+        (corpus / "sub.conllu").mkdir()
+        code, _, err = run(
+            capsys, "detect", "--corpus", str(corpus), "--out", str(tmp_path / "b")
+        )
+        assert code == 0, err
+        assert (tmp_path / "b" / "detect.jsonl").read_bytes() == (
+            tmp_path / "a" / "detect.jsonl"
+        ).read_bytes()
+
+
+class TestEvaluateInputs:
+    """A malformed gold or scores file is a data error naming the file and line."""
+
+    GOOD_GOLD = '{"uid": "M001", "global_index": 1, "label": 1}\n'
+
+    def evaluate(self, capsys, tmp_path, outputs, name, data):
+        """evaluate with the gold or scores file replaced by one holding data."""
+        inputs = {"gold": MINI_CORPUS / "gold.jsonl", "scores": outputs / "scores.jsonl"}
+        inputs[name] = tmp_path / f"{name}.jsonl"
+        inputs[name].write_bytes(data)
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys,
+            "evaluate",
+            "--scores",
+            str(inputs["scores"]),
+            "--gold",
+            str(inputs["gold"]),
+            "--weights",
+            str(outputs / "weights.json"),
+            "--out",
+            str(out),
+        )
+        assert not (out / "metrics.json").exists()
+        return code, err
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("{bad\n", "line 1: malformed JSON"),
+            (GOOD_GOLD + "[1, 2]\n", "line 2: must be a JSON object"),
+            ('{"uid": "M001", "global_index": 1}\n', "line 1: missing key 'label'"),
+            ('{"uid": "M001", "label": 1}\n', "line 1: missing key 'global_index'"),
+            ('{"uid": "M001", "global_index": "one", "label": 1}\n', "line 1: invalid literal"),
+            (GOOD_GOLD + '{"uid": "M001", "global_index": 2, "label": null}\n', "line 2: int()"),
+            ('{"uid": 7, "global_index": 1, "label": 1}\n', "line 1: uid must be a string"),
+        ],
+        ids=[
+            "malformed",
+            "not-an-object",
+            "no-label",
+            "no-global-index",
+            "non-integer-global-index",
+            "non-integer-label",
+            "non-string-uid",
+        ],
+    )
+    def test_bad_gold_file(self, capsys, tmp_path, outputs, text, reason):
+        code, err = self.evaluate(capsys, tmp_path, outputs, "gold", text.encode())
+        assert code == 2
+        assert "gold.jsonl " + reason in err
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("{bad", "line 2: malformed JSON"),
+            ('"row"', "line 2: must be a JSON object"),
+            ('{"uid": "M001", "global_index": 1}', "line 2: missing key 'weight'"),
+            ('{"uid": "M001", "global_index": [1], "weight": 0.5}', "line 2: int()"),
+            ('{"uid": "M001", "global_index": 1, "weight": "heavy"}', "line 2: could not convert"),
+        ],
+        ids=["malformed", "not-an-object", "no-weight", "non-integer-global-index", "bad-weight"],
+    )
+    def test_bad_scores_file(self, capsys, tmp_path, outputs, row, reason):
+        header = (outputs / "scores.jsonl").read_text().splitlines()[0]
+        code, err = self.evaluate(
+            capsys, tmp_path, outputs, "scores", f"{header}\n{row}\n".encode()
+        )
+        assert code == 2
+        assert "scores.jsonl " + reason in err
+
+    def test_scores_file_not_utf8(self, capsys, tmp_path, outputs):
+        code, err = self.evaluate(capsys, tmp_path, outputs, "scores", b'{"uid": "caf\xe9"}\n')
+        assert code == 2
+        assert "scores.jsonl: not UTF-8 at byte offset 12" in err
+
+
 # Block 0 of M001 parses "No further treatment was applied.", a filler: no
 # figure reference in its paragraph, so it is neither a reference nor a
 # candidate. A bad parse there must still reject the corpus.
@@ -438,6 +539,53 @@ class TestParseChecksGuardEveryCommand:
         assert (tok.index, tok.form, tok.head) == (3, "treatment", 5)
         assert parse.root().index == 5
         assert tok == Token(3, "treatment", "treatment", "NOUN", 5, "nsubjpass")
+
+
+class TestCorpusReadOnce:
+    @pytest.mark.parametrize(
+        "command, header_file",
+        [
+            ("detect", "detect.jsonl"),
+            ("calibrate", "weights.meta.json"),
+            ("classify", "scores.jsonl"),
+        ],
+    )
+    def test_each_corpus_file_opened_once_and_hashed(
+        self, capsys, tmp_path, outputs, monkeypatch, command, header_file
+    ):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI_CORPUS, corpus)
+        (corpus / "Z999.conllu").write_text("# a sidecar no article claims\n")
+        opened = Counter()
+        read_bytes = pipeline._read_bytes
+
+        def counting_read_bytes(*path):
+            full = Path(os.path.join(*path))
+            if full.parent == corpus:
+                opened[full.name] += 1
+            return read_bytes(*path)
+
+        monkeypatch.setattr(pipeline, "_read_bytes", counting_read_bytes)
+        extra = {
+            "detect": [],
+            "calibrate": resource_args(),
+            "classify": ["--weights", str(outputs / "weights.json"), *resource_args()],
+        }[command]
+        out = tmp_path / "out"
+        code, _, err = run(capsys, command, "--corpus", str(corpus), "--out", str(out), *extra)
+        assert code == 0, err
+        names = pipeline.corpus_files(corpus)
+        assert "Z999.conllu" in names and "gold.jsonl" not in names
+        assert opened == {name: 1 for name in names}
+        text = (out / header_file).read_text()
+        header = json.loads(text.splitlines()[0] if header_file.endswith(".jsonl") else text)
+        if "provenance" in header:
+            header = header["provenance"]
+        hashes = {k: v for k, v in header["inputs"].items() if k.startswith("corpus/")}
+        assert hashes == {
+            f"corpus/{name}": hashlib.sha256((corpus / name).read_bytes()).hexdigest()
+            for name in names
+        }
 
 
 class TestBaselineInputs:

@@ -1,20 +1,26 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from figdesc.corpus import (
     _SPLIT_RE,
     DEFAULT_ABBREVIATIONS,
+    Article,
+    Paragraph,
+    ParsedSentence,
+    Sentence,
+    Token,
     article_to_json,
     attach_parses,
+    decode_utf8,
     load_article_json,
     load_article_xml,
     read_conllu,
     segment_sentences,
 )
-from figdesc.errors import AlignmentError, ArticleParseError, SchemaError
+from figdesc.errors import AlignmentError, ArticleParseError, FigdescError, SchemaError
 
 
 # Reference segmenter: lowercases the whole prefix at every split candidate.
@@ -323,3 +329,237 @@ class TestConllu:
         art = load_article_json(json.dumps(doc))
         with pytest.raises(AlignmentError, match="head"):
             attach_parses(art, bad)
+
+
+# ---- oracle: the eager CoNLL-U loader that built every token on load ----
+
+def _oracle_read_conllu(text):
+    blocks = []
+    current = []
+    make_token = Token._make
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            if current:
+                blocks.append(current)
+                current = []
+            continue
+        if stripped.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) != 10:
+            raise SchemaError(
+                f"CoNLL-U line {lineno}: expected 10 tab-separated columns, got {len(cols)}"
+            )
+        tok_id = cols[0]
+        if "-" in tok_id or "." in tok_id:
+            continue
+        try:
+            index = int(tok_id)
+            head = int(cols[6])
+        except ValueError as e:
+            raise SchemaError(f"CoNLL-U line {lineno}: non-integer id or head") from e
+        current.append(make_token((index, cols[1], cols[2], cols[3], head, cols[7])))
+    if current:
+        blocks.append(current)
+    return blocks
+
+
+def _oracle_validate_parse(tokens, global_index, text):
+    if "".join([t.form for t in tokens]) != "".join(text.split()):
+        raise AlignmentError(
+            f"sentence {global_index}: token forms do not match sentence text"
+        )
+    n = len(tokens)
+    heads = [t.head for t in tokens]
+    n_roots = heads.count(0)
+    if n_roots != 1:
+        raise AlignmentError(
+            f"sentence {global_index}: expected exactly one root token, got {n_roots}"
+        )
+    if min(heads) < 0 or max(heads) > n:
+        bad = next(h for h in heads if not 0 <= h <= n)
+        raise AlignmentError(f"sentence {global_index}: head {bad} out of range 0..{n}")
+    return ParsedSentence(tuple(tokens))
+
+
+def _oracle_attach_parses(article, parse_doc):
+    if isinstance(parse_doc, bytes):
+        parse_doc = decode_utf8(parse_doc, "parse sidecar")
+    blocks = _oracle_read_conllu(parse_doc)
+    n_sentences = sum(len(p.sentences) for p in article.paragraphs)
+    if len(blocks) != n_sentences:
+        raise AlignmentError(
+            "parse sidecar has %d blocks for %d sentences; first divergence at global_index %d"
+            % (len(blocks), n_sentences, min(len(blocks), n_sentences))
+        )
+    remaining = iter(blocks)
+    paragraphs = tuple(
+        Paragraph(
+            p.index,
+            tuple(
+                Sentence(
+                    s.paragraph_index,
+                    s.index_in_paragraph,
+                    s.global_index,
+                    s.text,
+                    _oracle_validate_parse(next(remaining), s.global_index, s.text),
+                )
+                for s in p.sentences
+            ),
+        )
+        for p in article.paragraphs
+    )
+    return Article(
+        article.uid, article.title, article.abstract, paragraphs, article.metadata
+    )
+
+
+_FORMS = st.sampled_from(["Rain", "falls", ".", "x", "Ab", "ü", "42", "Fig."])
+_BLANK_LINES = st.sampled_from(["", " ", "\t", "  \t ", "\u00a0", "\u3000"])
+_COMMENTS = st.sampled_from(["# sent_id = 1", "#", "  # text = x", "#\tcomment\twith\ttabs"])
+# Spellings of a number that int() reads: spaces, a sign, non-ASCII digits.
+_NUMBER_SPELLINGS = st.sampled_from(
+    [
+        str,
+        lambda n: f" {n}",
+        lambda n: f"{n} ",
+        lambda n: f"+{n}",
+        lambda n: str(n).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+        lambda n: str(n).translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+    ]
+)
+# Lines that may come before a token line and are no token themselves.
+_SKIPPED_LINES = st.sampled_from(
+    [
+        "{c}",
+        "{i}-{j}\tcan't\t_\t_\t_\t_\t_\t_\t_\t_",
+        "{i}.1\tghost\t_\t_\t_\t_\t_\t_\t_\t_",
+    ]
+)
+
+
+def _break_row(cols, n, fault):
+    """Make one token line's columns break a rule of the loader."""
+    if fault == "columns":
+        if len(cols) == 10:
+            cols.pop()  # 9 columns
+        cols.append("_")  # or 11
+        cols.append("_")
+    elif fault == "nine-column-multiword":
+        cols[:] = [f"{cols[0]}-9", "x", "_", "_", "_", "_", "_", "_", "_"]
+    elif fault in ("root", "1.5", "", "٠.١"):  # not an integer
+        cols[6] = fault
+    elif fault == "negative-head":
+        cols[6] = "-1"
+    elif fault == "head-too-big":
+        cols[6] = str(n + 1)
+    elif fault == "extra-root":
+        cols[6] = "0"
+    elif fault == "form":
+        cols[1] = cols[1][:-1] + "z"  # same length, other text
+
+
+# A fault the line rule catches, or (three times as often) one the sentence checks catch.
+_ROW_FAULTS = st.sampled_from(
+    ["columns", "nine-column-multiword", "root", "1.5", "", "٠.١"]
+    + ["negative-head", "head-too-big", "extra-root", "form"] * 3
+)
+
+
+@st.composite
+def _sidecar_cases(draw):
+    """(sentence texts, sidecar text): one block per sentence, with up to two faults."""
+    sentences = draw(st.lists(st.lists(_FORMS, min_size=1, max_size=4), min_size=1, max_size=4))
+    blocks = []  # per block: its lines, a token line being a list of columns
+    token_lines = []  # (columns, token count of its block)
+    for forms in sentences:
+        n = len(forms)
+        root = draw(st.integers(1, n))
+        lines = draw(st.lists(_COMMENTS, max_size=1))
+        for position, form in enumerate(forms, start=1):
+            if draw(st.integers(0, 3)) == 0:
+                line = draw(_SKIPPED_LINES)
+                lines.append(line.format(c=draw(_COMMENTS), i=position, j=position + 1))
+            head = 0 if position == root else draw(st.integers(1, n))
+            spell = draw(_NUMBER_SPELLINGS) if draw(st.integers(0, 3)) == 0 else str
+            cols = [spell(position), form, form.lower(), "X", "_", "_", spell(head), "dep", "_", "_"]
+            lines.append(cols)
+            token_lines.append((cols, n))
+        blocks.append(lines)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        cols, n = draw(st.sampled_from(token_lines))
+        _break_row(cols, n, draw(_ROW_FAULTS))
+    count_fault = draw(st.sampled_from([None] * 12 + ["drop", "repeat", "extra-sentence"]))
+    if count_fault == "drop" and len(blocks) > 1:
+        del blocks[draw(st.integers(0, len(blocks) - 1))]
+    elif count_fault == "repeat":
+        blocks.append(blocks[-1])
+    elif count_fault == "extra-sentence":
+        sentences.append(["More"])
+    out = draw(st.lists(_BLANK_LINES, max_size=2))
+    for i, lines in enumerate(blocks):
+        if i:
+            separator = draw(st.lists(st.one_of(_BLANK_LINES, _COMMENTS), max_size=3))
+            # Without a blank line two blocks merge into one; let that happen now and then.
+            if not draw(st.sampled_from([False] * 7 + [True])):
+                separator.insert(draw(st.integers(0, len(separator))), draw(_BLANK_LINES))
+            out += separator
+        out += [line if isinstance(line, str) else "\t".join(line) for line in lines]
+    out += draw(st.lists(st.one_of(_BLANK_LINES, _COMMENTS), max_size=2))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(out) + draw(st.sampled_from(["", newline]))
+    return [" ".join(forms) for forms in sentences], text
+
+
+def _outcome(attach, article, sidecar):
+    try:
+        return "ok", attach(article, sidecar)
+    except FigdescError as e:
+        return type(e), str(e)
+
+
+# Faults the search draws seldom on an otherwise good sidecar.
+_GOOD_ROWS = "1\tRain\train\tX\t_\t_\t0\tdep\t_\t_\r2\tfalls\tfall\tX\t_\t_\t1\tdep\t_\t_\r"
+
+
+class TestLazyParsesMatchEagerOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_sidecar_cases())
+    @example((["Rain falls", "Rain falls"], _GOOD_ROWS + "\r" + _GOOD_ROWS.replace("\t1\t", "\t-1\t")))
+    @example((["Rain falls", "Rain falls"], _GOOD_ROWS + " \r#\r\r" + _GOOD_ROWS.replace("\t1\t", "\t0\t")))
+    @example((["Rain falls", "Rain falls"], _GOOD_ROWS + "\r\u3000\r" + _GOOD_ROWS.replace("\t1\t", "\t3\t")))
+    @example((["Rain falls", "Rain"], _GOOD_ROWS + "\r# x\r" + _GOOD_ROWS))
+    def test_same_tokens_or_same_error(self, case):
+        texts, sidecar = case
+        article = load_article_json(json.dumps({"uid": "H", "body": [texts]}))
+        expected = _outcome(_oracle_attach_parses, article, sidecar)
+        got = _outcome(attach_parses, article, sidecar)
+        if expected[0] != "ok":
+            assert got == expected
+            return
+        assert got[0] == "ok", got
+        pairs = list(zip(got[1].sentences(), expected[1].sentences(), strict=True))
+        assert [s.parse.tokens for s, _ in pairs] == [o.parse.tokens for _, o in pairs]
+        assert got[1] == expected[1]
+
+    def test_tokens_are_built_on_first_use(self, monkeypatch):
+        from figdesc import corpus
+
+        calls = []
+
+        def counting_read_conllu(text):
+            calls.append(text)
+            return read_conllu(text)
+
+        monkeypatch.setattr(corpus, "read_conllu", counting_read_conllu)
+        doc = {"uid": "L1", "body": [["Rain falls.", "It stops."]]}
+        parsed = attach_parses(load_article_json(json.dumps(doc)), CONLLU_OK)
+        assert calls == []
+        second = parsed.sentences()[1].parse
+        assert second.root().form == "stops"
+        assert second.tokens is second.tokens
+        assert len(calls) == 1 and calls[0].startswith("# a comment\n1\tIt")
+        assert second == ParsedSentence(tuple(read_conllu(CONLLU_OK)[1]))
+        assert hash(second) == hash(ParsedSentence(second.tokens))
+        assert repr(second).startswith("ParsedSentence(tokens=(Token(index=1, form='It'")
