@@ -14,14 +14,13 @@ own vocabulary and matrices, up to rounding.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import decode_utf8
-from .errors import ConfigError, DivergenceError, SchemaError
+from .corpus import parse_jsonl
+from .errors import ConfigError, DivergenceError
 
 _TOKEN_RE = re.compile(r"[a-z]+")
 
@@ -234,26 +233,14 @@ def kfold_cv(
     return {"folds": per_fold, "mean": mean, "k": k, "seed": seed}
 
 
+def _labeled_row(doc: dict) -> tuple[str, int]:
+    if not isinstance(doc["text"], str):
+        raise TypeError("text must be a string")
+    if doc["label"] not in (0, 1):
+        raise ValueError("label must be 0 or 1")
+    return doc["text"], int(doc["label"])
+
+
 def load_labeled_jsonl(data: bytes | str) -> list[tuple[str, int]]:
     """Read {"text", "label", "source"} lines into (text, label) pairs."""
-    if isinstance(data, bytes):
-        data = decode_utf8(data, "labeled file")
-    rows = []
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"labeled line {lineno}: malformed JSON: {e.msg}") from e
-        if not isinstance(doc, dict):
-            raise SchemaError(f"labeled line {lineno}: must be a JSON object")
-        if "text" not in doc or "label" not in doc:
-            raise SchemaError(f"labeled line {lineno}: needs text and label fields")
-        if not isinstance(doc["text"], str):
-            raise SchemaError(f"labeled line {lineno}: text must be a string")
-        label = doc["label"]
-        if label not in (0, 1):
-            raise SchemaError(f"labeled line {lineno}: label must be 0 or 1")
-        rows.append((doc["text"], int(label)))
-    return rows
+    return parse_jsonl(data, "labeled", _labeled_row)[1]

@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import baseline as bl
 from . import figref, pipeline, scoring
-from .corpus import decode_utf8
-from .errors import AlignmentError, ConfigError, FigdescError, SchemaError
+from .corpus import load_json_object
+from .errors import AlignmentError, ArticleParseError, ConfigError, FigdescError, SchemaError
 
 ENV_PREFIX = "FIGDESC_"
 
@@ -33,14 +33,11 @@ class Settings:
         self._file = {}
         config_path = self._args.get("config") or os.environ.get(ENV_PREFIX + "CONFIG")
         if config_path:
+            data = pipeline.read_input(config_path, "config")
             try:
-                self._file = json.loads(Path(config_path).read_text())
-            except OSError as e:
-                raise ConfigError(f"cannot read config file {config_path}: {e}") from e
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"config file {config_path}: {e.msg}") from e
-            if not isinstance(self._file, dict):
-                raise ConfigError("config file must hold a JSON object")
+                self._file = load_json_object(data, config_path)
+            except (ArticleParseError, SchemaError) as e:
+                raise ConfigError(f"config file {e}") from e
 
     def get(self, name: str, default=None, cast=None):
         # argparse stores --lambda under lambda_ (keyword clash)
@@ -137,38 +134,33 @@ def _shared_settings(settings: Settings) -> dict:
     }
 
 
-def _load_resources(settings: Settings) -> tuple[pipeline.Resources, dict]:
-    paths = {
-        "ontology": settings.require("ontology"),
-        "synsets": settings.get("synsets"),
-        "embeddings": settings.get("embeddings"),
-        "gazetteer": settings.get("gazetteer"),
-    }
-    res = pipeline.load_resources(
-        paths["ontology"], paths["synsets"], paths["embeddings"], paths["gazetteer"]
+def _load_resources(settings: Settings, digests: dict[str, str]) -> pipeline.Resources:
+    return pipeline.load_resources(
+        settings.require("ontology"),
+        settings.get("synsets"),
+        settings.get("embeddings"),
+        settings.get("gazetteer"),
+        digests,
     )
-    return res, paths
 
 
-def _load_corpus(corpus_dir: str) -> tuple[list, dict[str, str]]:
-    """The corpus's articles and the provenance hashes of the bytes they came from."""
-    digests: dict[str, str] = {}
-    articles = pipeline.load_corpus_dir(corpus_dir, digests)
-    return articles, {f"corpus/{name}": digest for name, digest in digests.items()}
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_detect(settings: Settings) -> int:
     corpus_dir = settings.require("corpus")
     out = _out_dir(settings)
     shared = _shared_settings(settings)
-    articles, corpus_hashes = _load_corpus(corpus_dir)
+    digests: dict[str, str] = {}
+    articles = pipeline.load_corpus_dir(corpus_dir, digests)
     records = []
     total_candidates = 0
     for article in articles:
         det = pipeline.detect_article(article, shared["window"], shared["pattern"])
         total_candidates += len(det.candidate_indices)
         records.extend({"uid": det.uid, **ref} for ref in det.refs)
-    header = pipeline.provenance({}, shared, corpus_hashes)
+    header = pipeline.provenance(shared, digests)
     pipeline.write_jsonl(out / "detect.jsonl", header, records)
     print(
         f"detect: {len(articles)} articles, {len(records)} figure-referring sentences, "
@@ -181,16 +173,15 @@ def cmd_calibrate(settings: Settings) -> int:
     corpus_dir = settings.require("corpus")
     out = _out_dir(settings)
     shared = _shared_settings(settings)
-    res, resource_paths = _load_resources(settings)
-    articles, corpus_hashes = _load_corpus(corpus_dir)
+    digests: dict[str, str] = {}
+    res = _load_resources(settings, digests)
+    articles = pipeline.load_corpus_dir(corpus_dir, digests)
     config = scoring.ScoringConfig(lambda_=shared["lambda"], window=shared["window"])
     refs = pipeline.reference_tmrs(articles, res, shared["pattern"])
     table = scoring.calibrate(refs, config)
     (out / "weights.json").write_text(scoring.save_weight_table(table))
-    header = pipeline.provenance(resource_paths, shared, corpus_hashes)
-    (out / "weights.meta.json").write_text(
-        json.dumps(header, indent=2, sort_keys=True) + "\n"
-    )
+    header = pipeline.provenance(shared, digests)
+    _write_json(out / "weights.meta.json", header)
     n_tmr, n_c, n_p = table.calibration_counts
     print(
         f"calibrate: {n_tmr} reference representations, {n_c} concepts, "
@@ -205,10 +196,11 @@ def cmd_classify(settings: Settings) -> int:
     weights_path = settings.require("weights")
     out = _out_dir(settings)
     shared = _shared_settings(settings)
-    res, resource_paths = _load_resources(settings)
-    articles, corpus_hashes = _load_corpus(corpus_dir)
+    digests: dict[str, str] = {}
+    res = _load_resources(settings, digests)
+    articles = pipeline.load_corpus_dir(corpus_dir, digests)
     config = scoring.ScoringConfig(lambda_=shared["lambda"], window=shared["window"])
-    table = scoring.load_weight_table(Path(weights_path).read_bytes())
+    table = pipeline.read_input(weights_path, "weights", digests, scoring.load_weight_table)
     threshold = scoring.compute_threshold(table.mean_ref_weight, config.lambda_)
     scored = pipeline.score_candidates(articles, res, table, config, shared["pattern"])
     from .tmr import tmr_to_json
@@ -225,9 +217,7 @@ def cmd_classify(settings: Settings) -> int:
         }
         for row in scored
     ]
-    header = pipeline.provenance(
-        {**resource_paths, "weights": weights_path}, shared, corpus_hashes
-    )
+    header = pipeline.provenance(shared, digests)
     pipeline.write_jsonl(out / "scores.jsonl", header, records)
     n_pos = sum(1 for r in records if r["is_descriptive"])
     print(
@@ -244,9 +234,8 @@ def _row_id(doc: dict) -> tuple[str, int]:
     return doc["uid"], int(doc["global_index"])
 
 
-def _load_gold(path: str) -> dict[tuple[str, int], int]:
-    _, rows = pipeline.read_jsonl(path, lambda doc: (_row_id(doc), int(doc["label"])))
-    return dict(rows)
+def _float_list(value: object) -> list[float]:
+    return [float(x) for x in str(value).split(",") if x.strip()]
 
 
 def cmd_evaluate(settings: Settings) -> int:
@@ -255,17 +244,24 @@ def cmd_evaluate(settings: Settings) -> int:
     weights_path = settings.require("weights")
     out = _out_dir(settings)
     shared = _shared_settings(settings)
-    lambdas = [
-        float(x)
-        for x in str(settings.get("lambdas", DEFAULT_LAMBDAS)).split(",")
-        if x.strip()
-    ]
-    table = scoring.load_weight_table(Path(weights_path).read_bytes())
-    _, rows = pipeline.read_jsonl(
-        scores_path, lambda doc: (_row_id(doc), float(doc["weight"]))
+    lambdas = settings.get("lambdas", DEFAULT_LAMBDAS, _float_list)
+    digests: dict[str, str] = {}
+    table = pipeline.read_input(weights_path, "weights", digests, scoring.load_weight_table)
+    scores_header, rows = pipeline.read_jsonl(
+        scores_path, lambda doc: (_row_id(doc), float(doc["weight"])), digests, "scores"
     )
+    recorded = scores_header.get("inputs")
+    scored_with = recorded.get("weights") if isinstance(recorded, dict) else None
+    if scored_with is not None and scored_with != digests["weights"]:
+        raise AlignmentError(
+            f"{scores_path} was scored with weights of sha256 {scored_with}, "
+            f"but --weights {weights_path} has sha256 {digests['weights']}"
+        )
     by_id = dict(rows)
-    gold = _load_gold(gold_path)
+    _, rows = pipeline.read_jsonl(
+        gold_path, lambda doc: (_row_id(doc), int(doc["label"])), digests, "gold"
+    )
+    gold = dict(rows)
     missing = sorted(k for k in gold if k not in by_id)
     if missing:
         raise AlignmentError(
@@ -283,17 +279,9 @@ def cmd_evaluate(settings: Settings) -> int:
     headline = scoring.evaluate(preds, labels)
     headline["lambda"] = lam
     headline["threshold"] = threshold
-    header = pipeline.provenance(
-        {"scores": scores_path, "gold": gold_path, "weights": weights_path},
-        {**shared, "lambdas": lambdas},
-    )
-    (out / "metrics.json").write_text(
-        json.dumps({"provenance": header, "metrics": headline}, indent=2, sort_keys=True)
-        + "\n"
-    )
-    (out / "sweep.meta.json").write_text(
-        json.dumps(header, indent=2, sort_keys=True) + "\n"
-    )
+    header = pipeline.provenance({**shared, "lambdas": lambdas}, digests)
+    _write_json(out / "metrics.json", {"provenance": header, "metrics": headline})
+    _write_json(out / "sweep.meta.json", header)
     print(
         f"evaluate: {len(keys)} labeled candidates, lambda={lam:g}: "
         f"accuracy {headline['accuracy']:.4f}, F1 {headline['f1']:.4f} "
@@ -302,22 +290,8 @@ def cmd_evaluate(settings: Settings) -> int:
     return 0
 
 
-def _read_input(path: str, flag: str) -> bytes:
-    """Bytes of an input file; a file that cannot be read is a bad --flag value."""
-    try:
-        return Path(path).read_bytes()
-    except OSError as e:
-        raise ConfigError(f"cannot read --{flag} file: {e}") from e
-
-
-def _load_concept_metrics(path: str) -> dict:
-    text = decode_utf8(_read_input(path, "concept-metrics"), path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: malformed JSON: {e.msg}") from e
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: concept metrics must be a JSON object")
+def _concept_metrics(data: bytes) -> dict:
+    doc = load_json_object(data, "concept metrics")
     return doc.get("metrics", doc)
 
 
@@ -326,19 +300,19 @@ def cmd_baseline(settings: Settings) -> int:
     out = _out_dir(settings)
     folds = settings.get("folds", 10, int)
     seed = settings.get("seed", 0, int)
-    dataset = bl.load_labeled_jsonl(_read_input(labeled_path, "labeled"))
-    comparison_path = settings.get("concept_metrics")
-    concept = _load_concept_metrics(comparison_path) if comparison_path else None
+    digests: dict[str, str] = {}
+    dataset = pipeline.read_input(labeled_path, "labeled", digests, bl.load_labeled_jsonl)
+    metrics_path = settings.get("concept_metrics")
+    concept = (
+        pipeline.read_input(metrics_path, "concept-metrics", None, _concept_metrics)
+        if metrics_path
+        else None
+    )
     report = bl.kfold_cv(dataset, k=folds, seed=seed)
     if concept is not None:
         report["concept_model"] = concept
-    header = pipeline.provenance(
-        {"labeled": labeled_path}, {"folds": folds, "seed": seed}
-    )
-    (out / "baseline.json").write_text(
-        json.dumps({"provenance": header, "report": report}, indent=2, sort_keys=True)
-        + "\n"
-    )
+    header = pipeline.provenance({"folds": folds, "seed": seed}, digests)
+    _write_json(out / "baseline.json", {"provenance": header, "report": report})
     print(
         f"baseline: {len(dataset)} sentences, {folds}-fold CV: "
         f"mean accuracy {report['mean']['accuracy']:.4f}, "

@@ -4,18 +4,20 @@ An Article is a flat, ordered view of a scientific paper's body text:
 paragraphs of sentences, each sentence carrying a stable global index and
 optionally a dependency parse attached from a CoNLL-U sidecar. Loaders accept
 either pre-segmented JSON, raw-paragraph JSON (segmented here), or a small
-article XML dialect.
+article XML dialect. The UTF-8, JSON object and JSON lines readers here are
+shared by every input loader of the package.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Any, NamedTuple
 from xml.etree import ElementTree
 
 from .errors import AlignmentError, ArticleParseError, SchemaError
@@ -186,12 +188,65 @@ def segment_sentences(
     return out
 
 
-def decode_utf8(data: bytes, source: str) -> str:
-    """UTF-8 text of an input file; a bad byte raises ArticleParseError naming source."""
+def decode_utf8(data: bytes | str, source: str) -> str:
+    """UTF-8 text of an input; text passes through as it is.
+
+    Every text loader decodes through here: a bad byte raises
+    ArticleParseError naming source and the byte offset.
+    """
+    if isinstance(data, str):
+        return data
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ArticleParseError(f"{source}: not UTF-8 at byte offset {e.start}") from e
+
+
+def load_json_object(data: bytes | str, source: str) -> dict:
+    """The JSON object an input holds; anything else raises SchemaError naming source."""
+    try:
+        doc = json.loads(decode_utf8(data, source))
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"{source}: malformed JSON at offset {e.pos}: {e.msg}") from e
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{source}: top-level value must be a JSON object")
+    return doc
+
+
+def parse_jsonl(
+    data: bytes | str, source: str, record: Callable[[dict], Any] | None = None
+) -> tuple[dict, list]:
+    """(provenance, records) of JSON lines: one JSON object a line, blank lines skipped.
+
+    A first line with a "provenance" key is the header. record(obj), if
+    given, is what is kept of each other line. A line that is not an object,
+    or whose record() raises KeyError, TypeError, ValueError or
+    OverflowError, raises SchemaError naming source and the line.
+    """
+    header: dict = {}
+    records = []
+    for lineno, line in enumerate(io.StringIO(decode_utf8(data, source), newline=None), 1):
+        if not line.strip():
+            continue
+        where = f"{source} line {lineno}"
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"{where}: malformed JSON: {e.msg}") from e
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{where}: must be a JSON object")
+        if lineno == 1 and "provenance" in doc:
+            header = doc["provenance"]
+            if not isinstance(header, dict):
+                raise SchemaError(f"{where}: provenance must be a JSON object")
+            continue
+        try:
+            records.append(doc if record is None else record(doc))
+        except KeyError as e:
+            raise SchemaError(f"{where}: missing key {e}") from e
+        except (TypeError, ValueError, OverflowError) as e:
+            raise SchemaError(f"{where}: {e}") from e
+    return header, records
 
 
 def _build_article(
@@ -223,10 +278,8 @@ def load_article_json(data: bytes | str) -> Article:
     "body_raw" (list of paragraph strings, segmented here). "uid" and one of
     the body fields are required.
     """
-    if isinstance(data, bytes):
-        data = decode_utf8(data, "article")
     try:
-        doc = json.loads(data)
+        doc = json.loads(decode_utf8(data, "article"))
     except json.JSONDecodeError as e:
         raise ArticleParseError(
             f"malformed JSON at byte offset {e.pos}: {e.msg}"
@@ -289,17 +342,6 @@ def load_article_xml(data: bytes) -> Article:
         text = " ".join("".join(para.itertext()).split())
         para_sentences.append(segment_sentences(text))
     return _build_article(uid, title, abstract, para_sentences, {})
-
-
-def article_to_json(article: Article) -> dict:
-    """Serializable form; load_article_json(json.dumps(...)) round-trips."""
-    return {
-        "uid": article.uid,
-        "title": article.title,
-        "abstract": article.abstract,
-        "metadata": dict(article.metadata),
-        "body": [[s.text for s in p.sentences] for p in article.paragraphs],
-    }
 
 
 # ---- CoNLL-U sidecars ----
@@ -393,11 +435,9 @@ def attach_parses(article: Article, parse_doc: str | bytes) -> Article:
     sentence keeps its block's text and builds its tokens from it on first
     use. Idempotent for identical input.
     """
-    if isinstance(parse_doc, bytes):
-        parse_doc = decode_utf8(parse_doc, "parse sidecar")
     blocks = [
         ("\n".join(lines), "".join([cols[1] for cols in rows]), [cols[6] for cols in rows])
-        for lines, rows in _conllu_blocks(parse_doc)
+        for lines, rows in _conllu_blocks(decode_utf8(parse_doc, "parse sidecar"))
     ]
     n_sentences = sum(len(p.sentences) for p in article.paragraphs)
     if len(blocks) != n_sentences:

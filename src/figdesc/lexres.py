@@ -7,12 +7,12 @@ entry at all, the synonym list alone is used in synset order.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import decode_utf8, load_json_object
 from .errors import EmbeddingFormatError, OovError, SchemaError
 
 LOGGER = logging.getLogger(__name__)
@@ -48,14 +48,7 @@ class SynsetLexicon:
 
 def load_synsets(data: bytes | str) -> SynsetLexicon:
     """Parse the synset JSON: {lemma: [[lemma, ...], ...]}."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"synsets: malformed JSON at offset {e.pos}: {e.msg}") from e
-    if not isinstance(doc, dict):
-        raise SchemaError("synsets: top-level value must be an object")
+    doc = load_json_object(data, "synsets")
     entries: dict[str, tuple[tuple[str, ...], ...]] = {}
     for lemma, synsets in doc.items():
         if lemma != lemma.lower():
@@ -139,9 +132,7 @@ def load_embeddings(data: bytes | str) -> EmbeddingStore:
     offending line number. A repeated word keeps its last vector and logs a
     warning.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    lines = data.splitlines()
+    lines = decode_utf8(data, "embeddings").splitlines()
     if not lines:
         raise EmbeddingFormatError("line 1: missing header")
     header = lines[0].split()

@@ -9,7 +9,6 @@ sentences and their candidate neighbors from those results.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 from collections.abc import Callable
@@ -18,7 +17,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any
 
-from .corpus import Article, Sentence, attach_parses, decode_utf8
+from .corpus import Article, Sentence, attach_parses, parse_jsonl
 from .corpus import load_article_json, load_article_xml
 from .errors import ConfigError, FigdescError, SchemaError
 from .figref import detect_figure_refs, is_figure_referring, neighbor_positions
@@ -48,22 +47,22 @@ def load_resources(
     synsets_path: str | Path | None = None,
     embeddings_path: str | Path | None = None,
     gazetteer_path: str | Path | None = None,
+    digests: dict[str, str] | None = None,
 ) -> Resources:
-    graph = load_ontology(Path(ontology_path).read_bytes())
-    synsets = (
-        load_synsets(Path(synsets_path).read_bytes()) if synsets_path else None
+    """The resources at these paths; the optional ones stay unset without one.
+
+    Each file is read once by read_input under its flag's name.
+    """
+
+    def load(path: str | Path | None, key: str, parse: Callable[[bytes], Any]) -> Any:
+        return read_input(path, key, digests, parse) if path else None
+
+    return Resources(
+        read_input(ontology_path, "ontology", digests, load_ontology),
+        load(synsets_path, "synsets", load_synsets),
+        load(embeddings_path, "embeddings", load_embeddings),
+        load(gazetteer_path, "gazetteer", load_gazetteer) or frozenset(),
     )
-    embeddings = (
-        load_embeddings(Path(embeddings_path).read_bytes())
-        if embeddings_path
-        else None
-    )
-    gazetteer = (
-        load_gazetteer(Path(gazetteer_path).read_bytes())
-        if gazetteer_path
-        else frozenset()
-    )
-    return Resources(graph, synsets, embeddings, gazetteer)
 
 
 _CORPUS_SUFFIXES = frozenset((".json", ".xml", ".conllu"))
@@ -93,34 +92,53 @@ def corpus_files(path: str | Path) -> list[str]:
     return sorted(names)
 
 
-def _read_bytes(*path: str | Path) -> bytes:
-    with open(os.path.join(*path), "rb") as fh:
+def _read_bytes(path: str | Path) -> bytes:
+    with open(path, "rb") as fh:
         return fh.read()
 
 
-def load_corpus_dir(
-    path: str | Path, digests: dict[str, str] | None = None
-) -> list[Article]:
+def read_input(
+    path: str | Path,
+    key: str | None = None,
+    digests: dict[str, str] | None = None,
+    parse: Callable[[bytes], Any] = bytes,
+    label: str | None = None,
+) -> Any:
+    """The one read of a file that a command consumes: parse() of its bytes.
+
+    The file is opened once. Given a dict as digests, the sha256 of the bytes
+    read goes there under key, the file's name in a provenance header: its
+    flag ("weights"), or "corpus/<file name>" for a corpus file. A file that
+    cannot be read is a ConfigError naming the flag and the path. A
+    FigdescError from parse keeps its type, and its message gains the prefix
+    label (by default the path).
+    """
+    try:
+        data = _read_bytes(path)
+    except OSError as e:
+        flag = f"--{key.split('/')[0]} " if key else ""
+        raise ConfigError(f"cannot read {flag}file {path}: {e.strerror or e}") from e
+    if digests is not None:
+        digests[key] = hashlib.sha256(data).hexdigest()
+    try:
+        return parse(data)
+    except FigdescError as e:
+        raise type(e)(f"{label or path}: {e}") from e
+
+
+def load_corpus_dir(path: str | Path, digests: dict[str, str] | None = None) -> list[Article]:
     """Load every article file in a directory, sorted by uid.
 
     JSON and XML articles are both accepted; a <stem>.conllu file next to an
     article attaches its parses. Duplicate uids reject the corpus. An error
-    in a file names that file. Each corpus file is read once; given a dict
-    as digests, the loader puts there the sha256 of the bytes it read, by
-    file name, orphan sidecars included.
+    in a file names that file. Each corpus file is read once by read_input,
+    orphan sidecars included, under the key corpus/<file name>.
     """
     names = corpus_files(path)
     present = set(names)
-    if digests is None:
-        digests = {}
 
-    def load(name: str, parse: Callable[[bytes], Article]) -> Article:
-        data = _read_bytes(path, name)
-        digests[name] = hashlib.sha256(data).hexdigest()
-        try:
-            return parse(data)
-        except FigdescError as e:
-            raise type(e)(f"{name}: {e}") from e
+    def load(name: str, parse: Callable[[bytes], Any]) -> Any:
+        return read_input(os.path.join(path, name), f"corpus/{name}", digests, parse, name)
 
     articles = []
     file_of: dict[str, str] = {}
@@ -224,22 +242,13 @@ def score_candidates(
 
 # ---- provenance ----
 
-def sha256_file(path: str | Path) -> str:
-    return hashlib.sha256(_read_bytes(path)).hexdigest()
+def provenance(settings: dict, digests: dict[str, str]) -> dict:
+    """The hashes of the bytes read, by key, and the resolved settings, each sorted.
 
-
-def provenance(
-    inputs: dict[str, str | Path | None],
-    settings: dict,
-    digests: dict[str, str] | None = None,
-) -> dict:
-    """Input hashes plus resolved settings; no timestamps, no output paths.
-
-    inputs name the files to hash; digests are hashes already taken, by name.
+    No timestamps and no output paths, so reruns write the same header.
     """
-    hashes = {name: sha256_file(p) for name, p in inputs.items() if p is not None}
-    hashes.update(digests or {})
-    return {"inputs": dict(sorted(hashes.items())), "settings": dict(sorted(settings.items()))}
+    inputs = dict(sorted(digests.items()))
+    return {"inputs": inputs, "settings": dict(sorted(settings.items()))}
 
 
 def write_jsonl(path: Path, header: dict, records: list[dict]) -> None:
@@ -254,34 +263,14 @@ def write_jsonl(path: Path, header: dict, records: list[dict]) -> None:
 
 
 def read_jsonl(
-    path: str | Path, record: Callable[[dict], Any] | None = None
+    path: str | Path,
+    record: Callable[[dict], Any] | None = None,
+    digests: dict[str, str] | None = None,
+    key: str | None = None,
 ) -> tuple[dict, list]:
     """Counterpart of write_jsonl; returns (provenance, records).
 
-    Every record must be a JSON object; record(obj), if given, is what is kept
-    of one. A line that is not an object, or whose record() raises KeyError,
-    TypeError or ValueError, raises SchemaError naming the file and the line.
+    The file is read by read_input under key and parsed by corpus.parse_jsonl,
+    whose errors name the file and the line.
     """
-    header: dict = {}
-    records = []
-    text = decode_utf8(_read_bytes(path), str(path))
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
-        if not line.strip():
-            continue
-        where = f"{path} line {lineno}"
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{where}: malformed JSON: {e.msg}") from e
-        if not isinstance(doc, dict):
-            raise SchemaError(f"{where}: must be a JSON object")
-        if lineno == 1 and "provenance" in doc:
-            header = doc["provenance"]
-            continue
-        try:
-            records.append(doc if record is None else record(doc))
-        except KeyError as e:
-            raise SchemaError(f"{where}: missing key {e}") from e
-        except (TypeError, ValueError) as e:
-            raise SchemaError(f"{where}: {e}") from e
-    return header, records
+    return parse_jsonl(read_input(path, key, digests), str(path), record)

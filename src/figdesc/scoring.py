@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .corpus import load_json_object
 from .errors import (
     AlignmentError,
     CalibrationError,
@@ -181,13 +182,6 @@ def evaluate(predictions: list[bool], gold: list[int]) -> dict[str, float]:
     }
 
 
-def detection_rate(scores: list[float], threshold: float) -> float:
-    """Fraction of a positives-only set classified positive (i.e. recall)."""
-    if not scores:
-        return 0.0
-    return sum(1 for s in scores if classify(s, threshold)) / len(scores)
-
-
 def lambda_sweep(
     scores: list[float],
     mean_ref_weight: float,
@@ -249,24 +243,35 @@ def save_weight_table(table: WeightTable) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _finite(value: object, field: str) -> float:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value)):
+        raise SchemaError(f"weights: {field} must be a finite number, got {value!r}")
+    return value
+
+
 def load_weight_table(data: bytes | str) -> WeightTable:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"weights: malformed JSON at offset {e.pos}: {e.msg}") from e
+    """Parse what save_weight_table wrote.
+
+    Weights and mean_ref_weight must be finite numbers and counts integers;
+    a value of the wrong type raises SchemaError naming its field.
+    """
+    doc = load_json_object(data, "weights")
     for key in ("concepts", "properties", "mean_ref_weight", "counts"):
         if key not in doc:
             raise SchemaError(f"weights: missing field {key!r}")
-    counts = doc["counts"]
+    for key in ("concepts", "properties", "counts"):
+        if not isinstance(doc[key], dict):
+            raise SchemaError(f"weights: {key} must be an object")
+    for key in ("concepts", "properties"):
+        for name, weight in doc[key].items():
+            _finite(weight, f"{key}[{name!r}]")
+    counts = tuple(doc["counts"].get(k, 0) for k in ("tmrs", "concepts", "properties"))
+    if any(isinstance(n, bool) or not isinstance(n, int) for n in counts):
+        raise SchemaError(f"weights: counts must be integers, got {list(counts)}")
     return WeightTable(
         concept_weights=dict(doc["concepts"]),
         property_weights=dict(doc["properties"]),
-        mean_ref_weight=float(doc["mean_ref_weight"]),
-        calibration_counts=(
-            int(counts.get("tmrs", 0)),
-            int(counts.get("concepts", 0)),
-            int(counts.get("properties", 0)),
-        ),
+        mean_ref_weight=float(_finite(doc["mean_ref_weight"], "mean_ref_weight")),
+        calibration_counts=counts,
     )

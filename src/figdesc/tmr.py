@@ -16,7 +16,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .corpus import ParsedSentence, Token
+from .corpus import ParsedSentence, Token, decode_utf8
 from .errors import CompletionError, SchemaError
 from .lexres import EmbeddingStore, SynsetLexicon, candidate_verb_lemmas
 from .ontology import (
@@ -95,10 +95,8 @@ class Tmr:
 
 def load_gazetteer(data: bytes | str) -> frozenset[str]:
     """One lowercase chemical term per line; # starts a comment."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     terms = set()
-    for lineno, line in enumerate(data.splitlines(), start=1):
+    for lineno, line in enumerate(decode_utf8(data, "gazetteer").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

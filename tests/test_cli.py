@@ -1,4 +1,6 @@
+import builtins
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -19,6 +21,56 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def command_argv(command: str, outputs: Path, out: Path) -> list[str]:
+    """Arguments of a run of command over the mini corpus and the shared outputs."""
+    mini = str(MINI_CORPUS)
+    return {
+        "calibrate": ["calibrate", "--corpus", mini, *resource_args()],
+        "classify": [
+            "classify", "--corpus", mini, "--weights", str(outputs / "weights.json"),
+            *resource_args(),
+        ],
+        "evaluate": [
+            "evaluate", "--scores", str(outputs / "scores.jsonl"),
+            "--gold", str(MINI_CORPUS / "gold.jsonl"),
+            "--weights", str(outputs / "weights.json"),
+        ],
+        "baseline": [
+            "baseline", "--labeled", str(LABELED_PATH), "--folds", "5",
+            "--concept-metrics", str(outputs / "metrics.json"),
+        ],
+    }[command] + ["--out", str(out)]
+
+
+def header_of(command: str, out: Path) -> dict:
+    """The provenance header of the output that command wrote to out."""
+    if command == "classify":
+        return json.loads((out / "scores.jsonl").read_text().splitlines()[0])["provenance"]
+    if command == "calibrate":
+        return json.loads((out / "weights.meta.json").read_text())
+    name = {"evaluate": "metrics.json", "baseline": "baseline.json"}[command]
+    return json.loads((out / name).read_text())["provenance"]
+
+
+RESOURCE_FLAGS = ["ontology", "synsets", "embeddings", "gazetteer"]
+
+# Every input file each command reads besides the corpus, by flag.
+NON_CORPUS_INPUTS = [
+    *(("calibrate", flag) for flag in RESOURCE_FLAGS),
+    *(("classify", flag) for flag in [*RESOURCE_FLAGS, "weights"]),
+    ("evaluate", "scores"),
+    ("evaluate", "gold"),
+    ("evaluate", "weights"),
+    ("baseline", "labeled"),
+    ("baseline", "concept-metrics"),
+]
+
+
+def replace_flag(argv: list[str], flag: str, value: Path) -> list[str]:
+    i = argv.index(f"--{flag}")
+    return [*argv[: i + 1], str(value), *argv[i + 2 :]]
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +270,16 @@ class TestExitCodes:
         )
         assert code == 1
         assert "window" in err
+
+    def test_config_file_not_utf8(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"window": 2, "pattern": "caf\xe9"}')
+        code, _, err = run(
+            capsys, "detect", "--corpus", str(MINI_CORPUS), "--out", str(tmp_path / "out"),
+            "--config", str(config),
+        )
+        assert code == 1
+        assert f"config file {config}: not UTF-8 at byte offset 29" in err
 
     def test_missing_corpus_dir(self, capsys, tmp_path):
         code, _, err = run(
@@ -488,6 +550,55 @@ class TestEvaluateInputs:
         assert code == 2
         assert "scores.jsonl: not UTF-8 at byte offset 12" in err
 
+    def test_provenance_not_an_object(self, capsys, tmp_path, outputs):
+        rows = (outputs / "scores.jsonl").read_text().splitlines()[1:]
+        data = "\n".join(['{"provenance": [1]}', *rows]).encode()
+        code, err = self.evaluate(capsys, tmp_path, outputs, "scores", data)
+        assert code == 2
+        assert "scores.jsonl line 1: provenance must be a JSON object" in err
+
+    def test_bad_lambdas(self, capsys, tmp_path, outputs):
+        argv = command_argv("evaluate", outputs, tmp_path / "out")
+        code, _, err = run(capsys, *argv, "--lambdas", "0.5,abc")
+        assert code == 1
+        assert "bad value for --lambdas: '0.5,abc'" in err
+
+
+class TestEvaluateChecksWeights:
+    """evaluate rejects a --weights file other than the one classify scored with."""
+
+    def test_edited_weights_are_a_data_error(self, capsys, tmp_path, outputs):
+        table = json.loads((outputs / "weights.json").read_text())
+        table["mean_ref_weight"] /= 2
+        weights = tmp_path / "edited.json"
+        weights.write_text(json.dumps(table))
+        out = tmp_path / "out"
+        argv = replace_flag(command_argv("evaluate", outputs, out), "weights", weights)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"{outputs / 'scores.jsonl'} was scored with weights of sha256" in err
+        assert f"but --weights {weights} has sha256" in err
+        assert list(out.iterdir()) == []
+
+    def test_same_bytes_elsewhere_pass(self, capsys, tmp_path, outputs):
+        weights = tmp_path / "copy.json"
+        shutil.copyfile(outputs / "weights.json", weights)
+        out = tmp_path / "out"
+        argv = replace_flag(command_argv("evaluate", outputs, out), "weights", weights)
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert (out / "metrics.json").read_bytes() == (outputs / "metrics.json").read_bytes()
+
+    @pytest.mark.parametrize("header", ['{"provenance": {}}', '{"provenance": {"inputs": 5}}'])
+    def test_nothing_recorded_nothing_checked(self, capsys, tmp_path, outputs, header):
+        rows = (outputs / "scores.jsonl").read_text().splitlines()[1:]
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "out"
+        argv = replace_flag(command_argv("evaluate", outputs, out), "scores", scores)
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+
 
 # Block 0 of M001 parses "No further treatment was applied.", a filler: no
 # figure reference in its paragraph, so it is neither a reference nor a
@@ -586,6 +697,66 @@ class TestCorpusReadOnce:
             f"corpus/{name}": hashlib.sha256((corpus / name).read_bytes()).hexdigest()
             for name in names
         }
+
+    @pytest.mark.parametrize("command, flag", NON_CORPUS_INPUTS)
+    def test_each_other_input_opened_once_and_hashed(
+        self, capsys, tmp_path, outputs, monkeypatch, command, flag
+    ):
+        argv = command_argv(command, outputs, tmp_path / "out")
+        source = Path(argv[argv.index(f"--{flag}") + 1])
+        copy = tmp_path / "input" / source.name
+        copy.parent.mkdir()
+        copy.write_bytes(source.read_bytes())
+        opened = Counter()
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == copy:
+                opened[copy] += 1
+            return real_open(file, *args, **kwargs)
+
+        # Path.read_bytes and read_text open through io.open, plain open() through builtins.
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        code, _, err = run(capsys, *replace_flag(argv, flag, copy))
+        monkeypatch.undo()
+        assert code == 0, err
+        assert opened[copy] == 1
+        inputs = header_of(command, tmp_path / "out")["inputs"]
+        if flag == "concept-metrics":
+            assert flag not in inputs  # shown side by side, not an input of the report
+        else:
+            assert inputs[flag] == hashlib.sha256(copy.read_bytes()).hexdigest()
+
+
+class TestMissingInputs:
+    """An input file that cannot be read is a usage error naming the flag and path."""
+
+    @pytest.mark.parametrize("command, flag", NON_CORPUS_INPUTS)
+    def test_missing_input_file(self, capsys, tmp_path, outputs, command, flag):
+        out = tmp_path / "out"
+        ghost = tmp_path / "ghost"
+        argv = replace_flag(command_argv(command, outputs, out), flag, ghost)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert f"error: cannot read --{flag} file {ghost}: No such file or directory" in err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        ghost = tmp_path / "ghost.json"
+        code, _, err = run(
+            capsys, "detect", "--corpus", str(MINI_CORPUS), "--out", str(tmp_path),
+            "--config", str(ghost),
+        )
+        assert code == 1
+        assert f"cannot read --config file {ghost}" in err
+
+    def test_input_that_is_a_directory(self, capsys, tmp_path, outputs):
+        argv = command_argv("classify", outputs, tmp_path / "out")
+        argv = replace_flag(argv, "weights", tmp_path)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert f"cannot read --weights file {tmp_path}: Is a directory" in err
 
 
 class TestBaselineInputs:

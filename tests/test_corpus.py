@@ -12,7 +12,6 @@ from figdesc.corpus import (
     ParsedSentence,
     Sentence,
     Token,
-    article_to_json,
     attach_parses,
     decode_utf8,
     load_article_json,
@@ -198,20 +197,6 @@ class TestJsonLoader:
         doc = {"uid": "X", "body": [["ok.", "  "]]}
         with pytest.raises(SchemaError, match=r"body\[0\]\[1\]"):
             load_article_json(json.dumps(doc))
-
-    def test_roundtrip(self):
-        doc = {
-            "uid": "RT",
-            "title": "T",
-            "abstract": "A",
-            "metadata": {"year": "2010"},
-            "body": [["One here.", "Two here."]],
-        }
-        art = load_article_json(json.dumps(doc))
-        assert article_to_json(art)["body"] == doc["body"]
-        again = load_article_json(json.dumps(article_to_json(art)))
-        assert again.uid == art.uid
-        assert [s.text for s in again.sentences()] == [s.text for s in art.sentences()]
 
 
 class TestXmlLoader:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from figdesc.errors import (
+    ArticleParseError,
     CompletionError,
     CycleError,
     IntegrityError,
@@ -268,6 +269,68 @@ class TestJsonForm:
         assert g.concepts == small.concepts
         assert g.properties == small.properties
         assert g.lexicon == small.lexicon
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"concepts": [{"name": "X"}]}, r"concepts\[0\]: missing field 'parents'"),
+            ({"concepts": 5}, r"ontology\.concepts: must be a list of objects"),
+            ({"concepts": ["X"]}, r"ontology\.concepts: must be a list of objects"),
+            (
+                {"concepts": [{"name": 5, "parents": ["OBJECT"]}]},
+                r"concepts\[0\]\.name: must be a string",
+            ),
+            (
+                {"concepts": [{"name": "X", "parents": "OBJECT"}]},
+                r"concepts\[0\]\.parents: must be a list of strings",
+            ),
+            ({"properties": [{"name": "P"}]}, r"properties\[0\]: missing field 'kind'"),
+            (
+                {"properties": [{"name": "P", "kind": "attribute", "values": [1]}]},
+                r"properties\[0\]\.values: must be a list of strings",
+            ),
+            (
+                {"lexicon": [{"lemma": "x", "pos": "noun"}]},
+                r"lexicon\[0\]: missing field 'sense'",
+            ),
+            (
+                {"lexicon": [{"lemma": "x", "pos": "noun", "sense": {"name": "X"}}]},
+                r"lexicon\[0\]\.sense: missing field 'type'",
+            ),
+            (
+                {
+                    "lexicon": [
+                        {"lemma": "x", "pos": "noun", "sense": {"type": "concept", "name": []}}
+                    ]
+                },
+                r"lexicon\[0\]\.sense\.name: must be a string",
+            ),
+            (
+                {
+                    "lexicon": [
+                        {
+                            "lemma": "x",
+                            "pos": "noun",
+                            "priority": "high",
+                            "sense": {"type": "concept", "name": "X"},
+                        }
+                    ]
+                },
+                r"lexicon\[0\]\.priority: must be an integer or null",
+            ),
+        ],
+    )
+    def test_missing_or_mistyped_field_names_it(self, doc, field):
+        with pytest.raises(SchemaError, match=field):
+            load_ontology(json.dumps(doc))
+
+    def test_malformed_json(self):
+        with pytest.raises(SchemaError, match="malformed JSON at offset"):
+            load_ontology('{"concepts": [')
+
+    def test_not_utf8(self):
+        with pytest.raises(ArticleParseError, match="ontology: not UTF-8 at byte offset 9"):
+            load_ontology(b"concept X\xe9 is-a OBJECT\n")
 
 
 class TestShippedGraph:

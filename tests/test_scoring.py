@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from figdesc.errors import (
     AlignmentError,
+    ArticleParseError,
     CalibrationError,
     ConfigError,
     DegenerateTableError,
@@ -20,7 +22,6 @@ from figdesc.scoring import (
     calibrate,
     classify,
     compute_threshold,
-    detection_rate,
     element_contributions,
     evaluate,
     lambda_sweep,
@@ -236,10 +237,6 @@ class TestThresholdAndDecision:
         assert classify(0.5000001, 0.5)
         assert not classify(0.4, 0.5)
 
-    def test_detection_rate(self):
-        assert detection_rate([0.1, 0.6, 0.9], 0.5) == pytest.approx(2 / 3)
-        assert detection_rate([], 0.5) == 0.0
-
 
 class TestEvaluation:
     def test_hand_case(self):
@@ -301,6 +298,39 @@ class TestPersistence:
         text = save_weight_table(table)
         assert text == save_weight_table(table)
         assert text.index('"A"') < text.index('"B"')
+
+    GOOD = {"concepts": {"A": 0.5}, "properties": {}, "mean_ref_weight": 0.25, "counts": {}}
+
+    @pytest.mark.parametrize(
+        "doc, reason",
+        [
+            (5, "top-level value must be a JSON object"),
+            ({**GOOD, "counts": 5}, "counts must be an object"),
+            ({**GOOD, "concepts": [0.5]}, "concepts must be an object"),
+            ({**GOOD, "mean_ref_weight": "x"}, "mean_ref_weight must be a finite number"),
+            ({**GOOD, "mean_ref_weight": float("nan")}, "mean_ref_weight must be a finite"),
+            ({**GOOD, "concepts": {"A": "x"}}, r"concepts\['A'\] must be a finite number"),
+            ({**GOOD, "properties": {"P": True}}, r"properties\['P'\] must be a finite"),
+            ({**GOOD, "counts": {"tmrs": 1.5}}, "counts must be integers"),
+        ],
+        ids=[
+            "not-an-object",
+            "counts-not-an-object",
+            "concepts-not-an-object",
+            "non-numeric-mean",
+            "nan-mean",
+            "non-numeric-weight",
+            "boolean-weight",
+            "fractional-count",
+        ],
+    )
+    def test_bad_value_names_its_field(self, doc, reason):
+        with pytest.raises(SchemaError, match="weights: " + reason):
+            load_weight_table(json.dumps(doc))
+
+    def test_not_utf8(self):
+        with pytest.raises(ArticleParseError, match="weights: not UTF-8"):
+            load_weight_table(b'{"concepts": {"\xe9": 1}}')
 
     def test_missing_field_rejected(self):
         with pytest.raises(SchemaError, match="mean_ref_weight"):
