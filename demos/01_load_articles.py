@@ -55,8 +55,8 @@ print()
 
 xml = b"""<article uid="demo-1">
   <body>
-    <p>Figure 1 shows a calibration curve. The slope is linear.</p>
-    <p>Results follow.</p>
+    <para>Figure 1 shows a calibration curve. The slope is linear.</para>
+    <para>Results follow.</para>
   </body>
 </article>"""
 from_xml = load_article_xml(xml)

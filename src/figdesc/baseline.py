@@ -57,7 +57,6 @@ class TrainConfig:
     learning_rate: float = 0.5
     epochs: int = 300
     l2: float = 0.0
-    seed: int = 0
 
 
 @dataclass

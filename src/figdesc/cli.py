@@ -235,7 +235,10 @@ def _row_id(doc: dict) -> tuple[str, int]:
 
 
 def _float_list(value: object) -> list[float]:
-    return [float(x) for x in str(value).split(",") if x.strip()]
+    numbers = [float(x) for x in str(value).split(",") if x.strip()]
+    if not numbers:
+        raise ValueError("no value")
+    return numbers
 
 
 def cmd_evaluate(settings: Settings) -> int:
@@ -265,7 +268,7 @@ def cmd_evaluate(settings: Settings) -> int:
     missing = sorted(k for k in gold if k not in by_id)
     if missing:
         raise AlignmentError(
-            "gold ids missing from scores: "
+            f"--gold {gold_path} has ids missing from --scores {scores_path}: "
             + ", ".join(f"{uid}@{gi}" for uid, gi in missing)
         )
     keys = sorted(gold)

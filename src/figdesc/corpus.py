@@ -5,7 +5,8 @@ paragraphs of sentences, each sentence carrying a stable global index and
 optionally a dependency parse attached from a CoNLL-U sidecar. Loaders accept
 either pre-segmented JSON, raw-paragraph JSON (segmented here), or a small
 article XML dialect. The UTF-8, JSON object and JSON lines readers here are
-shared by every input loader of the package.
+shared by every input loader of the package, and json_field is the one check
+of a typed field in a JSON object.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import hashlib
 import io
 import json
 import re
+import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from operator import itemgetter
@@ -213,6 +215,60 @@ def load_json_object(data: bytes | str, source: str) -> dict:
     return doc
 
 
+def _integer(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_REQUIRED = object()
+_FLOAT_MAX = sys.float_info.max
+
+# The JSON types a field may hold, by the phrase an error uses for them. A
+# finite number is compared with the largest float, which is exact for an int
+# of any size and false for NaN.
+_JSON_TYPES: dict[str, Callable[[object], bool]] = {
+    "a string": lambda v: isinstance(v, str),
+    "a non-empty string": lambda v: isinstance(v, str) and v != "",
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "an integer": _integer,
+    "an integer or null": lambda v: v is None or _integer(v),
+    "a finite number": lambda v: (_integer(v) or isinstance(v, float)) and abs(v) <= _FLOAT_MAX,
+    "an object": lambda v: isinstance(v, dict),
+    "a list of objects": lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "a list of string lists": lambda v: isinstance(v, list)
+    and all(isinstance(x, list) and all(isinstance(s, str) for s in x) for x in v),
+}
+# Objects of named entries, by the type each entry must hold.
+_ENTRIES = {"an object of strings": "a string", "an object of finite numbers": "a finite number"}
+
+
+def json_field(doc: dict, key: str, where: str, kind: str, default: object = _REQUIRED):
+    """doc[key], or default if absent, which must hold kind; else a SchemaError.
+
+    The one check of a typed field of a JSON object. Its messages read
+    "<where>: missing field '<key>'" and "<where>.<key>: must be <kind>", or
+    "<where>.<key>['<name>']: must be <entry kind>" for an object of entries.
+    """
+    value = doc.get(key, default)
+    if value is _REQUIRED:
+        raise SchemaError(f"{where}: missing field {key!r}")
+    if kind in _ENTRIES:
+        return json_entries(value, f"{where}.{key}", _ENTRIES[kind])
+    if not _JSON_TYPES[kind](value):
+        raise SchemaError(f"{where}.{key}: must be {kind}")
+    return value
+
+
+def json_entries(obj: object, where: str, kind: str) -> dict:
+    """obj, a JSON object whose every entry holds kind, checked as by json_field."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: must be an object")
+    for name, value in obj.items():
+        if not _JSON_TYPES[kind](value):
+            raise SchemaError(f"{where}[{name!r}]: must be {kind}")
+    return obj
+
+
 def parse_jsonl(
     data: bytes | str, source: str, record: Callable[[dict], Any] | None = None
 ) -> tuple[dict, list]:
@@ -286,26 +342,14 @@ def load_article_json(data: bytes | str) -> Article:
         ) from e
     if not isinstance(doc, dict):
         raise SchemaError("article: top-level value must be an object")
-    uid = doc.get("uid")
-    if not isinstance(uid, str) or not uid:
-        raise SchemaError("uid: required non-empty string")
-    title = doc.get("title", "")
-    abstract = doc.get("abstract", "")
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise SchemaError("metadata: must be an object")
+    uid = json_field(doc, "uid", "article", "a non-empty string")
+    title = json_field(doc, "title", "article", "a string", "")
+    abstract = json_field(doc, "abstract", "article", "a string", "")
+    metadata = json_field(doc, "metadata", "article", "an object of strings", {})
     if "body" in doc:
-        body = doc["body"]
-        if not isinstance(body, list) or any(
-            not isinstance(p, list) or any(not isinstance(s, str) for s in p)
-            for p in body
-        ):
-            raise SchemaError("body: must be a list of sentence-string lists")
-        para_sentences = [list(p) for p in body]
+        para_sentences = json_field(doc, "body", "article", "a list of string lists")
     elif "body_raw" in doc:
-        raw = doc["body_raw"]
-        if not isinstance(raw, list) or any(not isinstance(p, str) for p in raw):
-            raise SchemaError("body_raw: must be a list of paragraph strings")
+        raw = json_field(doc, "body_raw", "article", "a list of strings")
         para_sentences = [segment_sentences(p) for p in raw]
     else:
         raise SchemaError("body: required (either body or body_raw)")
@@ -337,10 +381,10 @@ def load_article_xml(data: bytes) -> Article:
     if not uid:
         raw = data if isinstance(data, bytes) else data.encode("utf-8")
         uid = "xml-" + hashlib.sha1(raw).hexdigest()[:12]
-    para_sentences = []
-    for para in body.findall("para"):
-        text = " ".join("".join(para.itertext()).split())
-        para_sentences.append(segment_sentences(text))
+    paras = body.findall("para")
+    if not paras:
+        raise SchemaError("body: needs at least one <para> element")
+    para_sentences = [segment_sentences(" ".join("".join(p.itertext()).split())) for p in paras]
     return _build_article(uid, title, abstract, para_sentences, {})
 
 

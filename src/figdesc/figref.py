@@ -2,8 +2,9 @@
 
 A figure reference is a fig/figs/figure/figures token (optional trailing
 period) followed by a label: optional S prefix plus digits, optionally
-extended into ranges or lists with - / en-dash / comma. Matching is anchored
-at word boundaries so tokens embedded in longer words never fire.
+extended into ranges or lists with - / en-dash / comma. Matching ignores
+case and is anchored at word boundaries, so tokens embedded in longer words
+never fire.
 """
 
 from __future__ import annotations
@@ -38,22 +39,22 @@ class CandidateSet:
     neighbor_indices: tuple[int, ...]
 
 
-def compile_pattern(pattern: str | None, ignore_case: bool = True) -> re.Pattern:
-    """Compiled regex, DEFAULT_PATTERN if empty; ConfigError if not a string,
-    bad, or lacking group 1.
+def compile_pattern(pattern: str | None) -> re.Pattern:
+    """Compiled case-insensitive regex, DEFAULT_PATTERN if empty; ConfigError
+    if not a string, bad, or lacking group 1.
 
     The CLI checks its pattern here before any work; the per-sentence scans
     call the cached _compile directly, keeping this check off the hot path.
     """
     if pattern is not None and not isinstance(pattern, str):
         raise ConfigError(f"pattern must be a string, got {pattern!r}")
-    return _compile(pattern, ignore_case)
+    return _compile(pattern)
 
 
 @lru_cache(maxsize=32)
-def _compile(pattern: str | None, ignore_case: bool) -> re.Pattern:
+def _compile(pattern: str | None) -> re.Pattern:
     try:
-        rx = re.compile(pattern or DEFAULT_PATTERN, re.IGNORECASE if ignore_case else 0)
+        rx = re.compile(pattern or DEFAULT_PATTERN, re.IGNORECASE)
     except re.error as e:
         raise ConfigError(f"pattern {pattern!r} does not compile: {e}") from e
     if rx.groups < 1:
@@ -68,13 +69,9 @@ def _parse_labels(raw: str) -> tuple[str, ...]:
     return tuple(part for part in compact.split(",") if part)
 
 
-def detect_figure_refs(
-    sentence: Sentence,
-    pattern: str | None = None,
-    ignore_case: bool = True,
-) -> list[FigRefMatch]:
+def detect_figure_refs(sentence: Sentence, pattern: str | None = None) -> list[FigRefMatch]:
     """All figure references in one sentence, left to right; none if not referring."""
-    rx = _compile(pattern, ignore_case)
+    rx = _compile(pattern)
     out = []
     for m in rx.finditer(sentence.text):
         out.append(
@@ -83,10 +80,8 @@ def detect_figure_refs(
     return out
 
 
-def is_figure_referring(
-    sentence: Sentence, pattern: str | None = None, ignore_case: bool = True
-) -> bool:
-    return _compile(pattern, ignore_case).search(sentence.text) is not None
+def is_figure_referring(sentence: Sentence, pattern: str | None = None) -> bool:
+    return _compile(pattern).search(sentence.text) is not None
 
 
 def neighbor_positions(
@@ -107,7 +102,6 @@ def select_neighbors(
     ref_index_in_paragraph: int,
     window: int = DEFAULT_WINDOW,
     pattern: str | None = None,
-    ignore_case: bool = True,
 ) -> CandidateSet:
     """Candidate sentences around one reference sentence.
 
@@ -121,13 +115,13 @@ def select_neighbors(
             f"sentence index {ref_index_in_paragraph} outside paragraph of {len(sentences)}"
         )
     ref = sentences[ref_index_in_paragraph]
-    if not is_figure_referring(ref, pattern, ignore_case):
+    if not is_figure_referring(ref, pattern):
         raise PreconditionError(f"sentence {ref.global_index} is not figure-referring")
     positions = neighbor_positions(
         len(sentences),
         ref_index_in_paragraph,
         window,
-        lambda j: is_figure_referring(sentences[j], pattern, ignore_case),
+        lambda j: is_figure_referring(sentences[j], pattern),
     )
     return CandidateSet(
         ref.global_index, tuple(sentences[j].global_index for j in positions)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import decode_utf8, load_json_object
+from .corpus import decode_utf8, json_entries, load_json_object
 from .errors import EmbeddingFormatError, OovError, SchemaError
 
 LOGGER = logging.getLogger(__name__)
@@ -47,25 +47,19 @@ class SynsetLexicon:
 
 
 def load_synsets(data: bytes | str) -> SynsetLexicon:
-    """Parse the synset JSON: {lemma: [[lemma, ...], ...]}."""
-    doc = load_json_object(data, "synsets")
+    """Parse the synset JSON: {lemma: [[lemma, ...], ...]}, every lemma lowercase."""
+    doc = json_entries(load_json_object(data, "synsets"), "synsets", "a list of string lists")
     entries: dict[str, tuple[tuple[str, ...], ...]] = {}
     for lemma, synsets in doc.items():
+        where = f"synsets[{lemma!r}]"
         if lemma != lemma.lower():
-            raise SchemaError(f"synsets: lemma {lemma!r} must be lowercase")
-        if not isinstance(synsets, list):
-            raise SchemaError(f"synsets: entry {lemma!r} must be a list of synsets")
-        rows = []
-        for synset in synsets:
-            if not isinstance(synset, list) or not synset:
-                raise SchemaError(f"synsets: {lemma!r} has an empty or non-list synset")
-            for member in synset:
-                if not isinstance(member, str) or member != member.lower():
-                    raise SchemaError(
-                        f"synsets: {lemma!r} member {member!r} must be a lowercase string"
-                    )
-            rows.append(tuple(synset))
-        entries[lemma] = tuple(rows)
+            raise SchemaError(f"{where}: the lemma must be lowercase")
+        for i, synset in enumerate(synsets):
+            if not synset:
+                raise SchemaError(f"{where}[{i}]: must not be empty")
+            if any(member != member.lower() for member in synset):
+                raise SchemaError(f"{where}[{i}]: every member must be lowercase")
+        entries[lemma] = tuple(map(tuple, synsets))
     return SynsetLexicon(entries)
 
 

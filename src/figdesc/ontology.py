@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import decode_utf8, load_json_object
+from .corpus import decode_utf8, json_field, load_json_object
 from .errors import (
     CompletionError,
     CycleError,
@@ -258,66 +258,43 @@ def _parse_text(text: str) -> tuple[list, list, list]:
     return concepts, properties, lexemes
 
 
-_REQUIRED = object()
-
-# The JSON types a field may hold, by the phrase an error uses for them.
-_JSON_TYPES = {
-    "a string": lambda v: isinstance(v, str),
-    "a string or null": lambda v: v is None or isinstance(v, str),
-    "an integer or null": lambda v: v is None or isinstance(v, int),
-    "an object": lambda v: isinstance(v, dict),
-    "a list of objects": lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
-    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-}
-
-
-def _field(doc: dict, key: str, where: str, kind: str, default: object = _REQUIRED):
-    """doc[key], which must hold kind; a missing or mistyped field is a SchemaError."""
-    value = doc.get(key, default)
-    if value is _REQUIRED:
-        raise SchemaError(f"{where}: missing field {key!r}")
-    if not _JSON_TYPES[kind](value):
-        raise SchemaError(f"{where}.{key}: must be {kind}")
-    return value
-
-
 def _parse_json(text: str) -> tuple[list, list, list]:
     doc = load_json_object(text, "ontology")
 
     def rows(key: str) -> list[tuple[int, str, dict]]:
-        listed = _field(doc, key, "ontology", "a list of objects", [])
-        return [(i, f"{key}[{i}]", row) for i, row in enumerate(listed)]
+        listed = json_field(doc, key, "ontology", "a list of objects", [])
+        return [(i, f"ontology.{key}[{i}]", row) for i, row in enumerate(listed)]
 
     concepts = [
         (
-            _field(c, "name", w, "a string"),
-            tuple(_field(c, "parents", w, "a list of strings")),
+            json_field(c, "name", w, "a string"),
+            tuple(json_field(c, "parents", w, "a list of strings")),
             i,
         )
         for i, w, c in rows("concepts")
     ]
     properties = [
         (
-            _field(p, "name", w, "a string"),
-            _field(p, "kind", w, "a string").upper(),
-            tuple(_field(p, "values", w, "a list of strings", [])),
-            tuple(_field(p, "domains", w, "a list of strings", [])),
+            json_field(p, "name", w, "a string"),
+            json_field(p, "kind", w, "a string").upper(),
+            tuple(json_field(p, "values", w, "a list of strings", [])),
+            tuple(json_field(p, "domains", w, "a list of strings", [])),
             i,
         )
         for i, w, p in rows("properties")
     ]
     lexemes = []
     for i, w, row in rows("lexicon"):
-        lemma = _field(row, "lemma", w, "a string")
-        pos = _field(row, "pos", w, "a string").upper()
-        priority = _field(row, "priority", w, "an integer or null", None)
-        sense_doc = _field(row, "sense", w, "an object")
+        lemma = json_field(row, "lemma", w, "a string")
+        pos = json_field(row, "pos", w, "a string").upper()
+        priority = json_field(row, "priority", w, "an integer or null", None)
+        sense_doc = json_field(row, "sense", w, "an object")
         w += ".sense"
-        name = _field(sense_doc, "name", w, "a string")
-        if _field(sense_doc, "type", w, "a string") == "concept":
+        name = json_field(sense_doc, "name", w, "a string")
+        if json_field(sense_doc, "type", w, "a string") == "concept":
             sense: ConceptSense | PropertySense = ConceptSense(name)
         else:
-            value = _field(sense_doc, "value", w, "a string or null", None)
+            value = json_field(sense_doc, "value", w, "a string or null", None)
             sense = PropertySense(name, value)
         lexemes.append((lemma, pos, sense, priority, i))
     return concepts, properties, lexemes

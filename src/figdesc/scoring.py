@@ -19,13 +19,12 @@ import json
 import math
 from dataclasses import dataclass
 
-from .corpus import load_json_object
+from .corpus import json_field, load_json_object
 from .errors import (
     AlignmentError,
     CalibrationError,
     ConfigError,
     DegenerateTableError,
-    SchemaError,
 )
 from .ontology import ROOT_EVENT, ROOT_OBJECT, UNKNOWN
 from .tmr import CONCEPT, PROPERTY, Tmr
@@ -243,35 +242,23 @@ def save_weight_table(table: WeightTable) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _finite(value: object, field: str) -> float:
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and math.isfinite(value)):
-        raise SchemaError(f"weights: {field} must be a finite number, got {value!r}")
-    return value
-
-
 def load_weight_table(data: bytes | str) -> WeightTable:
     """Parse what save_weight_table wrote.
 
     Weights and mean_ref_weight must be finite numbers and counts integers;
-    a value of the wrong type raises SchemaError naming its field.
+    corpus.json_field reads each field and names one of the wrong type.
     """
     doc = load_json_object(data, "weights")
-    for key in ("concepts", "properties", "mean_ref_weight", "counts"):
-        if key not in doc:
-            raise SchemaError(f"weights: missing field {key!r}")
-    for key in ("concepts", "properties", "counts"):
-        if not isinstance(doc[key], dict):
-            raise SchemaError(f"weights: {key} must be an object")
-    for key in ("concepts", "properties"):
-        for name, weight in doc[key].items():
-            _finite(weight, f"{key}[{name!r}]")
-    counts = tuple(doc["counts"].get(k, 0) for k in ("tmrs", "concepts", "properties"))
-    if any(isinstance(n, bool) or not isinstance(n, int) for n in counts):
-        raise SchemaError(f"weights: counts must be integers, got {list(counts)}")
+    concepts = json_field(doc, "concepts", "weights", "an object of finite numbers")
+    properties = json_field(doc, "properties", "weights", "an object of finite numbers")
+    mean_ref_weight = json_field(doc, "mean_ref_weight", "weights", "a finite number")
+    counts = json_field(doc, "counts", "weights", "an object")
     return WeightTable(
-        concept_weights=dict(doc["concepts"]),
-        property_weights=dict(doc["properties"]),
-        mean_ref_weight=float(_finite(doc["mean_ref_weight"], "mean_ref_weight")),
-        calibration_counts=counts,
+        concept_weights=dict(concepts),
+        property_weights=dict(properties),
+        mean_ref_weight=float(mean_ref_weight),
+        calibration_counts=tuple(
+            json_field(counts, k, "weights.counts", "an integer", 0)
+            for k in ("tmrs", "concepts", "properties")
+        ),
     )

@@ -300,7 +300,10 @@ class TestExitCodes:
 
     def test_gold_ids_missing_from_scores(self, capsys, tmp_path, outputs):
         gold = tmp_path / "gold.jsonl"
-        gold.write_text('{"uid": "ZZZ", "global_index": 0, "label": 1}\n')
+        gold.write_text(
+            '{"uid": "ZZZ", "global_index": 0, "label": 1}\n'
+            '{"uid": "M001", "global_index": 99, "label": 1}\n'
+        )
         code, _, err = run(
             capsys,
             "evaluate",
@@ -314,7 +317,10 @@ class TestExitCodes:
             str(tmp_path),
         )
         assert code == 2
-        assert "ZZZ@0" in err
+        assert (
+            f"--gold {gold} has ids missing from --scores {outputs / 'scores.jsonl'}: "
+            "M001@99, ZZZ@0\n"
+        ) in err
 
     def test_nonpositive_lambda(self, capsys, tmp_path, outputs):
         code, _, err = run(
@@ -423,6 +429,17 @@ class TestExitCodes:
         assert code == 1
         assert "pattern must be a string" in err
         assert list(out.iterdir()) == []
+
+    def test_mistyped_article_field_names_the_file_and_field(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        doc = {"uid": "X", "title": 5, "abstract": [1], "metadata": {"k": [1]}, "body": [["One."]]}
+        (corpus / "X.json").write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "detect", "--corpus", str(corpus), "--out", str(tmp_path / "out")
+        )
+        assert code == 2
+        assert err == "error: X.json: article.title: must be a string\n"
 
     def test_corpus_error_names_the_file(self, capsys, tmp_path):
         corpus = tmp_path / "corpus"
@@ -562,6 +579,14 @@ class TestEvaluateInputs:
         code, _, err = run(capsys, *argv, "--lambdas", "0.5,abc")
         assert code == 1
         assert "bad value for --lambdas: '0.5,abc'" in err
+
+    @pytest.mark.parametrize("value", ["", ","])
+    def test_empty_lambdas(self, capsys, tmp_path, outputs, value):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *command_argv("evaluate", outputs, out), "--lambdas", value)
+        assert code == 1
+        assert f"bad value for --lambdas: {value!r}" in err
+        assert not (out / "sweep.tsv").exists()
 
 
 class TestEvaluateChecksWeights:

@@ -182,7 +182,7 @@ class TestJsonLoader:
         ]
 
     def test_missing_uid_names_field(self):
-        with pytest.raises(SchemaError, match="uid"):
+        with pytest.raises(SchemaError, match="^article: missing field 'uid'$"):
             load_article_json(json.dumps({"body": [["A."]]}))
 
     def test_missing_body_names_field(self):
@@ -197,6 +197,29 @@ class TestJsonLoader:
         doc = {"uid": "X", "body": [["ok.", "  "]]}
         with pytest.raises(SchemaError, match=r"body\[0\]\[1\]"):
             load_article_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("title", 5, "article.title: must be a string"),
+            ("abstract", [1], "article.abstract: must be a string"),
+            ("metadata", 5, "article.metadata: must be an object"),
+            ("metadata", {"year": "2019", "k": [1]}, "article.metadata['k']: must be a string"),
+            ("uid", "", "article.uid: must be a non-empty string"),
+            ("body", "x", "article.body: must be a list of string lists"),
+            ("body_raw", [1], "article.body_raw: must be a list of strings"),
+        ],
+        ids=[
+            "title", "abstract", "metadata", "metadata-value", "uid", "body", "body_raw",
+        ],
+    )
+    def test_mistyped_field_names_it(self, field, value, message):
+        doc = {"uid": "X", field: value}
+        if not field.startswith("body"):
+            doc["body"] = [["One."]]
+        with pytest.raises(SchemaError) as e:
+            load_article_json(json.dumps(doc))
+        assert str(e.value) == message
 
 
 class TestXmlLoader:
@@ -237,6 +260,11 @@ class TestXmlLoader:
     def test_malformed_xml_reports_position(self):
         with pytest.raises(ArticleParseError):
             load_article_xml(b"<article><body>")
+
+    def test_body_without_para_rejected(self):
+        # <p> is not a paragraph of this dialect: a body of them holds no <para>.
+        with pytest.raises(SchemaError, match="^body: needs at least one <para>"):
+            load_article_xml(b"<article><body><p>One here.</p></body></article>")
 
 
 CONLLU_OK = """\

@@ -50,9 +50,6 @@ class TestDetection:
 
     def test_case_insensitive_by_default(self):
         assert is_figure_referring(make_sentence("FIGURE 2 shows it."))
-        assert not is_figure_referring(
-            make_sentence("FIGURE 2 shows it."), ignore_case=False
-        )
 
     def test_multiple_matches_left_to_right(self):
         ms = detect_figure_refs(make_sentence("Fig. 1 and Fig. 2 differ."))

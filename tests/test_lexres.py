@@ -46,6 +46,12 @@ class TestSynsets:
         with pytest.raises(SchemaError, match="empty"):
             load_synsets('{"depict": [[]]}')
 
+    @pytest.mark.parametrize("entry", ['"show"', '["show"]', '[["show", 5]]'])
+    def test_mistyped_entry_names_the_lemma(self, entry):
+        with pytest.raises(SchemaError) as e:
+            load_synsets('{"show": [["display"]], "depict": %s}' % entry)
+        assert str(e.value) == "synsets['depict']: must be a list of string lists"
+
     def test_malformed_json_reports_offset(self):
         with pytest.raises(SchemaError, match="offset"):
             load_synsets('{"depict": ')

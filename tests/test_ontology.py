@@ -318,6 +318,19 @@ class TestJsonForm:
                 },
                 r"lexicon\[0\]\.priority: must be an integer or null",
             ),
+            (
+                {
+                    "lexicon": [
+                        {
+                            "lemma": "x",
+                            "pos": "noun",
+                            "priority": True,
+                            "sense": {"type": "concept", "name": "X"},
+                        }
+                    ]
+                },
+                r"^ontology\.lexicon\[0\]\.priority: must be an integer or null$",
+            ),
         ],
     )
     def test_missing_or_mistyped_field_names_it(self, doc, field):
