@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import parse_jsonl
+from .corpus import json_field, parse_jsonl
 from .errors import ConfigError, DivergenceError
 
 _TOKEN_RE = re.compile(r"[a-z]+")
@@ -232,12 +232,9 @@ def kfold_cv(
     return {"folds": per_fold, "mean": mean, "k": k, "seed": seed}
 
 
-def _labeled_row(doc: dict) -> tuple[str, int]:
-    if not isinstance(doc["text"], str):
-        raise TypeError("text must be a string")
-    if doc["label"] not in (0, 1):
-        raise ValueError("label must be 0 or 1")
-    return doc["text"], int(doc["label"])
+def _labeled_row(doc: dict, where: str) -> tuple[str, int]:
+    text = json_field(doc, "text", where, "a string")
+    return text, json_field(doc, "label", where, "0 or 1")
 
 
 def load_labeled_jsonl(data: bytes | str) -> list[tuple[str, int]]:

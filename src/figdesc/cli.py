@@ -17,12 +17,30 @@ from pathlib import Path
 
 from . import baseline as bl
 from . import figref, pipeline, scoring
-from .corpus import load_json_object
+from .corpus import json_field, load_json_object
 from .errors import AlignmentError, ArticleParseError, ConfigError, FigdescError, SchemaError
 
 ENV_PREFIX = "FIGDESC_"
 
-DEFAULT_LAMBDAS = "0.1,0.3,0.5,0.7,0.9,1.5"
+DEFAULT_LAMBDAS = [0.1, 0.3, 0.5, 0.7, 0.9, 1.5]
+
+
+def _float_list(value: str) -> list[float]:
+    numbers = [float(x) for x in value.split(",") if x.strip()]
+    if not numbers:
+        raise ValueError("no value")
+    return numbers
+
+
+# The type of each setting that is not a string: what reads its flag,
+# FIGDESC_* or config value, and the JSON kind its config value must hold.
+_TYPES = {
+    "lambda": (float, "a finite number"),
+    "window": (int, "an integer"),
+    "seed": (int, "an integer"),
+    "folds": (int, "an integer"),
+    "lambdas": (_float_list, "a string"),
+}
 
 
 class Settings:
@@ -31,33 +49,33 @@ class Settings:
     def __init__(self, args: argparse.Namespace):
         self._args = vars(args)
         self._file = {}
-        config_path = self._args.get("config") or os.environ.get(ENV_PREFIX + "CONFIG")
-        if config_path:
-            data = pipeline.read_input(config_path, "config")
+        self._config_path = self._args.get("config") or os.environ.get(ENV_PREFIX + "CONFIG")
+        if self._config_path:
+            data = pipeline.read_input(self._config_path, "config")
             try:
-                self._file = load_json_object(data, config_path)
+                self._file = load_json_object(data, self._config_path)
             except (ArticleParseError, SchemaError) as e:
                 raise ConfigError(f"config file {e}") from e
 
-    def get(self, name: str, default=None, cast=None):
+    def get(self, name: str, default=None):
+        cast, kind = _TYPES.get(name, (str, "a string"))
         # argparse stores --lambda under lambda_ (keyword clash)
         dest = "lambda_" if name == "lambda" else name.replace("-", "_")
         value = self._args.get(dest)
         if value is None:
             value = os.environ.get(ENV_PREFIX + name.replace("-", "_").upper())
-        if value is None:
-            value = self._file.get(name)
-        if value is None:
-            value = default
-        if value is not None and cast is not None:
+        if value is None and name in self._file:
             try:
-                return cast(value)
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"bad value for --{name}: {value!r}") from e
-        return value
+                value = json_field(self._file, name, "config", kind)
+            except SchemaError as e:
+                raise ConfigError(f"config file {self._config_path}: {e}") from e
+        try:
+            return default if value is None else cast(value)
+        except ValueError as e:
+            raise ConfigError(f"bad value for --{name}: {value!r}") from e
 
-    def require(self, name: str, cast=None):
-        value = self.get(name, cast=cast)
+    def require(self, name: str):
+        value = self.get(name)
         if value is None:
             raise ConfigError(f"--{name} is required for this command")
         return value
@@ -70,10 +88,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--embeddings", help="word embedding text file")
     p.add_argument("--gazetteer", help="chemical gazetteer file")
     p.add_argument("--weights", help="calibrated weight table JSON")
-    p.add_argument("--lambda", dest="lambda_", type=float, help="threshold scale factor")
-    p.add_argument("--window", type=int, help="neighbor window size")
+    p.add_argument("--lambda", dest="lambda_", help="threshold scale factor")
+    p.add_argument("--window", help="neighbor window size")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="random seed (baseline folds)")
+    p.add_argument("--seed", help="random seed (baseline folds)")
     p.add_argument("--pattern", help="override figure-reference regex")
     p.add_argument("--config", help="JSON config file with flag defaults")
 
@@ -103,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="bag-of-words logistic regression CV")
     _add_common(p)
     p.add_argument("--labeled", help="labeled sentence JSONL")
-    p.add_argument("--folds", type=int, help="cross-validation fold count")
+    p.add_argument("--folds", help="cross-validation fold count")
     p.add_argument(
         "--concept-metrics", help="metrics JSON from evaluate, for side-by-side"
     )
@@ -118,10 +136,10 @@ def _out_dir(settings: Settings) -> Path:
 
 
 def _shared_settings(settings: Settings) -> dict:
-    lambda_ = settings.get("lambda", 0.5, float)
+    lambda_ = settings.get("lambda", 0.5)
     if not (math.isfinite(lambda_) and lambda_ > 0):
         raise ConfigError(f"--lambda must be positive and finite, got {lambda_}")
-    window = settings.get("window", 2, int)
+    window = settings.get("window", 2)
     if window < 0:
         raise ConfigError(f"--window must be non-negative, got {window}")
     pattern = settings.get("pattern")
@@ -130,7 +148,7 @@ def _shared_settings(settings: Settings) -> dict:
         "lambda": lambda_,
         "window": window,
         "pattern": pattern,
-        "seed": settings.get("seed", 0, int),
+        "seed": settings.get("seed", 0),
     }
 
 
@@ -227,18 +245,21 @@ def cmd_classify(settings: Settings) -> int:
     return 0
 
 
-def _row_id(doc: dict) -> tuple[str, int]:
-    """(uid, global_index) of one gold or scores row."""
-    if not isinstance(doc["uid"], str):
-        raise TypeError("uid must be a string")
-    return doc["uid"], int(doc["global_index"])
+def _row(doc: dict, where: str, field: str, kind: str) -> tuple:
+    """((uid, global_index), doc[field]) of one gold or scores row."""
+    uid = json_field(doc, "uid", where, "a string")
+    global_index = json_field(doc, "global_index", where, "an integer")
+    return (uid, global_index), json_field(doc, field, where, kind)
 
 
-def _float_list(value: object) -> list[float]:
-    numbers = [float(x) for x in str(value).split(",") if x.strip()]
-    if not numbers:
-        raise ValueError("no value")
-    return numbers
+def _by_id(rows: list[tuple], flag: str, path: str) -> dict:
+    """The rows' values by id; a repeated id is a SchemaError naming it."""
+    by_id = {}
+    for (uid, gi), value in rows:
+        if (uid, gi) in by_id:
+            raise SchemaError(f"--{flag} {path} repeats the id {uid}@{gi}")
+        by_id[uid, gi] = value
+    return by_id
 
 
 def cmd_evaluate(settings: Settings) -> int:
@@ -247,11 +268,14 @@ def cmd_evaluate(settings: Settings) -> int:
     weights_path = settings.require("weights")
     out = _out_dir(settings)
     shared = _shared_settings(settings)
-    lambdas = settings.get("lambdas", DEFAULT_LAMBDAS, _float_list)
+    lambdas = settings.get("lambdas", DEFAULT_LAMBDAS)
     digests: dict[str, str] = {}
     table = pipeline.read_input(weights_path, "weights", digests, scoring.load_weight_table)
     scores_header, rows = pipeline.read_jsonl(
-        scores_path, lambda doc: (_row_id(doc), float(doc["weight"])), digests, "scores"
+        scores_path,
+        lambda doc, where: _row(doc, where, "weight", "a finite number"),
+        digests,
+        "scores",
     )
     recorded = scores_header.get("inputs")
     scored_with = recorded.get("weights") if isinstance(recorded, dict) else None
@@ -260,11 +284,11 @@ def cmd_evaluate(settings: Settings) -> int:
             f"{scores_path} was scored with weights of sha256 {scored_with}, "
             f"but --weights {weights_path} has sha256 {digests['weights']}"
         )
-    by_id = dict(rows)
+    by_id = _by_id(rows, "scores", scores_path)
     _, rows = pipeline.read_jsonl(
-        gold_path, lambda doc: (_row_id(doc), int(doc["label"])), digests, "gold"
+        gold_path, lambda doc, where: _row(doc, where, "label", "0 or 1"), digests, "gold"
     )
-    gold = dict(rows)
+    gold = _by_id(rows, "gold", gold_path)
     missing = sorted(k for k in gold if k not in by_id)
     if missing:
         raise AlignmentError(
@@ -301,8 +325,8 @@ def _concept_metrics(data: bytes) -> dict:
 def cmd_baseline(settings: Settings) -> int:
     labeled_path = settings.require("labeled")
     out = _out_dir(settings)
-    folds = settings.get("folds", 10, int)
-    seed = settings.get("seed", 0, int)
+    folds = settings.get("folds", 10)
+    seed = settings.get("seed", 0)
     digests: dict[str, str] = {}
     dataset = pipeline.read_input(labeled_path, "labeled", digests, bl.load_labeled_jsonl)
     metrics_path = settings.get("concept_metrics")

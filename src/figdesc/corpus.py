@@ -205,13 +205,14 @@ def decode_utf8(data: bytes | str, source: str) -> str:
 
 
 def load_json_object(data: bytes | str, source: str) -> dict:
-    """The JSON object an input holds; anything else raises SchemaError naming source."""
+    """The JSON object an input holds. Malformed JSON is an ArticleParseError
+    (at a character offset), any other value a SchemaError; each names source."""
     try:
         doc = json.loads(decode_utf8(data, source))
     except json.JSONDecodeError as e:
-        raise SchemaError(f"{source}: malformed JSON at offset {e.pos}: {e.msg}") from e
+        raise ArticleParseError(f"{source}: malformed JSON at offset {e.pos}: {e.msg}") from e
     if not isinstance(doc, dict):
-        raise SchemaError(f"{source}: top-level value must be a JSON object")
+        raise SchemaError(f"{source}: must be a JSON object")
     return doc
 
 
@@ -231,6 +232,7 @@ _JSON_TYPES: dict[str, Callable[[object], bool]] = {
     "a string or null": lambda v: v is None or isinstance(v, str),
     "an integer": _integer,
     "an integer or null": lambda v: v is None or _integer(v),
+    "0 or 1": lambda v: _integer(v) and v in (0, 1),
     "a finite number": lambda v: (_integer(v) or isinstance(v, float)) and abs(v) <= _FLOAT_MAX,
     "an object": lambda v: isinstance(v, dict),
     "a list of objects": lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
@@ -270,14 +272,14 @@ def json_entries(obj: object, where: str, kind: str) -> dict:
 
 
 def parse_jsonl(
-    data: bytes | str, source: str, record: Callable[[dict], Any] | None = None
+    data: bytes | str, source: str, record: Callable[[dict, str], Any] | None = None
 ) -> tuple[dict, list]:
     """(provenance, records) of JSON lines: one JSON object a line, blank lines skipped.
 
-    A first line with a "provenance" key is the header. record(obj), if
-    given, is what is kept of each other line. A line that is not an object,
-    or whose record() raises KeyError, TypeError, ValueError or
-    OverflowError, raises SchemaError naming source and the line.
+    Each line is read by load_json_object as "<source> line <n>". A first
+    line with a "provenance" key is the header. record(obj, where), if
+    given, is what is kept of each other line, where being that line's name
+    for json_field to report a bad field with.
     """
     header: dict = {}
     records = []
@@ -285,23 +287,11 @@ def parse_jsonl(
         if not line.strip():
             continue
         where = f"{source} line {lineno}"
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{where}: malformed JSON: {e.msg}") from e
-        if not isinstance(doc, dict):
-            raise SchemaError(f"{where}: must be a JSON object")
+        doc = load_json_object(line, where)
         if lineno == 1 and "provenance" in doc:
-            header = doc["provenance"]
-            if not isinstance(header, dict):
-                raise SchemaError(f"{where}: provenance must be a JSON object")
+            header = json_field(doc, "provenance", where, "an object")
             continue
-        try:
-            records.append(doc if record is None else record(doc))
-        except KeyError as e:
-            raise SchemaError(f"{where}: missing key {e}") from e
-        except (TypeError, ValueError, OverflowError) as e:
-            raise SchemaError(f"{where}: {e}") from e
+        records.append(doc if record is None else record(doc, where))
     return header, records
 
 
@@ -334,14 +324,7 @@ def load_article_json(data: bytes | str) -> Article:
     "body_raw" (list of paragraph strings, segmented here). "uid" and one of
     the body fields are required.
     """
-    try:
-        doc = json.loads(decode_utf8(data, "article"))
-    except json.JSONDecodeError as e:
-        raise ArticleParseError(
-            f"malformed JSON at byte offset {e.pos}: {e.msg}"
-        ) from e
-    if not isinstance(doc, dict):
-        raise SchemaError("article: top-level value must be an object")
+    doc = load_json_object(data, "article")
     uid = json_field(doc, "uid", "article", "a non-empty string")
     title = json_field(doc, "title", "article", "a string", "")
     abstract = json_field(doc, "abstract", "article", "a string", "")

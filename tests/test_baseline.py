@@ -23,7 +23,7 @@ from figdesc.baseline import (
     tokenize,
     train_logreg,
 )
-from figdesc.errors import ConfigError, DivergenceError, SchemaError
+from figdesc.errors import ArticleParseError, ConfigError, DivergenceError, SchemaError
 
 
 class TestFeatures:
@@ -182,7 +182,7 @@ class TestLabeledLoader:
             load_labeled_jsonl('{"text": "a", "label": 1}\n{"text": "b"}\n')
 
     def test_malformed_json_names_line(self):
-        with pytest.raises(SchemaError, match="line 1"):
+        with pytest.raises(ArticleParseError, match="^labeled line 1: malformed JSON at offset 1"):
             load_labeled_jsonl("{nope\n")
 
     def test_shipped_corpus_shape(self):

@@ -230,6 +230,47 @@ class TestSettingsLayering:
         assert code == 0
         assert (tmp_path / "from-env" / "detect.jsonl").exists()
 
+    def test_config_numbers_read_as_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda": 1, "window": 2}))
+        mini = ["detect", "--corpus", str(MINI_CORPUS)]
+        assert run(capsys, *mini, "--out", str(tmp_path / "file"), "--config", str(cfg))[0] == 0
+        flags = ["--lambda", "1.0", "--window", "2"]
+        assert run(capsys, *mini, "--out", str(tmp_path / "flags"), *flags)[0] == 0
+        written = (tmp_path / "file" / "detect.jsonl").read_bytes()
+        assert written == (tmp_path / "flags" / "detect.jsonl").read_bytes()
+        assert b'"lambda": 1.0' in written
+
+    @pytest.mark.parametrize(
+        "command, key, value, kind",
+        [
+            ("detect", "out", 5, "a string"),
+            ("detect", "corpus", ["a"], "a string"),
+            ("detect", "window", 2.7, "an integer"),
+            ("detect", "lambda", True, "a finite number"),
+            ("baseline", "folds", True, "an integer"),
+            ("evaluate", "lambdas", 0.5, "a string"),
+        ],
+        ids=["out", "corpus", "window", "lambda", "folds", "lambdas"],
+    )
+    def test_mistyped_config_value_names_it(
+        self, capsys, tmp_path, outputs, command, key, value, kind
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        if command == "detect":
+            argv = ["detect", "--corpus", str(MINI_CORPUS), "--out", str(out)]
+        else:
+            argv = command_argv(command, outputs, out)
+        if f"--{key}" in argv:
+            i = argv.index(f"--{key}")
+            del argv[i : i + 2]
+        code, _, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 1
+        assert err == f"error: config file {cfg}: config.{key}: must be {kind}\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_window_setting_reaches_detection(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,
@@ -270,6 +311,14 @@ class TestExitCodes:
         )
         assert code == 1
         assert "window" in err
+
+    @pytest.mark.parametrize("flag, value", [("--window", "2.5"), ("--lambda", "x"), ("--seed", "1.5")])
+    def test_bad_flag_value_names_it(self, capsys, tmp_path, flag, value):
+        code, _, err = run(
+            capsys, "detect", "--corpus", str(MINI_CORPUS), "--out", str(tmp_path), flag, value
+        )
+        assert code == 1
+        assert err == f"error: bad value for {flag}: {value!r}\n"
 
     def test_config_file_not_utf8(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -427,7 +476,7 @@ class TestExitCodes:
             *extra,
         )
         assert code == 1
-        assert "pattern must be a string" in err
+        assert f"error: config file {cfg}: config.pattern: must be a string" in err
         assert list(out.iterdir()) == []
 
     def test_mistyped_article_field_names_the_file_and_field(self, capsys, tmp_path):
@@ -451,7 +500,7 @@ class TestExitCodes:
             capsys, "detect", "--corpus", str(corpus), "--out", str(tmp_path / "out")
         )
         assert code == 2
-        assert "error: M002.json: malformed JSON" in err
+        assert "error: M002.json: article: malformed JSON at offset 4" in err
 
     @pytest.mark.parametrize("name", ["M001.json", "M001.conllu"])
     def test_non_utf8_file_is_a_data_error(self, capsys, tmp_path, name):
@@ -522,11 +571,34 @@ class TestEvaluateInputs:
         [
             ("{bad\n", "line 1: malformed JSON"),
             (GOOD_GOLD + "[1, 2]\n", "line 2: must be a JSON object"),
-            ('{"uid": "M001", "global_index": 1}\n', "line 1: missing key 'label'"),
-            ('{"uid": "M001", "label": 1}\n', "line 1: missing key 'global_index'"),
-            ('{"uid": "M001", "global_index": "one", "label": 1}\n', "line 1: invalid literal"),
-            (GOOD_GOLD + '{"uid": "M001", "global_index": 2, "label": null}\n', "line 2: int()"),
-            ('{"uid": 7, "global_index": 1, "label": 1}\n', "line 1: uid must be a string"),
+            ('{"uid": "M001", "global_index": 1}\n', "line 1: missing field 'label'"),
+            ('{"uid": "M001", "label": 1}\n', "line 1: missing field 'global_index'"),
+            (
+                '{"uid": "M001", "global_index": "one", "label": 1}\n',
+                "line 1.global_index: must be an integer",
+            ),
+            (
+                GOOD_GOLD + '{"uid": "M001", "global_index": 2, "label": null}\n',
+                "line 2.label: must be 0 or 1",
+            ),
+            ('{"uid": 7, "global_index": 1, "label": 1}\n', "line 1.uid: must be a string"),
+            (
+                '{"uid": "M001", "global_index": 4.7, "label": 1}\n',
+                "line 1.global_index: must be an integer",
+            ),
+            (
+                '{"uid": "M001", "global_index": true, "label": 1}\n',
+                "line 1.global_index: must be an integer",
+            ),
+            (
+                '{"uid": "M001", "global_index": "4", "label": 1}\n',
+                "line 1.global_index: must be an integer",
+            ),
+            ('{"uid": "M001", "global_index": 4, "label": 7}\n', "line 1.label: must be 0 or 1"),
+            (
+                '{"uid": "M001", "global_index": 4, "label": true}\n',
+                "line 1.label: must be 0 or 1",
+            ),
         ],
         ids=[
             "malformed",
@@ -536,6 +608,11 @@ class TestEvaluateInputs:
             "non-integer-global-index",
             "non-integer-label",
             "non-string-uid",
+            "fractional-global-index",
+            "boolean-global-index",
+            "string-global-index",
+            "label-7",
+            "boolean-label",
         ],
     )
     def test_bad_gold_file(self, capsys, tmp_path, outputs, text, reason):
@@ -548,11 +625,33 @@ class TestEvaluateInputs:
         [
             ("{bad", "line 2: malformed JSON"),
             ('"row"', "line 2: must be a JSON object"),
-            ('{"uid": "M001", "global_index": 1}', "line 2: missing key 'weight'"),
-            ('{"uid": "M001", "global_index": [1], "weight": 0.5}', "line 2: int()"),
-            ('{"uid": "M001", "global_index": 1, "weight": "heavy"}', "line 2: could not convert"),
+            ('{"uid": "M001", "global_index": 1}', "line 2: missing field 'weight'"),
+            (
+                '{"uid": "M001", "global_index": [1], "weight": 0.5}',
+                "line 2.global_index: must be an integer",
+            ),
+            (
+                '{"uid": "M001", "global_index": 1, "weight": "heavy"}',
+                "line 2.weight: must be a finite number",
+            ),
+            (
+                '{"uid": "M001", "global_index": 1, "weight": "0.5"}',
+                "line 2.weight: must be a finite number",
+            ),
+            (
+                '{"uid": "M001", "global_index": 1, "weight": true}',
+                "line 2.weight: must be a finite number",
+            ),
         ],
-        ids=["malformed", "not-an-object", "no-weight", "non-integer-global-index", "bad-weight"],
+        ids=[
+            "malformed",
+            "not-an-object",
+            "no-weight",
+            "non-integer-global-index",
+            "bad-weight",
+            "numeric-string-weight",
+            "boolean-weight",
+        ],
     )
     def test_bad_scores_file(self, capsys, tmp_path, outputs, row, reason):
         header = (outputs / "scores.jsonl").read_text().splitlines()[0]
@@ -561,6 +660,18 @@ class TestEvaluateInputs:
         )
         assert code == 2
         assert "scores.jsonl " + reason in err
+
+    @pytest.mark.parametrize("name", ["gold", "scores"])
+    def test_repeated_id(self, capsys, tmp_path, outputs, name):
+        original = {"gold": MINI_CORPUS / "gold.jsonl", "scores": outputs / "scores.jsonl"}
+        lines = original[name].read_text().splitlines()
+        row = json.loads(lines[1 if name == "scores" else 0])
+        row["label" if name == "gold" else "weight"] = 0
+        data = "\n".join([*lines, json.dumps(row)]) + "\n"
+        code, err = self.evaluate(capsys, tmp_path, outputs, name, data.encode())
+        assert code == 2
+        path = tmp_path / f"{name}.jsonl"
+        assert err == f"error: --{name} {path} repeats the id {row['uid']}@{row['global_index']}\n"
 
     def test_scores_file_not_utf8(self, capsys, tmp_path, outputs):
         code, err = self.evaluate(capsys, tmp_path, outputs, "scores", b'{"uid": "caf\xe9"}\n')
@@ -572,7 +683,7 @@ class TestEvaluateInputs:
         data = "\n".join(['{"provenance": [1]}', *rows]).encode()
         code, err = self.evaluate(capsys, tmp_path, outputs, "scores", data)
         assert code == 2
-        assert "scores.jsonl line 1: provenance must be a JSON object" in err
+        assert "scores.jsonl line 1.provenance: must be an object" in err
 
     def test_bad_lambdas(self, capsys, tmp_path, outputs):
         argv = command_argv("evaluate", outputs, tmp_path / "out")
@@ -800,7 +911,7 @@ class TestBaselineInputs:
         [
             (b'{"text": "caf\xe9", "label": 1}\n', 2, "not UTF-8 at byte offset 13"),
             (b'{"text": "a", "label": 1}\n5\n', 2, "line 2: must be a JSON object"),
-            (b'{"text": 5, "label": 1}\n', 2, "line 1: text must be a string"),
+            (b'{"text": 5, "label": 1}\n', 2, "labeled line 1.text: must be a string"),
         ],
         ids=["non-utf8", "not-an-object", "non-string-text"],
     )
@@ -810,6 +921,16 @@ class TestBaselineInputs:
         got, err = self.baseline(capsys, tmp_path, labeled)
         assert got == code
         assert reason in err
+
+    @pytest.mark.parametrize("label", ["true", "1.0"])
+    def test_label_must_be_0_or_1(self, capsys, tmp_path, label):
+        rows = LABELED_PATH.read_text()
+        labeled = tmp_path / "labeled.jsonl"
+        labeled.write_text(rows + '{"text": "Fig. 1 shows a lens.", "label": %s}\n' % label)
+        got, err = self.baseline(capsys, tmp_path, labeled)
+        assert got == 2
+        lineno = rows.count("\n") + 1
+        assert f"labeled line {lineno}.label: must be 0 or 1" in err
 
     def test_negative_seed(self, capsys, tmp_path):
         got, err = self.baseline(capsys, tmp_path, LABELED_PATH, "--seed", "-1")

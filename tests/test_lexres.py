@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from figdesc.errors import EmbeddingFormatError, OovError, SchemaError
+from figdesc.errors import ArticleParseError, EmbeddingFormatError, OovError, SchemaError
 from figdesc.lexres import (
     EmbeddingStore,
     candidate_verb_lemmas,
@@ -53,7 +53,7 @@ class TestSynsets:
         assert str(e.value) == "synsets['depict']: must be a list of string lists"
 
     def test_malformed_json_reports_offset(self):
-        with pytest.raises(SchemaError, match="offset"):
+        with pytest.raises(ArticleParseError, match="^synsets: malformed JSON at offset 11"):
             load_synsets('{"depict": ')
 
     def test_non_object_rejected(self):

@@ -208,7 +208,7 @@ GOLD = (MINI_CORPUS / "gold.jsonl").read_bytes()
 
 
 def _gold_rows(path):
-    return pipeline.read_jsonl(path, lambda doc: (cli._row_id(doc), int(doc["label"])))
+    return pipeline.read_jsonl(path, lambda doc, where: cli._row(doc, where, "label", "0 or 1"))
 
 
 # name: (loader, a valid input, the mutations that apply). A loader of bytes
@@ -263,7 +263,15 @@ def workspace(tmp_path_factory):
     gold = [line for line in GOLD.decode().splitlines() if '"M001"' in line]
     assert gold
     (root / "gold.jsonl").write_text("\n".join(gold) + "\n")
-    (root / "config.json").write_text('{"window": 2, "lambda": 0.5}')
+    # detect takes every setting from this file, to fuzz each setting's type
+    config = {
+        "corpus": str(corpus),
+        "window": 2,
+        "lambda": 0.5,
+        "seed": 0,
+        "pattern": r"fig\.?\s*(\d+)",
+    }
+    (root / "config.json").write_text(json.dumps(config))
     for argv in _chain(root):
         assert _main([*argv, "--out", str(root / "seed")]) == 0, argv
     return root
@@ -278,7 +286,7 @@ def _chain(root) -> list[list[str]]:
     ]
     seed = root / "seed"
     return [
-        ["detect", "--corpus", str(root / "corpus"), "--config", str(root / "config.json")],
+        ["detect", "--config", str(root / "config.json")],
         ["calibrate", "--corpus", str(root / "corpus"), *resources],
         [
             "classify", "--corpus", str(root / "corpus"),
@@ -329,7 +337,7 @@ def test_main_never_returns_3_on_a_mutated_input(workspace, command, flag, data)
     shutil.copytree(workspace / "corpus", bad_dir / "corpus")
     target = bad_dir / flag
     if flag.startswith("corpus/"):
-        argv[argv.index("--corpus") + 1] = str(bad_dir / "corpus")
+        argv += ["--corpus", str(bad_dir / "corpus")]
     else:
         i = argv.index(f"--{flag}") + 1
         shutil.copyfile(argv[i], target)

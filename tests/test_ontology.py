@@ -338,7 +338,7 @@ class TestJsonForm:
             load_ontology(json.dumps(doc))
 
     def test_malformed_json(self):
-        with pytest.raises(SchemaError, match="malformed JSON at offset"):
+        with pytest.raises(ArticleParseError, match="^ontology: malformed JSON at offset 14"):
             load_ontology('{"concepts": [')
 
     def test_not_utf8(self):

@@ -44,7 +44,7 @@ class TestCorpusDir:
     def test_load_errors_name_the_file_and_keep_their_type(self, tmp_path):
         (tmp_path / "a.json").write_text(json.dumps({"uid": "A", "body": [["Fine."]]}))
         (tmp_path / "b.json").write_text('{"uid": "B", ')
-        with pytest.raises(ArticleParseError, match="^b.json: malformed JSON"):
+        with pytest.raises(ArticleParseError, match="^b.json: article: malformed JSON at offset 13"):
             pipeline.load_corpus_dir(tmp_path)
         (tmp_path / "b.json").write_text(json.dumps({"uid": "B"}))
         with pytest.raises(SchemaError, match="^b.json: body: required"):

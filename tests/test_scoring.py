@@ -304,7 +304,7 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            (5, "weights: top-level value must be a JSON object"),
+            (5, "weights: must be a JSON object"),
             ({**GOOD, "counts": 5}, "weights.counts: must be an object"),
             ({**GOOD, "concepts": [0.5]}, "weights.concepts: must be an object"),
             ({**GOOD, "mean_ref_weight": "x"}, "weights.mean_ref_weight: must be a finite number"),
@@ -349,5 +349,5 @@ class TestPersistence:
             load_weight_table('{"concepts": {}, "properties": {}, "counts": {}}')
 
     def test_malformed_json_rejected(self):
-        with pytest.raises(SchemaError, match="offset"):
+        with pytest.raises(ArticleParseError, match="^weights: malformed JSON at offset 1"):
             load_weight_table("{nope")
