@@ -1,9 +1,11 @@
 """Command line front end.
 
-Subcommands: detect, calibrate, classify, evaluate, baseline. Every flag can
-also be supplied via a FIGDESC_* environment variable or a JSON config file
-(--config); flags win over the environment, which wins over the file. Exit
-codes: 0 success, 1 usage/config error, 2 data error, 3 internal error.
+Subcommands: detect, calibrate, classify, evaluate, baseline. _SETTINGS
+declares every setting once, and each command takes the flags that _COMMANDS
+names for it. A setting comes from its flag, else its FIGDESC_* environment
+variable, else the JSON --config file, else its default; main resolves them
+all before the command runs. Exit codes: 0 success, 1 usage/config error,
+2 data error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -13,16 +15,21 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import baseline as bl
 from . import figref, pipeline, scoring
 from .corpus import json_field, load_json_object
 from .errors import AlignmentError, ArticleParseError, ConfigError, FigdescError, SchemaError
+from .tmr import tmr_to_json
 
 ENV_PREFIX = "FIGDESC_"
 
 DEFAULT_LAMBDAS = [0.1, 0.3, 0.5, 0.7, 0.9, 1.5]
+
+_REQUIRED = object()
 
 
 def _float_list(value: str) -> list[float]:
@@ -32,68 +39,53 @@ def _float_list(value: str) -> list[float]:
     return numbers
 
 
-# The type of each setting that is not a string: what reads its flag,
-# FIGDESC_* or config value, and the JSON kind its config value must hold.
-_TYPES = {
-    "lambda": (float, "a finite number"),
-    "window": (int, "an integer"),
-    "seed": (int, "an integer"),
-    "folds": (int, "an integer"),
-    "lambdas": (_float_list, "a string"),
+def _scale(value) -> float:
+    lambda_ = float(value)
+    if not (math.isfinite(lambda_) and lambda_ > 0):
+        raise ConfigError(f"--lambda must be positive and finite, got {lambda_}")
+    return lambda_
+
+
+def _window(value) -> int:
+    window = int(value)
+    if window < 0:
+        raise ConfigError(f"--window must be non-negative, got {window}")
+    return window
+
+
+def _pattern(value: str) -> str:
+    figref.compile_pattern(value)  # rejects a bad pattern before any work
+    return value
+
+
+# Every setting: what parses its flag, FIGDESC_* or config value (a ValueError
+# if it does not parse, a ConfigError if it is out of range); the JSON kind
+# json_field checks its config value against; its default, or _REQUIRED; its help.
+_SETTINGS = {
+    "corpus": (str, "a string", _REQUIRED, "directory of article files"),
+    "ontology": (str, "a string", _REQUIRED, "ontology/lexicon file"),
+    "synsets": (str, "a string", None, "synonym-set JSON file"),
+    "embeddings": (str, "a string", None, "word embedding text file"),
+    "gazetteer": (str, "a string", None, "chemical gazetteer file"),
+    "weights": (str, "a string", _REQUIRED, "calibrated weight table JSON"),
+    "lambda": (_scale, "a finite number", 0.5, "threshold scale factor"),
+    "window": (_window, "an integer", 2, "neighbor window size"),
+    "out": (str, "a string", _REQUIRED, "output directory"),
+    "seed": (int, "an integer", 0, "random seed (baseline folds)"),
+    "pattern": (_pattern, "a string", None, "override figure-reference regex"),
+    "config": (str, "a string", None, "JSON config file with flag defaults"),
+    "scores": (str, "a string", _REQUIRED, "scores JSONL from classify"),
+    "gold": (str, "a string", _REQUIRED, "gold label JSONL"),
+    "lambdas": (_float_list, "a string", DEFAULT_LAMBDAS, "comma-separated lambdas to sweep"),
+    "labeled": (str, "a string", _REQUIRED, "labeled sentence JSONL"),
+    "folds": (int, "an integer", 10, "cross-validation fold count"),
+    "concept_metrics": (str, "a string", None, "metrics JSON from evaluate, for side-by-side"),
 }
 
-
-class Settings:
-    """Layered lookup: CLI flag, then environment, then config file, then default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self._args = vars(args)
-        self._file = {}
-        self._config_path = self._args.get("config") or os.environ.get(ENV_PREFIX + "CONFIG")
-        if self._config_path:
-            data = pipeline.read_input(self._config_path, "config")
-            try:
-                self._file = load_json_object(data, self._config_path)
-            except (ArticleParseError, SchemaError) as e:
-                raise ConfigError(f"config file {e}") from e
-
-    def get(self, name: str, default=None):
-        cast, kind = _TYPES.get(name, (str, "a string"))
-        # argparse stores --lambda under lambda_ (keyword clash)
-        dest = "lambda_" if name == "lambda" else name.replace("-", "_")
-        value = self._args.get(dest)
-        if value is None:
-            value = os.environ.get(ENV_PREFIX + name.replace("-", "_").upper())
-        if value is None and name in self._file:
-            try:
-                value = json_field(self._file, name, "config", kind)
-            except SchemaError as e:
-                raise ConfigError(f"config file {self._config_path}: {e}") from e
-        try:
-            return default if value is None else cast(value)
-        except ValueError as e:
-            raise ConfigError(f"bad value for --{name}: {value!r}") from e
-
-    def require(self, name: str):
-        value = self.get(name)
-        if value is None:
-            raise ConfigError(f"--{name} is required for this command")
-        return value
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--corpus", help="directory of article files")
-    p.add_argument("--ontology", help="ontology/lexicon file")
-    p.add_argument("--synsets", help="synonym-set JSON file")
-    p.add_argument("--embeddings", help="word embedding text file")
-    p.add_argument("--gazetteer", help="chemical gazetteer file")
-    p.add_argument("--weights", help="calibrated weight table JSON")
-    p.add_argument("--lambda", dest="lambda_", help="threshold scale factor")
-    p.add_argument("--window", help="neighbor window size")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", help="random seed (baseline folds)")
-    p.add_argument("--pattern", help="override figure-reference regex")
-    p.add_argument("--config", help="JSON config file with flag defaults")
+_RESOURCES = ("ontology", "synsets", "embeddings", "gazetteer")
+_SCORING = ("lambda", "window", "pattern", "seed")
+# The settings a provenance header records: those that are not paths.
+_RECORDED = (*_SCORING, "lambdas", "folds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,84 +94,83 @@ def build_parser() -> argparse.ArgumentParser:
         description="Find figure-descriptive sentences in scientific article text.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("detect", help="list figure references and their candidates")
-    _add_common(p)
-
-    p = sub.add_parser("calibrate", help="build a weight table from a corpus")
-    _add_common(p)
-
-    p = sub.add_parser("classify", help="score and classify candidate sentences")
-    _add_common(p)
-
-    p = sub.add_parser("evaluate", help="lambda sweep and metrics against gold labels")
-    _add_common(p)
-    p.add_argument("--scores", help="scores JSONL from classify")
-    p.add_argument("--gold", help="gold label JSONL")
-    p.add_argument("--lambdas", help="comma-separated lambda values to sweep")
-
-    p = sub.add_parser("baseline", help="bag-of-words logistic regression CV")
-    _add_common(p)
-    p.add_argument("--labeled", help="labeled sentence JSONL")
-    p.add_argument("--folds", help="cross-validation fold count")
-    p.add_argument(
-        "--concept-metrics", help="metrics JSON from evaluate, for side-by-side"
-    )
-
+    for command, (_, help_, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"), dest=name, help=_SETTINGS[name][3])
     return parser
 
 
-def _out_dir(settings: Settings) -> Path:
-    out = Path(settings.require("out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _config_file(path: str | None) -> dict:
+    """The settings in the --config file, if any; a key naming none is a ConfigError."""
+    if not path:
+        return {}
+    try:
+        doc = load_json_object(pipeline.read_input(path, "config"), path)
+    except (ArticleParseError, SchemaError) as e:
+        raise ConfigError(f"config file {e}") from e
+    for key in doc:
+        if key not in _SETTINGS or key == "config":
+            raise ConfigError(f"config file {path}: config.{key}: not a setting")
+    return doc
 
 
-def _shared_settings(settings: Settings) -> dict:
-    lambda_ = settings.get("lambda", 0.5)
-    if not (math.isfinite(lambda_) and lambda_ > 0):
-        raise ConfigError(f"--lambda must be positive and finite, got {lambda_}")
-    window = settings.get("window", 2)
-    if window < 0:
-        raise ConfigError(f"--window must be non-negative, got {window}")
-    pattern = settings.get("pattern")
-    figref.compile_pattern(pattern)  # rejects a bad pattern before any work
-    return {
-        "lambda": lambda_,
-        "window": window,
-        "pattern": pattern,
-        "seed": settings.get("seed", 0),
-    }
+def _resolve(args: dict, names: tuple[str, ...]) -> dict:
+    """Each named setting: its flag, else FIGDESC_*, else config file value, else default."""
+    config_path = args["config"] or os.environ.get(ENV_PREFIX + "CONFIG")
+    file = _config_file(config_path)
+    settings = {}
+    for name in names:
+        parse, kind, default, _ = _SETTINGS[name]
+        flag = "--" + name.replace("_", "-")
+        value = args[name]
+        if value is None:
+            value = os.environ.get(ENV_PREFIX + name.upper())
+        if value is None and name in file:
+            try:
+                value = json_field(file, name, "config", kind)
+            except SchemaError as e:
+                raise ConfigError(f"config file {config_path}: {e}") from e
+        if value is None and default is _REQUIRED:
+            raise ConfigError(f"{flag} is required for this command")
+        try:
+            settings[name] = default if value is None else parse(value)
+        except ValueError as e:
+            raise ConfigError(f"bad value for {flag}: {value!r}") from e
+    return settings
 
 
-def _load_resources(settings: Settings, digests: dict[str, str]) -> pipeline.Resources:
-    return pipeline.load_resources(
-        settings.require("ontology"),
-        settings.get("synsets"),
-        settings.get("embeddings"),
-        settings.get("gazetteer"),
-        digests,
-    )
+@contextmanager
+def _writing(out: str | Path) -> Iterator[None]:
+    """Turns an OSError of creating or writing into --out into a ConfigError."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"cannot write --out {out}: {e.strerror or e}") from e
+
+
+def _header(settings: dict, digests: dict[str, str]) -> dict:
+    recorded = {name: settings[name] for name in _RECORDED if name in settings}
+    return pipeline.provenance(recorded, digests)
 
 
 def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_detect(settings: Settings) -> int:
-    corpus_dir = settings.require("corpus")
-    out = _out_dir(settings)
-    shared = _shared_settings(settings)
+def cmd_detect(settings: dict) -> int:
+    out = Path(settings["out"])
     digests: dict[str, str] = {}
-    articles = pipeline.load_corpus_dir(corpus_dir, digests)
+    articles = pipeline.load_corpus_dir(settings["corpus"], digests)
     records = []
     total_candidates = 0
     for article in articles:
-        det = pipeline.detect_article(article, shared["window"], shared["pattern"])
+        det = pipeline.detect_article(article, settings["window"], settings["pattern"])
         total_candidates += len(det.candidate_indices)
         records.extend({"uid": det.uid, **ref} for ref in det.refs)
-    header = pipeline.provenance(shared, digests)
-    pipeline.write_jsonl(out / "detect.jsonl", header, records)
+    header = _header(settings, digests)
+    with _writing(out):
+        pipeline.write_jsonl(out / "detect.jsonl", header, records)
     print(
         f"detect: {len(articles)} articles, {len(records)} figure-referring sentences, "
         f"{total_candidates} candidate sentences -> {out / 'detect.jsonl'}"
@@ -187,19 +178,18 @@ def cmd_detect(settings: Settings) -> int:
     return 0
 
 
-def cmd_calibrate(settings: Settings) -> int:
-    corpus_dir = settings.require("corpus")
-    out = _out_dir(settings)
-    shared = _shared_settings(settings)
+def cmd_calibrate(settings: dict) -> int:
+    out = Path(settings["out"])
     digests: dict[str, str] = {}
-    res = _load_resources(settings, digests)
-    articles = pipeline.load_corpus_dir(corpus_dir, digests)
-    config = scoring.ScoringConfig(lambda_=shared["lambda"], window=shared["window"])
-    refs = pipeline.reference_tmrs(articles, res, shared["pattern"])
+    res = pipeline.load_resources(*(settings[k] for k in _RESOURCES), digests)
+    articles = pipeline.load_corpus_dir(settings["corpus"], digests)
+    config = scoring.ScoringConfig(lambda_=settings["lambda"], window=settings["window"])
+    refs = pipeline.reference_tmrs(articles, res, settings["pattern"])
     table = scoring.calibrate(refs, config)
-    (out / "weights.json").write_text(scoring.save_weight_table(table))
-    header = pipeline.provenance(shared, digests)
-    _write_json(out / "weights.meta.json", header)
+    header = _header(settings, digests)
+    with _writing(out):
+        (out / "weights.json").write_text(scoring.save_weight_table(table))
+        _write_json(out / "weights.meta.json", header)
     n_tmr, n_c, n_p = table.calibration_counts
     print(
         f"calibrate: {n_tmr} reference representations, {n_c} concepts, "
@@ -209,20 +199,17 @@ def cmd_calibrate(settings: Settings) -> int:
     return 0
 
 
-def cmd_classify(settings: Settings) -> int:
-    corpus_dir = settings.require("corpus")
-    weights_path = settings.require("weights")
-    out = _out_dir(settings)
-    shared = _shared_settings(settings)
+def cmd_classify(settings: dict) -> int:
+    out = Path(settings["out"])
     digests: dict[str, str] = {}
-    res = _load_resources(settings, digests)
-    articles = pipeline.load_corpus_dir(corpus_dir, digests)
-    config = scoring.ScoringConfig(lambda_=shared["lambda"], window=shared["window"])
-    table = pipeline.read_input(weights_path, "weights", digests, scoring.load_weight_table)
+    res = pipeline.load_resources(*(settings[k] for k in _RESOURCES), digests)
+    articles = pipeline.load_corpus_dir(settings["corpus"], digests)
+    config = scoring.ScoringConfig(lambda_=settings["lambda"], window=settings["window"])
+    table = pipeline.read_input(
+        settings["weights"], "weights", digests, scoring.load_weight_table
+    )
     threshold = scoring.compute_threshold(table.mean_ref_weight, config.lambda_)
-    scored = pipeline.score_candidates(articles, res, table, config, shared["pattern"])
-    from .tmr import tmr_to_json
-
+    scored = pipeline.score_candidates(articles, res, table, config, settings["pattern"])
     records = [
         {
             "uid": row.uid,
@@ -235,8 +222,9 @@ def cmd_classify(settings: Settings) -> int:
         }
         for row in scored
     ]
-    header = pipeline.provenance(shared, digests)
-    pipeline.write_jsonl(out / "scores.jsonl", header, records)
+    header = _header(settings, digests)
+    with _writing(out):
+        pipeline.write_jsonl(out / "scores.jsonl", header, records)
     n_pos = sum(1 for r in records if r["is_descriptive"])
     print(
         f"classify: {len(records)} candidates, {n_pos} descriptive at "
@@ -262,13 +250,11 @@ def _by_id(rows: list[tuple], flag: str, path: str) -> dict:
     return by_id
 
 
-def cmd_evaluate(settings: Settings) -> int:
-    scores_path = settings.require("scores")
-    gold_path = settings.require("gold")
-    weights_path = settings.require("weights")
-    out = _out_dir(settings)
-    shared = _shared_settings(settings)
-    lambdas = settings.get("lambdas", DEFAULT_LAMBDAS)
+def cmd_evaluate(settings: dict) -> int:
+    scores_path = settings["scores"]
+    gold_path = settings["gold"]
+    weights_path = settings["weights"]
+    out = Path(settings["out"])
     digests: dict[str, str] = {}
     table = pipeline.read_input(weights_path, "weights", digests, scoring.load_weight_table)
     scores_header, rows = pipeline.read_jsonl(
@@ -298,17 +284,18 @@ def cmd_evaluate(settings: Settings) -> int:
     keys = sorted(gold)
     weights = [by_id[k] for k in keys]
     labels = [gold[k] for k in keys]
-    rows = scoring.lambda_sweep(weights, table.mean_ref_weight, lambdas, labels)
-    (out / "sweep.tsv").write_text(scoring.sweep_to_tsv(rows))
-    lam = shared["lambda"]
+    rows = scoring.lambda_sweep(weights, table.mean_ref_weight, settings["lambdas"], labels)
+    lam = settings["lambda"]
     threshold = scoring.compute_threshold(table.mean_ref_weight, lam)
     preds = [scoring.classify(w, threshold) for w in weights]
     headline = scoring.evaluate(preds, labels)
     headline["lambda"] = lam
     headline["threshold"] = threshold
-    header = pipeline.provenance({**shared, "lambdas": lambdas}, digests)
-    _write_json(out / "metrics.json", {"provenance": header, "metrics": headline})
-    _write_json(out / "sweep.meta.json", header)
+    header = _header(settings, digests)
+    with _writing(out):
+        (out / "sweep.tsv").write_text(scoring.sweep_to_tsv(rows))
+        _write_json(out / "metrics.json", {"provenance": header, "metrics": headline})
+        _write_json(out / "sweep.meta.json", header)
     print(
         f"evaluate: {len(keys)} labeled candidates, lambda={lam:g}: "
         f"accuracy {headline['accuracy']:.4f}, F1 {headline['f1']:.4f} "
@@ -322,24 +309,23 @@ def _concept_metrics(data: bytes) -> dict:
     return doc.get("metrics", doc)
 
 
-def cmd_baseline(settings: Settings) -> int:
-    labeled_path = settings.require("labeled")
-    out = _out_dir(settings)
-    folds = settings.get("folds", 10)
-    seed = settings.get("seed", 0)
+def cmd_baseline(settings: dict) -> int:
+    out = Path(settings["out"])
+    folds = settings["folds"]
     digests: dict[str, str] = {}
-    dataset = pipeline.read_input(labeled_path, "labeled", digests, bl.load_labeled_jsonl)
-    metrics_path = settings.get("concept_metrics")
+    dataset = pipeline.read_input(settings["labeled"], "labeled", digests, bl.load_labeled_jsonl)
+    metrics_path = settings["concept_metrics"]
     concept = (
         pipeline.read_input(metrics_path, "concept-metrics", None, _concept_metrics)
         if metrics_path
         else None
     )
-    report = bl.kfold_cv(dataset, k=folds, seed=seed)
+    report = bl.kfold_cv(dataset, k=folds, seed=settings["seed"])
     if concept is not None:
         report["concept_model"] = concept
-    header = pipeline.provenance({"folds": folds, "seed": seed}, digests)
-    _write_json(out / "baseline.json", {"provenance": header, "report": report})
+    header = _header(settings, digests)
+    with _writing(out):
+        _write_json(out / "baseline.json", {"provenance": header, "report": report})
     print(
         f"baseline: {len(dataset)} sentences, {folds}-fold CV: "
         f"mean accuracy {report['mean']['accuracy']:.4f}, "
@@ -348,24 +334,32 @@ def cmd_baseline(settings: Settings) -> int:
     return 0
 
 
+# Each command: its function, its help and the names of the settings it takes.
 _COMMANDS = {
-    "detect": cmd_detect,
-    "calibrate": cmd_calibrate,
-    "classify": cmd_classify,
-    "evaluate": cmd_evaluate,
-    "baseline": cmd_baseline,
+    "detect": (cmd_detect, "list figure references and their candidates",
+               ("corpus", *_SCORING, "out", "config")),
+    "calibrate": (cmd_calibrate, "build a weight table from a corpus",
+                  ("corpus", *_RESOURCES, *_SCORING, "out", "config")),
+    "classify": (cmd_classify, "score and classify candidate sentences",
+                 ("corpus", *_RESOURCES, "weights", *_SCORING, "out", "config")),
+    "evaluate": (cmd_evaluate, "lambda sweep and metrics against gold labels",
+                 ("scores", "gold", "weights", "lambdas", *_SCORING, "out", "config")),
+    "baseline": (cmd_baseline, "bag-of-words logistic regression CV",
+                 ("labeled", "folds", "concept_metrics", "seed", "out", "config")),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(build_parser().parse_args(argv))
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
+    run, _, names = _COMMANDS[args["command"]]
     try:
-        settings = Settings(args)
-        return _COMMANDS[args.command](settings)
+        settings = _resolve(args, names)
+        with _writing(settings["out"]):
+            Path(settings["out"]).mkdir(parents=True, exist_ok=True)
+        return run(settings)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -39,20 +39,10 @@ class CandidateSet:
     neighbor_indices: tuple[int, ...]
 
 
+@lru_cache(maxsize=32)
 def compile_pattern(pattern: str | None) -> re.Pattern:
     """Compiled case-insensitive regex, DEFAULT_PATTERN if empty; ConfigError
-    if not a string, bad, or lacking group 1.
-
-    The CLI checks its pattern here before any work; the per-sentence scans
-    call the cached _compile directly, keeping this check off the hot path.
-    """
-    if pattern is not None and not isinstance(pattern, str):
-        raise ConfigError(f"pattern must be a string, got {pattern!r}")
-    return _compile(pattern)
-
-
-@lru_cache(maxsize=32)
-def _compile(pattern: str | None) -> re.Pattern:
+    if bad or lacking group 1. Cached: every per-sentence scan calls it."""
     try:
         rx = re.compile(pattern or DEFAULT_PATTERN, re.IGNORECASE)
     except re.error as e:
@@ -71,7 +61,7 @@ def _parse_labels(raw: str) -> tuple[str, ...]:
 
 def detect_figure_refs(sentence: Sentence, pattern: str | None = None) -> list[FigRefMatch]:
     """All figure references in one sentence, left to right; none if not referring."""
-    rx = _compile(pattern)
+    rx = compile_pattern(pattern)
     out = []
     for m in rx.finditer(sentence.text):
         out.append(
@@ -81,7 +71,7 @@ def detect_figure_refs(sentence: Sentence, pattern: str | None = None) -> list[F
 
 
 def is_figure_referring(sentence: Sentence, pattern: str | None = None) -> bool:
-    return _compile(pattern).search(sentence.text) is not None
+    return compile_pattern(pattern).search(sentence.text) is not None
 
 
 def neighbor_positions(

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import hashlib
 import io
@@ -10,11 +11,11 @@ from pathlib import Path
 import pytest
 
 from figdesc import pipeline
-from figdesc.cli import main
+from figdesc.cli import build_parser, main
 from figdesc.corpus import Token
 from figdesc.scoring import load_weight_table
 
-from .helpers import LABELED_PATH, MINI_CORPUS, resource_args
+from .helpers import DATA_ROOT, LABELED_PATH, MINI_CORPUS, resource_args
 
 
 def run(capsys, *argv):
@@ -27,6 +28,7 @@ def command_argv(command: str, outputs: Path, out: Path) -> list[str]:
     """Arguments of a run of command over the mini corpus and the shared outputs."""
     mini = str(MINI_CORPUS)
     return {
+        "detect": ["detect", "--corpus", mini],
         "calibrate": ["calibrate", "--corpus", mini, *resource_args()],
         "classify": [
             "classify", "--corpus", mini, "--weights", str(outputs / "weights.json"),
@@ -269,7 +271,43 @@ class TestSettingsLayering:
         code, _, err = run(capsys, *argv, "--config", str(cfg))
         assert code == 1
         assert err == f"error: config file {cfg}: config.{key}: must be {kind}\n"
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["lamda", "concept-metrics", "config"])
+    def test_unknown_config_key_names_it(self, capsys, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 2}))
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "detect", "--corpus", str(MINI_CORPUS), "--out", str(out), "--config", str(cfg)
+        )
+        assert code == 1
+        assert err == f"error: config file {cfg}: config.{key}: not a setting\n"
+        assert not out.exists()
+
+    def test_one_config_serves_the_chain(self, capsys, tmp_path, outputs):
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        flags = resource_args()
+        config = {flags[i][2:]: flags[i + 1] for i in range(0, len(flags), 2)}
+        config.update(
+            corpus=str(MINI_CORPUS),
+            out=str(out),
+            weights=str(out / "weights.json"),
+            scores=str(out / "scores.jsonl"),
+            gold=str(MINI_CORPUS / "gold.jsonl"),
+            labeled=str(LABELED_PATH),
+            folds=5,
+            concept_metrics=str(out / "metrics.json"),
+        )
+        cfg.write_text(json.dumps(config))
+        for command in ["detect", "calibrate", "classify", "evaluate", "baseline"]:
+            code, _, err = run(capsys, command, "--config", str(cfg))
+            assert code == 0, (command, err)
+        written = sorted(path.name for path in out.iterdir())
+        assert written == sorted(path.name for path in outputs.iterdir())
+        for name in written:
+            assert (out / name).read_bytes() == (outputs / name).read_bytes(), name
 
     def test_window_setting_reaches_detection(self, capsys, tmp_path):
         code, _, _ = run(
@@ -303,6 +341,26 @@ class TestExitCodes:
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "detect", "--frobnicate")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("baseline", "--ontology", "/nonexistent"),
+            ("baseline", "--lambda", "-5"),
+            ("baseline", "--pattern", "("),
+            ("detect", "--weights", "/nope"),
+            ("calibrate", "--weights", "/nope"),
+            ("evaluate", "--corpus", "/nonexistent"),
+        ],
+    )
+    def test_flag_the_command_does_not_take(
+        self, capsys, tmp_path, outputs, command, flag, value
+    ):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *command_argv(command, outputs, out), flag, value)
+        assert code == 1
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert not out.exists()
 
     def test_bad_cast_from_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FIGDESC_WINDOW", "often")
@@ -477,7 +535,7 @@ class TestExitCodes:
         )
         assert code == 1
         assert f"error: config file {cfg}: config.pattern: must be a string" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_mistyped_article_field_names_the_file_and_field(self, capsys, tmp_path):
         corpus = tmp_path / "corpus"
@@ -538,6 +596,35 @@ class TestExitCodes:
         assert (tmp_path / "b" / "detect.jsonl").read_bytes() == (
             tmp_path / "a" / "detect.jsonl"
         ).read_bytes()
+
+
+class TestUnwritableOut:
+    """An --out that cannot be created or written into is a usage error naming it."""
+
+    @pytest.mark.parametrize(
+        "command, blocked, reason",
+        [
+            ("detect", "", "File exists"),  # mkdir of --out itself
+            ("detect", "sub", "Not a directory"),  # mkdir below a file
+            ("detect", "detect.jsonl", "Is a directory"),  # pipeline.write_jsonl
+            ("calibrate", "weights.json", "Is a directory"),  # Path.write_text
+            ("calibrate", "weights.meta.json", "Is a directory"),  # _write_json
+            ("classify", "scores.jsonl", "Is a directory"),
+            ("evaluate", "sweep.tsv", "Is a directory"),
+            ("evaluate", "metrics.json", "Is a directory"),
+            ("baseline", "baseline.json", "Is a directory"),
+        ],
+    )
+    def test_unwritable_out(self, capsys, tmp_path, outputs, command, blocked, reason):
+        if blocked in ("", "sub"):
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / blocked
+        else:
+            out = tmp_path / "out"
+            (out / blocked).mkdir(parents=True)
+        code, _, err = run(capsys, *command_argv(command, outputs, out))
+        assert code == 1
+        assert err == f"error: cannot write --out {out}: {reason}\n"
 
 
 class TestEvaluateInputs:
@@ -962,3 +1049,25 @@ class TestBaselineInputs:
         )
         assert got == 2
         assert reason in err
+
+
+class TestReadmeFlagTable:
+    def test_readme_lists_the_flags_each_command_takes(self):
+        lines = (DATA_ROOT.parent / "README.md").read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("| flag | detect"))
+        cells = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[start:]]
+        commands = cells[0][1:6]
+        documented = {command: set() for command in commands}
+        for row in cells[2:]:
+            if not row[0].startswith("`--"):
+                break
+            for command, mark in zip(commands, row[1:6]):
+                if mark:
+                    documented[command].add(row[0].strip("`"))
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        accepted = {
+            command: {flag for a in p._actions for flag in a.option_strings} - {"-h", "--help"}
+            for command, p in sub.choices.items()
+        }
+        assert documented == accepted
+        assert sum(len(flags) for flags in accepted.values()) == 46

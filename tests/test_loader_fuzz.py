@@ -263,13 +263,15 @@ def workspace(tmp_path_factory):
     gold = [line for line in GOLD.decode().splitlines() if '"M001"' in line]
     assert gold
     (root / "gold.jsonl").write_text("\n".join(gold) + "\n")
-    # detect takes every setting from this file, to fuzz each setting's type
+    # detect takes every setting from this file, to fuzz each setting's type.
+    # "folds" is baseline's, which detect accepts; a mutated key may name none.
     config = {
         "corpus": str(corpus),
         "window": 2,
         "lambda": 0.5,
         "seed": 0,
         "pattern": r"fig\.?\s*(\d+)",
+        "folds": 2,
     }
     (root / "config.json").write_text(json.dumps(config))
     for argv in _chain(root):
