@@ -19,7 +19,6 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import baseline as bl
 from . import figref, pipeline, scoring
 from .corpus import json_field, load_json_object
 from .errors import AlignmentError, ArticleParseError, ConfigError, FigdescError, SchemaError
@@ -53,6 +52,20 @@ def _window(value) -> int:
     return window
 
 
+def _seed(value) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
+def _folds(value) -> int:
+    folds = int(value)
+    if folds < 2:
+        raise ConfigError(f"fold count {folds} invalid: --folds must be at least 2")
+    return folds
+
+
 def _pattern(value: str) -> str:
     figref.compile_pattern(value)  # rejects a bad pattern before any work
     return value
@@ -71,14 +84,14 @@ _SETTINGS = {
     "lambda": (_scale, "a finite number", 0.5, "threshold scale factor"),
     "window": (_window, "an integer", 2, "neighbor window size"),
     "out": (str, "a string", _REQUIRED, "output directory"),
-    "seed": (int, "an integer", 0, "random seed (baseline folds)"),
+    "seed": (_seed, "an integer", 0, "random seed (baseline folds)"),
     "pattern": (_pattern, "a string", None, "override figure-reference regex"),
     "config": (str, "a string", None, "JSON config file with flag defaults"),
     "scores": (str, "a string", _REQUIRED, "scores JSONL from classify"),
     "gold": (str, "a string", _REQUIRED, "gold label JSONL"),
     "lambdas": (_float_list, "a string", DEFAULT_LAMBDAS, "comma-separated lambdas to sweep"),
     "labeled": (str, "a string", _REQUIRED, "labeled sentence JSONL"),
-    "folds": (int, "an integer", 10, "cross-validation fold count"),
+    "folds": (_folds, "an integer", 10, "cross-validation fold count"),
     "concept_metrics": (str, "a string", None, "metrics JSON from evaluate, for side-by-side"),
 }
 
@@ -310,6 +323,8 @@ def _concept_metrics(data: bytes) -> dict:
 
 
 def cmd_baseline(settings: dict) -> int:
+    from . import baseline as bl  # imported here, so no other command loads numpy for it
+
     out = Path(settings["out"])
     folds = settings["folds"]
     digests: dict[str, str] = {}

@@ -3,17 +3,22 @@
 Verbs missing from the lexicon are rewritten to known lemmas by intersecting
 their synonym list with their nearest embedding neighbors; with no embedding
 entry at all, the synonym list alone is used in synset order.
+
+numpy loads only with the first embedding store, so a run that uses none
+never imports it.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .corpus import decode_utf8, json_entries, load_json_object
 from .errors import EmbeddingFormatError, OovError, SchemaError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LOGGER = logging.getLogger(__name__)
 
@@ -67,6 +72,8 @@ class EmbeddingStore:
     """Dense word vectors with cosine nearest-neighbor lookup."""
 
     def __init__(self, dim: int, vectors: dict[str, np.ndarray]):
+        import numpy as np
+
         self.dim = dim
         self._words = list(vectors)
         self._index = {w: i for i, w in enumerate(self._words)}
@@ -95,6 +102,8 @@ class EmbeddingStore:
         return self._matrix[self._index[word]]
 
     def cosine(self, a: str, b: str) -> float:
+        import numpy as np
+
         va, vb = self.vector(a), self.vector(b)
         na, nb = float(np.linalg.norm(va)), float(np.linalg.norm(vb))
         if na == 0.0 or nb == 0.0:
@@ -108,6 +117,8 @@ class EmbeddingStore:
         """
         if word not in self._index:
             raise OovError(f"word {word!r} not in embedding vocabulary")
+        import numpy as np
+
         qi = self._index[word]
         q = self._matrix[qi]
         qn = float(np.linalg.norm(q))
@@ -126,6 +137,8 @@ def load_embeddings(data: bytes | str) -> EmbeddingStore:
     offending line number. A repeated word keeps its last vector and logs a
     warning.
     """
+    import numpy as np
+
     lines = decode_utf8(data, "embeddings").splitlines()
     if not lines:
         raise EmbeddingFormatError("line 1: missing header")

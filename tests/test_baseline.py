@@ -347,7 +347,17 @@ class TestBlasThreads:
         "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))\n"
     )
 
-    def _probe(self, **env_vars):
+    # numpy loads with the first embedding store, not on importing figdesc
+    LAZY_PROBE = (
+        "import os, sys, figdesc\n"
+        "from figdesc import fixtures, lexres\n"
+        "assert 'numpy' not in sys.modules\n"
+        "lexres.load_embeddings(fixtures.fixture_path('embeddings.txt').read_bytes())\n"
+        "lexres.EmbeddingStore(180, {str(i): [1.0] * 180 for i in range(2000)}).top_k('0', 10)\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))\n"
+    )
+
+    def _probe(self, probe=PROBE, **env_vars):
         env = {
             k: v for k, v in os.environ.items()
             if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
@@ -355,7 +365,7 @@ class TestBlasThreads:
         env["PYTHONPATH"] = str(Path(baseline.__file__).parent.parent)
         env.update(env_vars)
         done = subprocess.run(
-            [sys.executable, "-c", self.PROBE], env=env, capture_output=True, text=True,
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
             check=True,
         )
         return done.stdout.split()
@@ -364,6 +374,10 @@ class TestBlasThreads:
     def test_importing_figdesc_keeps_blas_on_one_thread(self):
         # a matrix product the size of baseline training starts no BLAS worker
         assert self._probe() == ["1", "1"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_numpy_loaded_by_lexres_keeps_blas_on_one_thread(self):
+        assert self._probe(self.LAZY_PROBE) == ["1", "1"]
 
     def test_explicit_setting_wins(self):
         assert self._probe(OPENBLAS_NUM_THREADS="2")[0] == "2"

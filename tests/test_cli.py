@@ -5,6 +5,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -479,6 +481,15 @@ class TestExitCodes:
         assert code == 1
         assert "window" in err
         assert not (tmp_path / "detect.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "calibrate", "classify", "evaluate"])
+    def test_negative_seed_leaves_no_out(self, capsys, tmp_path, outputs, command):
+        # only baseline uses the seed, but every command records it
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *command_argv(command, outputs, out), "--seed", "-1")
+        assert code == 1
+        assert err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "pattern, reason",
@@ -1023,6 +1034,14 @@ class TestBaselineInputs:
         got, err = self.baseline(capsys, tmp_path, LABELED_PATH, "--seed", "-1")
         assert got == 1
         assert "seed must be non-negative" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("folds", ["0", "1"])
+    def test_too_few_folds(self, capsys, tmp_path, folds):
+        got, err = self.baseline(capsys, tmp_path, LABELED_PATH, "--folds", folds)
+        assert got == 1
+        assert f"fold count {folds} invalid" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_labeled_file(self, capsys, tmp_path):
         got, err = self.baseline(capsys, tmp_path, tmp_path / "ghost.jsonl")
@@ -1049,6 +1068,45 @@ class TestBaselineInputs:
         )
         assert got == 2
         assert reason in err
+
+
+class TestImportBudget:
+    """detect and evaluate load neither numpy nor the baseline module."""
+
+    PROBE = (
+        "import sys\n"
+        "import figdesc, figdesc.corpus, figdesc.cli\n"
+        "code = figdesc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(code, *(name in sys.modules for name in ('numpy', 'figdesc.baseline')))\n"
+    )
+
+    def loaded(self, argv: list[str]) -> str:
+        """'<exit code> <numpy loaded> <figdesc.baseline loaded>' of a fresh run of argv."""
+        env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parent.parent)}
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        return done.stdout.splitlines()[-1]
+
+    def test_importing_the_package(self):
+        assert self.loaded([]) == "0 False False"
+
+    @pytest.mark.parametrize("command", ["detect", "evaluate"])
+    def test_light_commands(self, tmp_path, outputs, command):
+        assert self.loaded(command_argv(command, outputs, tmp_path)) == "0 False False"
+
+    def test_calibrate_without_embeddings(self, tmp_path, outputs):
+        argv = command_argv("calibrate", outputs, tmp_path)
+        i = argv.index("--embeddings")
+        assert self.loaded(argv[:i] + argv[i + 2 :]) == "0 False False"
+
+    @pytest.mark.parametrize(
+        "command, loaded",
+        [("calibrate", "0 True False"), ("classify", "0 True False"), ("baseline", "0 True True")],
+    )
+    def test_commands_that_need_numpy(self, tmp_path, outputs, command, loaded):
+        assert self.loaded(command_argv(command, outputs, tmp_path)) == loaded
 
 
 class TestReadmeFlagTable:
