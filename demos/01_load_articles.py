@@ -70,5 +70,6 @@ print()
 
 # ---- a whole corpus directory ----
 
-articles = pipeline.load_corpus_dir(MINI)
+# load_corpus_dir yields one article at a time, in file-name order
+articles = sorted(pipeline.load_corpus_dir(MINI), key=lambda a: a.uid)
 print(len(articles), "articles:", ", ".join(a.uid for a in articles[:6]), "...")

@@ -62,12 +62,14 @@ print()
 
 # ---- counts over the bundled mini corpus ----
 
-articles = pipeline.load_corpus_dir(MINI)
+# the loader yields one article at a time, in file-name order
+n_articles = 0
 n_refs = 0
 n_cands = 0
-for a in articles:
+for a in pipeline.load_corpus_dir(MINI):
     d = pipeline.detect_article(a, window=2)
+    n_articles += 1
     n_refs += len(d.refs)
     n_cands += len(d.candidate_indices)
-print(len(articles), "articles,", n_refs, "figure-referring sentences,",
+print(n_articles, "articles,", n_refs, "figure-referring sentences,",
       n_cands, "distinct candidate sentences")

@@ -30,12 +30,12 @@ res = pipeline.load_resources(
     fixtures.fixture_path("embeddings.txt"),
     fixtures.fixture_path("gazetteer.txt"),
 )
-articles = pipeline.load_corpus_dir(MINI)
 config = ScoringConfig(lambda_=0.5, window=2)
 
 # ---- calibration ----
 
-refs = pipeline.reference_tmrs(articles, res)
+# each pass streams the corpus: load_corpus_dir yields one article at a time
+refs = pipeline.reference_tmrs(pipeline.load_corpus_dir(MINI), res)
 table = calibrate(refs, config)
 print("calibrated on", len(refs), "reference sentences")
 print("mean reference weight:", round(table.mean_ref_weight, 6))
@@ -48,7 +48,7 @@ print()
 
 # ---- scoring candidates ----
 
-scored = pipeline.score_candidates(articles, res, table, config)
+scored = pipeline.score_candidates(pipeline.load_corpus_dir(MINI), res, table, config)
 threshold = compute_threshold(table.mean_ref_weight, config.lambda_)
 print(len(scored), "candidates, threshold", round(threshold, 6))
 

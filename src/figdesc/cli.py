@@ -155,8 +155,13 @@ def _resolve(args: dict, names: tuple[str, ...]) -> dict:
 
 @contextmanager
 def _writing(out: str | Path) -> Iterator[None]:
-    """Turns an OSError of creating or writing into --out into a ConfigError."""
+    """Creates --out for the writes in the block; an OSError there is a ConfigError.
+
+    A command enters it only once it has all it writes, so a command that
+    fails leaves no --out behind.
+    """
     try:
+        Path(out).mkdir(parents=True, exist_ok=True)
         yield
     except OSError as e:
         raise ConfigError(f"cannot write --out {out}: {e.strerror or e}") from e
@@ -174,19 +179,25 @@ def _write_json(path: Path, doc: dict) -> None:
 def cmd_detect(settings: dict) -> int:
     out = Path(settings["out"])
     digests: dict[str, str] = {}
+    window, pattern = settings["window"], settings["pattern"]
     articles = pipeline.load_corpus_dir(settings["corpus"], digests)
-    records = []
-    total_candidates = 0
-    for article in articles:
-        det = pipeline.detect_article(article, settings["window"], settings["pattern"])
-        total_candidates += len(det.candidate_indices)
-        records.extend({"uid": det.uid, **ref} for ref in det.refs)
+    # map() drops each article once it is detected; only its detection is kept.
+    detections = sorted(
+        map(lambda a: pipeline.detect_article(a, window, pattern), articles),
+        key=lambda det: det.uid,
+    )
     header = _header(settings, digests)
     with _writing(out):
-        pipeline.write_jsonl(out / "detect.jsonl", header, records)
+        pipeline.write_jsonl(
+            out / "detect.jsonl",
+            header,
+            ({"uid": det.uid, **ref} for det in detections for ref in det.refs),
+        )
+    n_refs = sum(len(det.refs) for det in detections)
+    n_candidates = sum(len(det.candidate_indices) for det in detections)
     print(
-        f"detect: {len(articles)} articles, {len(records)} figure-referring sentences, "
-        f"{total_candidates} candidate sentences -> {out / 'detect.jsonl'}"
+        f"detect: {len(detections)} articles, {n_refs} figure-referring sentences, "
+        f"{n_candidates} candidate sentences -> {out / 'detect.jsonl'}"
     )
     return 0
 
@@ -216,14 +227,14 @@ def cmd_classify(settings: dict) -> int:
     out = Path(settings["out"])
     digests: dict[str, str] = {}
     res = pipeline.load_resources(*(settings[k] for k in _RESOURCES), digests)
-    articles = pipeline.load_corpus_dir(settings["corpus"], digests)
-    config = scoring.ScoringConfig(lambda_=settings["lambda"], window=settings["window"])
     table = pipeline.read_input(
         settings["weights"], "weights", digests, scoring.load_weight_table
     )
+    articles = pipeline.load_corpus_dir(settings["corpus"], digests)
+    config = scoring.ScoringConfig(lambda_=settings["lambda"], window=settings["window"])
     threshold = scoring.compute_threshold(table.mean_ref_weight, config.lambda_)
     scored = pipeline.score_candidates(articles, res, table, config, settings["pattern"])
-    records = [
+    records = (
         {
             "uid": row.uid,
             "global_index": row.global_index,
@@ -234,13 +245,13 @@ def cmd_classify(settings: dict) -> int:
             "tmr": tmr_to_json(row.tmr),
         }
         for row in scored
-    ]
+    )
     header = _header(settings, digests)
     with _writing(out):
         pipeline.write_jsonl(out / "scores.jsonl", header, records)
-    n_pos = sum(1 for r in records if r["is_descriptive"])
+    n_pos = sum(1 for row in scored if scoring.classify(row.weight, threshold))
     print(
-        f"classify: {len(records)} candidates, {n_pos} descriptive at "
+        f"classify: {len(scored)} candidates, {n_pos} descriptive at "
         f"lambda={config.lambda_:g} (threshold {threshold:.6f}) -> {out / 'scores.jsonl'}"
     )
     return 0
@@ -371,10 +382,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if e.code in (0, None) else 1
     run, _, names = _COMMANDS[args["command"]]
     try:
-        settings = _resolve(args, names)
-        with _writing(settings["out"]):
-            Path(settings["out"]).mkdir(parents=True, exist_ok=True)
-        return run(settings)
+        return run(_resolve(args, names))
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

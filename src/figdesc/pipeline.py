@@ -1,9 +1,11 @@
 """Corpus-level orchestration shared by the CLI commands.
 
 Articles live one per file in a corpus directory (.json or .xml), with an
-optional <stem>.conllu parse sidecar next to each. Each command scans each
-sentence for figure references once; detection picks both the reference
-sentences and their candidate neighbors from those results.
+optional <stem>.conllu parse sidecar next to each. load_corpus_dir yields
+them one at a time; a command keeps only each article's small results and
+sorts them by uid. Each command scans each sentence for figure references
+once; detection picks both the reference sentences and their candidate
+neighbors from those results.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -126,13 +129,15 @@ def read_input(
         raise type(e)(f"{label or path}: {e}") from e
 
 
-def load_corpus_dir(path: str | Path, digests: dict[str, str] | None = None) -> list[Article]:
-    """Load every article file in a directory, sorted by uid.
+def load_corpus_dir(path: str | Path, digests: dict[str, str] | None = None) -> Iterator[Article]:
+    """Yield each article in a directory, one at a time, in file-name order.
 
     JSON and XML articles are both accepted; a <stem>.conllu file next to an
-    article attaches its parses. Duplicate uids reject the corpus. An error
-    in a file names that file. Each corpus file is read once by read_input,
-    orphan sidecars included, under the key corpus/<file name>.
+    article attaches its parses. An error in a file names that file and is
+    raised when the loader reaches it, as is a uid that an earlier file
+    holds. Each corpus file is read once by read_input, orphan sidecars
+    included, under the key corpus/<file name>; digests is complete once the
+    generator is exhausted. File-name order need not be uid order.
     """
     names = corpus_files(path)
     present = set(names)
@@ -140,7 +145,6 @@ def load_corpus_dir(path: str | Path, digests: dict[str, str] | None = None) -> 
     def load(name: str, parse: Callable[[bytes], Any]) -> Any:
         return read_input(os.path.join(path, name), f"corpus/{name}", digests, parse, name)
 
-    articles = []
     file_of: dict[str, str] = {}
     for name in names:
         suffix = _suffix(name)
@@ -158,8 +162,8 @@ def load_corpus_dir(path: str | Path, digests: dict[str, str] | None = None) -> 
                 f"in {file_of[article.uid]} and {name}"
             )
         file_of[article.uid] = name
-        articles.append(article)
-    return sorted(articles, key=lambda a: a.uid)
+        yield article
+        del article  # hold no article while the next one loads
 
 
 @dataclass
@@ -206,38 +210,51 @@ class ScoredSentence:
 
 
 def reference_tmrs(
-    articles: list[Article],
+    articles: Iterable[Article],
     resources: Resources,
     pattern: str | None = None,
 ) -> list[Tmr]:
-    """Representations of every figure-referring sentence, in corpus order."""
-    return [
-        resources.tmr(sentence)
-        for article in articles
-        for sentence in article.sentences()
-        if is_figure_referring(sentence, pattern)
-    ]
+    """Representations of every figure-referring sentence, ordered by (uid, index).
+
+    Only the representations of each article are kept as the articles go by.
+    """
+
+    def of_article(article: Article) -> tuple[str, list[Tmr]]:
+        refs = [s for s in article.sentences() if is_figure_referring(s, pattern)]
+        return article.uid, [resources.tmr(s) for s in refs]
+
+    # map() drops each article once its representations are built.
+    by_uid = sorted(map(of_article, articles), key=lambda pair: pair[0])
+    return [tmr for _, tmrs in by_uid for tmr in tmrs]
 
 
 def score_candidates(
-    articles: list[Article],
+    articles: Iterable[Article],
     resources: Resources,
     table: WeightTable,
     config: ScoringConfig,
     pattern: str | None = None,
 ) -> list[ScoredSentence]:
-    """Weight every distinct candidate sentence, ordered by (uid, index)."""
-    rows = []
-    for article in articles:
+    """Weight every distinct candidate sentence, ordered by (uid, index).
+
+    Only the scored rows of each article are kept as the articles go by.
+    """
+
+    def of_article(article: Article) -> list[ScoredSentence]:
         detection = detect_article(article, config.window, pattern)
         by_global = {s.global_index: s for s in article.sentences()}
+        rows = []
         for gidx in detection.candidate_indices:
             sentence = by_global[gidx]
             tmr = resources.tmr(sentence)
             weight = sentence_weight(tmr, table, config)
             rows.append(ScoredSentence(article.uid, gidx, sentence.text, tmr, weight))
-    rows.sort(key=lambda r: (r.uid, r.global_index))
-    return rows
+        return rows
+
+    return sorted(
+        chain.from_iterable(map(of_article, articles)),
+        key=lambda r: (r.uid, r.global_index),
+    )
 
 
 # ---- provenance ----
@@ -251,7 +268,7 @@ def provenance(settings: dict, digests: dict[str, str]) -> dict:
     return {"inputs": inputs, "settings": dict(sorted(settings.items()))}
 
 
-def write_jsonl(path: Path, header: dict, records: list[dict]) -> None:
+def write_jsonl(path: Path, header: dict, records: Iterable[dict]) -> None:
     """JSONL with a first-line provenance record; keys sorted for stable bytes.
 
     Written a line at a time: the whole text is never held in memory.

@@ -33,14 +33,19 @@ def corpus137_dir():
     return ROOT / "data" / "corpus137"
 
 
+def load_sorted(path):
+    """Every article of the corpus at path, in a list sorted by uid."""
+    return sorted(pipeline.load_corpus_dir(path), key=lambda a: a.uid)
+
+
 @pytest.fixture(scope="session")
 def mini_articles(mini_dir):
-    return pipeline.load_corpus_dir(mini_dir)
+    return load_sorted(mini_dir)
 
 
 @pytest.fixture(scope="session")
 def corpus137(corpus137_dir):
-    return pipeline.load_corpus_dir(corpus137_dir)
+    return load_sorted(corpus137_dir)
 
 
 @pytest.fixture(scope="session")

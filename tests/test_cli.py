@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -812,7 +813,7 @@ class TestEvaluateChecksWeights:
         assert code == 2
         assert f"{outputs / 'scores.jsonl'} was scored with weights of sha256" in err
         assert f"but --weights {weights} has sha256" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_same_bytes_elsewhere_pass(self, capsys, tmp_path, outputs):
         weights = tmp_path / "copy.json"
@@ -878,12 +879,146 @@ class TestParseChecksGuardEveryCommand:
         assert "sentence 0" in err
 
     def test_tokens_read_by_name(self):
-        articles = pipeline.load_corpus_dir(MINI_CORPUS)
-        parse = articles[0].sentences()[0].parse
+        article = next(pipeline.load_corpus_dir(MINI_CORPUS))
+        assert article.uid == "M001"
+        parse = article.sentences()[0].parse
         tok = parse.tokens[2]
         assert (tok.index, tok.form, tok.head) == (3, "treatment", 5)
         assert parse.root().index == 5
         assert tok == Token(3, "treatment", "treatment", "NOUN", 5, "nsubjpass")
+
+
+CORPUS_COMMANDS = ["detect", "calibrate", "classify"]
+
+
+def corpus_argv(command: str, outputs: Path, corpus: Path, out: Path) -> list[str]:
+    """Arguments of a run of command over corpus, with the shared outputs' weights."""
+    return replace_flag(command_argv(command, outputs, out), "corpus", corpus)
+
+
+class TestStreamedCorpus:
+    """The corpus commands hold one article at a time, with the old order and errors."""
+
+    @pytest.mark.parametrize("command", CORPUS_COMMANDS)
+    def test_no_article_outlives_the_next_load(
+        self, capsys, tmp_path, outputs, monkeypatch, command
+    ):
+        refs = []  # to every article loaded, with or without its parses
+        alive_at_load = []  # how many of them are alive as each article file loads
+
+        def tracked(fn, check):
+            def wrapper(*args):
+                if check:
+                    alive_at_load.append(sum(ref() is not None for ref in refs))
+                article = fn(*args)
+                refs.append(weakref.ref(article))
+                return article
+
+            return wrapper
+
+        monkeypatch.setattr(
+            pipeline, "load_article_json", tracked(pipeline.load_article_json, True)
+        )
+        monkeypatch.setattr(pipeline, "attach_parses", tracked(pipeline.attach_parses, False))
+        code, _, err = run(capsys, *command_argv(command, outputs, tmp_path / "out"))
+        assert code == 0, err
+        assert alive_at_load == [0] * 20
+        assert len(refs) == 40
+
+    @staticmethod
+    def corpus(path: Path, files: dict[str, tuple[str, str]], parsed: set[str]) -> Path:
+        """Mini corpus articles under new names and uids: file stem -> (source, uid).
+
+        The sources named in parsed keep their .conllu sidecars.
+        """
+        path.mkdir()
+        for stem, (source, uid) in files.items():
+            doc = json.loads((MINI_CORPUS / f"{source}.json").read_text())
+            doc["uid"] = uid
+            (path / f"{stem}.json").write_text(json.dumps(doc))
+            if source in parsed:
+                shutil.copy(MINI_CORPUS / f"{source}.conllu", path / f"{stem}.conllu")
+        return path
+
+    @pytest.mark.parametrize(
+        "parsed", [{"M001", "M002"}, {"M001"}, set()], ids=["parsed", "one-parsed", "unparsed"]
+    )
+    def test_outputs_in_uid_order_not_file_name_order(self, capsys, tmp_path, outputs, parsed):
+        """a.json holds uid Z and b.json uid A: the same outputs as with the names swapped."""
+        weights = str(outputs / "weights.json")
+        written = {}
+        for name, files in [
+            ("swapped", {"a": ("M001", "Z"), "b": ("M002", "A")}),
+            ("in-order", {"a": ("M002", "A"), "b": ("M001", "Z")}),
+        ]:
+            corpus = str(self.corpus(tmp_path / name, files, parsed))
+            out = tmp_path / f"out-{name}"
+            chain = [
+                ["detect", "--corpus", corpus],
+                ["classify", "--corpus", corpus, "--weights", weights, *resource_args()],
+            ]
+            if parsed:  # calibration needs at least one parsed reference sentence
+                chain.append(["calibrate", "--corpus", corpus, *resource_args()])
+            for argv in chain:
+                code, _, err = run(capsys, *argv, "--out", str(out))
+                assert code == 0, err
+            written[name] = {
+                "detect": (out / "detect.jsonl").read_text().splitlines()[1:],
+                "scores": (out / "scores.jsonl").read_text().splitlines()[1:],
+                "weights": parsed and (out / "weights.json").read_bytes(),
+            }
+        assert written["swapped"] == written["in-order"]
+        for records in (written["swapped"]["detect"], written["swapped"]["scores"]):
+            uids = [json.loads(line)["uid"] for line in records]
+            assert uids == sorted(uids) and {"A", "Z"} <= set(uids)
+
+    @pytest.mark.parametrize("command", CORPUS_COMMANDS)
+    def test_bad_block_in_the_last_file(self, capsys, tmp_path, outputs, command):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI_CORPUS, corpus)
+        sidecar = corpus / "M020.conllu"
+        text = sidecar.read_text()
+        assert "\tauthors\tauthor\t" in text.split("\n\n")[0]
+        sidecar.write_text(text.replace("\tauthors\tauthor\t", "\tauthrs\tauthor\t", 1))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *corpus_argv(command, outputs, corpus, out))
+        assert code == 2
+        assert err == "error: M020.conllu: sentence 0: token forms do not match sentence text\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", CORPUS_COMMANDS)
+    def test_repeated_uid_in_the_last_file(self, capsys, tmp_path, outputs, command):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI_CORPUS, corpus)
+        shutil.copy(corpus / "M001.json", corpus / "zz.json")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *corpus_argv(command, outputs, corpus, out))
+        assert code == 2
+        assert err == "error: uid: duplicate article uid 'M001' in M001.json and zz.json\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", CORPUS_COMMANDS)
+    def test_malformed_article_leaves_no_out(self, capsys, tmp_path, outputs, command):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.json").write_text('{"uid": "A", ')
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *corpus_argv(command, outputs, corpus, out))
+        assert code == 2
+        assert "a.json: article: malformed JSON" in err
+        assert not out.exists()
+
+    def test_classify_reads_weights_before_the_corpus(self, capsys, tmp_path, outputs):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.json").write_text('{"uid": "A", ')
+        ghost = tmp_path / "ghost.json"
+        out = tmp_path / "out"
+        argv = replace_flag(corpus_argv("classify", outputs, corpus, out), "weights", ghost)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err == f"error: cannot read --weights file {ghost}: No such file or directory\n"
+        assert not out.exists()
 
 
 class TestCorpusReadOnce:
@@ -1041,6 +1176,12 @@ class TestBaselineInputs:
         got, err = self.baseline(capsys, tmp_path, LABELED_PATH, "--folds", folds)
         assert got == 1
         assert f"fold count {folds} invalid" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_more_folds_than_rows(self, capsys, tmp_path):
+        got, err = self.baseline(capsys, tmp_path, LABELED_PATH, "--folds", "500")
+        assert got == 1
+        assert "fold count 500 invalid for 200 items" in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_labeled_file(self, capsys, tmp_path):

@@ -39,28 +39,39 @@ class TestCorpusDir:
         (tmp_path / "a.json").write_text(json.dumps(doc))
         (tmp_path / "b.json").write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="DUP"):
-            pipeline.load_corpus_dir(tmp_path)
+            list(pipeline.load_corpus_dir(tmp_path))
 
     def test_load_errors_name_the_file_and_keep_their_type(self, tmp_path):
         (tmp_path / "a.json").write_text(json.dumps({"uid": "A", "body": [["Fine."]]}))
         (tmp_path / "b.json").write_text('{"uid": "B", ')
         with pytest.raises(ArticleParseError, match="^b.json: article: malformed JSON at offset 13"):
-            pipeline.load_corpus_dir(tmp_path)
+            list(pipeline.load_corpus_dir(tmp_path))
         (tmp_path / "b.json").write_text(json.dumps({"uid": "B"}))
         with pytest.raises(SchemaError, match="^b.json: body: required"):
-            pipeline.load_corpus_dir(tmp_path)
+            list(pipeline.load_corpus_dir(tmp_path))
         (tmp_path / "b.json").unlink()
         (tmp_path / "a.conllu").write_text("")
         with pytest.raises(AlignmentError, match="^a.conllu: parse sidecar has 0 blocks"):
-            pipeline.load_corpus_dir(tmp_path)
+            list(pipeline.load_corpus_dir(tmp_path))
         (tmp_path / "a.conllu").unlink()
         (tmp_path / "c.json").write_text(json.dumps({"uid": "A", "body": [["Again."]]}))
         with pytest.raises(SchemaError, match="'A' in a.json and c.json"):
-            pipeline.load_corpus_dir(tmp_path)
+            list(pipeline.load_corpus_dir(tmp_path))
 
     def test_missing_directory(self, tmp_path):
+        articles = pipeline.load_corpus_dir(tmp_path / "nope")  # listed at the first next()
         with pytest.raises(ConfigError, match="does not exist"):
-            pipeline.load_corpus_dir(tmp_path / "nope")
+            next(articles)
+
+    def test_yields_in_file_name_order_and_fails_at_the_bad_file(self, tmp_path):
+        (tmp_path / "a.json").write_text(json.dumps({"uid": "Z", "body": [["Fine."]]}))
+        (tmp_path / "b.json").write_text(json.dumps({"uid": "A", "body": [["Also."]]}))
+        assert [a.uid for a in pipeline.load_corpus_dir(tmp_path)] == ["Z", "A"]
+        (tmp_path / "c.json").write_text('{"uid": "C", ')
+        articles = pipeline.load_corpus_dir(tmp_path)
+        assert [next(articles).uid, next(articles).uid] == ["Z", "A"]
+        with pytest.raises(ArticleParseError, match="^c.json: "):
+            next(articles)
 
     def test_mixed_formats_and_stray_files(self, tmp_path):
         (tmp_path / "a.json").write_text(json.dumps({"uid": "J1", "body": [["Hi there."]]}))
@@ -68,7 +79,7 @@ class TestCorpusDir:
             '<article uid="X1"><body><para>Hello here.</para></body></article>'
         )
         (tmp_path / "notes.txt").write_text("ignored")
-        articles = pipeline.load_corpus_dir(tmp_path)
+        articles = list(pipeline.load_corpus_dir(tmp_path))
         assert [a.uid for a in articles] == ["J1", "X1"]
 
     def test_conllu_sidecar_attaches(self, tmp_path, mini_dir):
@@ -93,7 +104,7 @@ class TestCorpusDir:
         (corpus / "nested" / "n.json").write_text(
             json.dumps({"uid": "N", "body": [["Nested."]]})
         )
-        articles = pipeline.load_corpus_dir(corpus)
+        articles = list(pipeline.load_corpus_dir(corpus))
         assert [a.uid for a in articles] == ["AB", "CX"]
         assert [a.sentences()[0].parse is not None for a in articles] == [True, False]
         out = tmp_path / "out"
@@ -227,6 +238,10 @@ class TestReferenceTmrs:
         tmrs = pipeline.reference_tmrs(mini_articles, resources)
         assert len(tmrs) == expected == 60
 
+    def test_uid_order_whatever_the_input_order(self, mini_articles, resources):
+        in_order = pipeline.reference_tmrs(mini_articles, resources)
+        assert pipeline.reference_tmrs(iter(mini_articles[::-1]), resources) == in_order
+
 
 @pytest.fixture(scope="module")
 def table(mini_articles, resources):
@@ -247,6 +262,11 @@ class TestScoreCandidates:
             assert r.weight >= 0.0
             assert r.text
             assert r.tmr.sentence_ref == r.global_index
+
+    def test_uid_order_whatever_the_input_order(self, mini_articles, resources, table):
+        in_order = pipeline.score_candidates(mini_articles, resources, table, ScoringConfig())
+        reverse = iter(mini_articles[::-1])
+        assert pipeline.score_candidates(reverse, resources, table, ScoringConfig()) == in_order
 
     def test_unknown_elements_score_zero(self, mini_articles, resources):
         empty = WeightTable({}, {}, 0.0, (0, 0, 0))
