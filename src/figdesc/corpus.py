@@ -67,30 +67,29 @@ class ParsedSentence:
     """One sentence's dependency parse.
 
     ParsedSentence(tokens) holds its tokens. A parse that attach_parses takes
-    from a sidecar holds its CoNLL-U block, which was checked on load, and
-    builds its tokens from it with read_conllu when they are first read. Two
+    from a sidecar holds the columns of its token lines, which were checked
+    on load, and builds its tokens from them when they are first read. Two
     parses are equal when their tokens are equal.
     """
 
-    __slots__ = ("_tokens", "_block")
+    __slots__ = ("_tokens", "_rows")
 
     def __init__(self, tokens: tuple[Token, ...]) -> None:
         self._tokens: tuple[Token, ...] | None = tokens
-        self._block: str | None = None
+        self._rows: list[list] | None = None
 
     @classmethod
-    def _from_block(cls, block: str) -> ParsedSentence:
+    def _from_rows(cls, rows: list[list]) -> ParsedSentence:
         parse = cls.__new__(cls)
         parse._tokens = None
-        parse._block = block
+        parse._rows = rows
         return parse
 
     @property
     def tokens(self) -> tuple[Token, ...]:
         if self._tokens is None:
-            (tokens,) = read_conllu(self._block)
-            self._tokens = tuple(tokens)
-            self._block = None
+            self._tokens = tuple(map(Token._make, map(_TOKEN_COLUMNS, self._rows)))
+            self._rows = None
         return self._tokens
 
     def root(self) -> Token:
@@ -377,44 +376,42 @@ def load_article_xml(data: bytes) -> Article:
 _TOKEN_COLUMNS = itemgetter(0, 1, 2, 3, 6, 7)
 
 
-def _conllu_blocks(text: str) -> Iterator[tuple[list[str], list[list]]]:
-    """The CoNLL-U line rule: yield (lines, rows) for each block.
+def _conllu_blocks(text: str) -> Iterator[list[list]]:
+    """The CoNLL-U line rule: yield the rows of each block.
 
-    lines are the block's lines, comments included; rows are the columns of
-    its token lines, with ID and HEAD (columns 0 and 6) as ints. A
-    whitespace-only line ends a block, a line starting with # is a comment,
-    and multiword or empty-node ids (containing - or .) are skipped; lines
-    holding no token make no block.
+    A block's rows are the columns of its token lines, with ID and HEAD
+    (columns 0 and 6) as ints. A whitespace-only line ends a block, a line
+    starting with # is a comment, and multiword or empty-node ids (containing
+    - or .) are skipped; lines holding no token make no block.
     """
-    lines = text.splitlines()
-    start = 0
     rows: list[list] = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            if rows:
-                yield lines[start : lineno - 1], rows
-                rows = []
-            start = lineno
-            continue
-        if stripped[0] == "#":
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
         cols: list = line.split("\t")
-        if len(cols) != 10:
-            raise SchemaError(
-                f"CoNLL-U line {lineno}: expected 10 tab-separated columns, got {len(cols)}"
-            )
-        tok_id = cols[0]
-        if "-" in tok_id or "." in tok_id:
-            continue
+        # Decimal digits open no comment or blank line and hold no - or .,
+        # so such a line is a token line; every other line is checked in full.
+        if not (len(cols) == 10 and cols[0].isdecimal() and cols[6].isdecimal()):
+            stripped = line.strip()
+            if not stripped:
+                if rows:
+                    yield rows
+                    rows = []
+                continue
+            if stripped[0] == "#":
+                continue
+            if len(cols) != 10:
+                raise SchemaError(
+                    f"CoNLL-U line {lineno}: expected 10 tab-separated columns, got {len(cols)}"
+                )
+            if "-" in cols[0] or "." in cols[0]:
+                continue
         try:
-            cols[0] = int(tok_id)
+            cols[0] = int(cols[0])
             cols[6] = int(cols[6])
         except ValueError as e:
             raise SchemaError(f"CoNLL-U line {lineno}: non-integer id or head") from e
         rows.append(cols)
     if rows:
-        yield lines[start:], rows
+        yield rows
 
 
 def read_conllu(text: str) -> list[list[Token]]:
@@ -425,21 +422,16 @@ def read_conllu(text: str) -> list[list[Token]]:
     skipped. One block per sentence, blocks separated by blank lines.
     """
     make_token = Token._make
-    return [
-        list(map(make_token, map(_TOKEN_COLUMNS, rows)))
-        for _, rows in _conllu_blocks(text)
-    ]
+    return [list(map(make_token, map(_TOKEN_COLUMNS, rows))) for rows in _conllu_blocks(text)]
 
 
-def _validate_parse(
-    block: tuple[str, str, list[int]], global_index: int, text: str
-) -> ParsedSentence:
-    """The parse of one block (its text, joined forms and heads) once it fits the sentence."""
-    conllu, forms, heads = block
-    if forms != "".join(text.split()):
+def _validate_parse(rows: list[list], global_index: int, text: str) -> ParsedSentence:
+    """The parse of one block's rows once they fit the sentence."""
+    if "".join([cols[1] for cols in rows]) != "".join(text.split()):
         raise AlignmentError(
             f"sentence {global_index}: token forms do not match sentence text"
         )
+    heads = [cols[6] for cols in rows]
     n = len(heads)
     n_roots = heads.count(0)
     if n_roots != 1:
@@ -449,7 +441,7 @@ def _validate_parse(
     if min(heads) < 0 or max(heads) > n:
         bad = next(h for h in heads if not 0 <= h <= n)
         raise AlignmentError(f"sentence {global_index}: head {bad} out of range 0..{n}")
-    return ParsedSentence._from_block(conllu)
+    return ParsedSentence._from_rows(rows)
 
 
 def attach_parses(article: Article, parse_doc: str | bytes) -> Article:
@@ -459,13 +451,10 @@ def attach_parses(article: Article, parse_doc: str | bytes) -> Article:
     in document order, and each block's concatenated forms must equal the
     sentence text modulo whitespace. Every block is checked here, against
     read_conllu's line rule and these conditions, but no token is built: a
-    sentence keeps its block's text and builds its tokens from it on first
-    use. Idempotent for identical input.
+    sentence keeps its block's checked columns and builds its tokens from
+    them on first use. Idempotent for identical input.
     """
-    blocks = [
-        ("\n".join(lines), "".join([cols[1] for cols in rows]), [cols[6] for cols in rows])
-        for lines, rows in _conllu_blocks(decode_utf8(parse_doc, "parse sidecar"))
-    ]
+    blocks = list(_conllu_blocks(decode_utf8(parse_doc, "parse sidecar")))
     n_sentences = sum(len(p.sentences) for p in article.paragraphs)
     if len(blocks) != n_sentences:
         raise AlignmentError(

@@ -89,6 +89,7 @@ class EmbeddingStore:
         by_word = sorted(range(len(self._words)), key=self._words.__getitem__)
         self._rank = np.empty(len(by_word), dtype=np.intp)
         self._rank[by_word] = np.arange(len(by_word))
+        self._ranked: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def __contains__(self, word: str) -> bool:
         return word in self._index
@@ -96,46 +97,49 @@ class EmbeddingStore:
     def __len__(self) -> int:
         return len(self._words)
 
-    def vector(self, word: str) -> np.ndarray:
-        if word not in self._index:
-            raise OovError(f"word {word!r} not in embedding vocabulary")
-        return self._matrix[self._index[word]]
-
-    def cosine(self, a: str, b: str) -> float:
-        import numpy as np
-
-        va, vb = self.vector(a), self.vector(b)
-        na, nb = float(np.linalg.norm(va)), float(np.linalg.norm(vb))
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        return float(np.dot(va, vb) / (na * nb))
-
     def top_k(self, word: str, k: int) -> list[tuple[str, float]]:
         """k nearest words by cosine, descending; ties broken lexicographically.
 
         The query word itself is excluded. Raises OovError for unknown words.
+        Each (word, k) is ranked once; a repeated query gets a new list.
         """
         if word not in self._index:
             raise OovError(f"word {word!r} not in embedding vocabulary")
+        ranked = self._ranked.get((word, k))
+        if ranked is None:
+            ranked = self._ranked[word, k] = self._rank_neighbors(self._index[word], k)
+        order, sims = ranked
+        return list(zip(map(self._words.__getitem__, order.tolist()), sims.tolist()))
+
+    def _rank_neighbors(self, qi: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(indices, similarities) of the k words nearest to word qi, in top_k order."""
         import numpy as np
 
-        qi = self._index[word]
         q = self._matrix[qi]
         qn = float(np.linalg.norm(q))
-        sims = self._unit @ (q / qn if qn else q)
+        neg = -(self._unit @ (q / qn if qn else q))
         # lexsort's last key is the primary one: similarity descending, then
         # lexicographic rank among equal similarities.
-        order = np.lexsort((self._rank, -sims))
-        order = order[order != qi][:k]
-        return [(self._words[i], float(sims[i])) for i in order.tolist()]
+        if 0 < k < len(neg) - 1:
+            # Only words at least as similar as the k-th best can rank in the
+            # top k, ties at the k-th place included.
+            rest = neg.copy()
+            rest[qi] = np.inf
+            kth = np.partition(rest, k - 1)[k - 1]
+            order = np.flatnonzero(rest <= kth)
+            order = order[np.lexsort((self._rank[order], neg[order]))][:k]
+        else:
+            order = np.lexsort((self._rank, neg))
+            order = order[order != qi][:k]
+        return order, -neg[order]
 
 
 def load_embeddings(data: bytes | str) -> EmbeddingStore:
     """Parse a text-format embedding file: '<vocab> <dim>' header, then rows.
 
-    Every row must carry exactly dim finite values; violations raise with the
-    offending line number. A repeated word keeps its last vector and logs a
-    warning.
+    Every row must carry exactly dim finite values whose norm is finite, and
+    nonzero unless every value is 0; violations raise with the offending line
+    number. A repeated word keeps its last vector and logs a warning.
     """
     import numpy as np
 
@@ -152,24 +156,34 @@ def load_embeddings(data: bytes | str) -> EmbeddingStore:
     if dim <= 0:
         raise EmbeddingFormatError("line 1: dimension must be positive")
     vectors: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cols = line.split()
-        if len(cols) != dim + 1:
-            raise EmbeddingFormatError(
-                f"line {lineno}: expected {dim + 1} columns, got {len(cols)}"
-            )
-        word = cols[0]
-        try:
-            vec = np.array([float(x) for x in cols[1:]], dtype=np.float64)
-        except ValueError as e:
-            raise EmbeddingFormatError(f"line {lineno}: non-numeric value") from e
-        if not np.all(np.isfinite(vec)):
-            raise EmbeddingFormatError(f"line {lineno}: non-finite value")
-        if word in vectors:
-            LOGGER.warning("duplicate embedding row for %r; keeping the last", word)
-        vectors[word] = vec
+    # A norm that overflows is an input error, reported below, not a warning.
+    with np.errstate(over="ignore"):
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            cols = line.split()
+            if len(cols) != dim + 1:
+                raise EmbeddingFormatError(
+                    f"line {lineno}: expected {dim + 1} columns, got {len(cols)}"
+                )
+            word = cols[0]
+            try:
+                vec = np.array([float(x) for x in cols[1:]], dtype=np.float64)
+            except ValueError as e:
+                raise EmbeddingFormatError(f"line {lineno}: non-numeric value") from e
+            if not np.all(np.isfinite(vec)):
+                raise EmbeddingFormatError(f"line {lineno}: non-finite value")
+            # The store divides each row by its norm, the root of this sum
+            # taken as np.linalg.norm takes it, so the sum must be finite, and
+            # nonzero unless the row is.
+            squares = np.add.reduce(vec * vec)
+            if squares == np.inf:
+                raise EmbeddingFormatError(f"line {lineno}: vector norm overflows")
+            if squares == 0.0 and vec.any():
+                raise EmbeddingFormatError(f"line {lineno}: vector norm underflows to 0")
+            if word in vectors:
+                LOGGER.warning("duplicate embedding row for %r; keeping the last", word)
+            vectors[word] = vec
     return EmbeddingStore(dim, vectors)
 
 

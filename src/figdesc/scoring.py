@@ -65,8 +65,9 @@ def calibrate(ref_tmrs: list[Tmr], config: ScoringConfig) -> WeightTable:
     """Build a weight table from reference-sentence representations.
 
     Raises CalibrationError on an empty corpus and DegenerateTableError when
-    exclusions leave nothing to weigh. Exactly permutation-invariant: a
-    shuffled input list produces an identical table.
+    no representation holds an element or exclusions leave nothing to weigh.
+    Exactly permutation-invariant: a shuffled input list produces an
+    identical table.
     """
     if not ref_tmrs:
         raise CalibrationError("no reference representations to calibrate on")
@@ -86,6 +87,11 @@ def calibrate(ref_tmrs: list[Tmr], config: ScoringConfig) -> WeightTable:
         for key, by_dist in histo.items()
     }
     if not raw:
+        if not any(tmr.elements for tmr in ref_tmrs):
+            raise DegenerateTableError(
+                f"none of the {len(ref_tmrs)} reference representations holds an element"
+                " (do the reference sentences have parses?)"
+            )
         raise DegenerateTableError("exclusions removed every element")
 
     def normalize(kind: str) -> dict[str, float]:

@@ -972,6 +972,18 @@ class TestStreamedCorpus:
             uids = [json.loads(line)["uid"] for line in records]
             assert uids == sorted(uids) and {"A", "Z"} <= set(uids)
 
+    def test_calibrate_without_parses_says_so(self, capsys, tmp_path):
+        corpus = self.corpus(tmp_path / "corpus", {"a": ("M001", "A"), "b": ("M002", "B")}, set())
+        out = tmp_path / "out"
+        argv = ["calibrate", "--corpus", str(corpus), *resource_args(), "--out", str(out)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == (
+            "error: none of the 6 reference representations holds an element"
+            " (do the reference sentences have parses?)\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", CORPUS_COMMANDS)
     def test_bad_block_in_the_last_file(self, capsys, tmp_path, outputs, command):
         corpus = tmp_path / "corpus"

@@ -543,6 +543,11 @@ class TestLazyParsesMatchEagerOracle:
     @example((["Rain falls", "Rain falls"], _GOOD_ROWS + " \r#\r\r" + _GOOD_ROWS.replace("\t1\t", "\t0\t")))
     @example((["Rain falls", "Rain falls"], _GOOD_ROWS + "\r\u3000\r" + _GOOD_ROWS.replace("\t1\t", "\t3\t")))
     @example((["Rain falls", "Rain"], _GOOD_ROWS + "\r# x\r" + _GOOD_ROWS))
+    # Ids and heads that are not str.isdecimal() but may still be ints, and one that is.
+    @example((["Rain falls"], _GOOD_ROWS.replace("2\tfalls", "²\tfalls")))
+    @example((["Rain falls"], _GOOD_ROWS.replace("\t1\t", "\t+1\t")))
+    @example((["Rain falls"], _GOOD_ROWS.replace("2\tfalls", " 3\tfalls")))
+    @example((["Rain falls ."], _GOOD_ROWS.replace("\t1\t", "\t٣\t") + "3\t.\t.\tX\t_\t_\t1\tdep\t_\t_"))
     def test_same_tokens_or_same_error(self, case):
         texts, sidecar = case
         article = load_article_json(json.dumps({"uid": "H", "body": [texts]}))
@@ -557,22 +562,24 @@ class TestLazyParsesMatchEagerOracle:
         assert got[1] == expected[1]
 
     def test_tokens_are_built_on_first_use(self, monkeypatch):
-        from figdesc import corpus
+        built = []
+        make_token = Token._make
 
-        calls = []
+        def counting_make(iterable):
+            token = make_token(iterable)
+            built.append(token)
+            return token
 
-        def counting_read_conllu(text):
-            calls.append(text)
-            return read_conllu(text)
-
-        monkeypatch.setattr(corpus, "read_conllu", counting_read_conllu)
+        monkeypatch.setattr(Token, "_make", counting_make)
         doc = {"uid": "L1", "body": [["Rain falls.", "It stops."]]}
         parsed = attach_parses(load_article_json(json.dumps(doc)), CONLLU_OK)
-        assert calls == []
+        assert built == []
         second = parsed.sentences()[1].parse
+        tokens = second.tokens
+        assert list(tokens) == built and len(built) == 3
+        assert second.tokens is tokens
+        assert list(tokens) == read_conllu(CONLLU_OK)[1]
         assert second.root().form == "stops"
-        assert second.tokens is second.tokens
-        assert len(calls) == 1 and calls[0].startswith("# a comment\n1\tIt")
         assert second == ParsedSentence(tuple(read_conllu(CONLLU_OK)[1]))
         assert hash(second) == hash(ParsedSentence(second.tokens))
         assert repr(second).startswith("ParsedSentence(tokens=(Token(index=1, form='It'")

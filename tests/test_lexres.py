@@ -70,17 +70,15 @@ def store(rows):
 
 class TestEmbeddings:
     def test_vector_roundtrip(self):
-        st = store([("a", 1, 0), ("b", 0, 1)])
-        assert st.dim == 2
-        assert len(st) == 2
-        assert "a" in st and "z" not in st
-        np.testing.assert_allclose(st.vector("a"), [1.0, 0.0])
-
-    def test_cosine(self):
         st = store([("a", 1, 0), ("b", 0, 1), ("c", 1, 1)])
-        assert st.cosine("a", "b") == pytest.approx(0.0)
-        assert st.cosine("a", "c") == pytest.approx(1 / np.sqrt(2))
-        assert st.cosine("a", "a") == pytest.approx(1.0)
+        assert st.dim == 2
+        assert len(st) == 3
+        assert "a" in st and "z" not in st
+        assert [w for w, _ in st.top_k("a", 2)] == ["c", "b"]
+
+    def test_top_k_gives_cosines(self):
+        st = store([("a", 1, 0), ("b", 0, 1), ("c", 1, 1), ("d", 2, 0)])
+        assert st.top_k("a", 3) == [("d", 1.0), ("c", pytest.approx(1 / np.sqrt(2))), ("b", 0.0)]
 
     def test_top_k_order_and_exclusion(self):
         st = store([("q", 1, 0), ("near", 0.9, 0.1), ("far", -1, 0), ("mid", 1, 1)])
@@ -95,23 +93,32 @@ class TestEmbeddings:
 
     def test_oov_raises(self):
         st = store([("a", 1, 0)])
+        assert "zorp" not in st
         with pytest.raises(OovError, match="zorp"):
-            st.vector("zorp")
-        with pytest.raises(OovError):
             st.top_k("zorp", 3)
 
     def test_zero_vector_is_similar_to_nothing(self):
-        st = store([("z", 0, 0), ("a", 1, 0)])
-        assert st.cosine("z", "a") == 0.0
-        (row,) = st.top_k("z", 1)
-        assert row[1] == pytest.approx(0.0)
+        st = store([("z", 0, 0), ("a", 1, 0), ("b", 0, 1)])
+        assert st.top_k("z", 2) == [("a", 0.0), ("b", 0.0)]
+        assert st.top_k("a", 2) == [("b", 0.0), ("z", 0.0)]
 
     def test_duplicate_keeps_last(self, caplog):
-        text = "2 2\nw 1 0\nw 0 1\n"
+        text = "3 2\nw 1 0\nu 0 1\nw 0 1\n"
         with caplog.at_level("WARNING"):
             st = load_embeddings(text)
-        np.testing.assert_allclose(st.vector("w"), [0.0, 1.0])
+        assert len(st) == 2
+        assert st.top_k("u", 1) == [("w", 1.0)]
         assert "duplicate" in caplog.text
+
+    def test_repeated_query_gets_a_new_equal_list(self):
+        st = store([("q", 1, 0), ("near", 0.9, 0.1), ("far", -1, 0), ("mid", 1, 1)])
+        first = st.top_k("q", 2)
+        first.append(("extra", 1.0))
+        first[0] = ("other", 0.5)
+        again = st.top_k("q", 2)
+        assert again == st.top_k("q", 2) == [("near", again[0][1]), ("mid", again[1][1])]
+        assert again is not st.top_k("q", 2)
+        assert st.top_k("q", 1) == again[:1]
 
     def test_bad_header(self):
         with pytest.raises(EmbeddingFormatError, match="line 1"):
@@ -130,6 +137,20 @@ class TestEmbeddings:
     def test_non_finite_rejected(self):
         with pytest.raises(EmbeddingFormatError, match="non-finite"):
             load_embeddings("1 2\na inf 0\n")
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [("1e200 1e200", "overflows"), ("1e-200 1e-200", "underflows to 0")],
+    )
+    def test_norm_out_of_range_names_line(self, row, problem):
+        with pytest.raises(EmbeddingFormatError) as e:
+            load_embeddings(f"3 2\nsmall 1 1\nbig {row}\nother 1 0.9\n")
+        assert str(e.value) == f"line 3: vector norm {problem}"
+
+    def test_smallest_and_largest_norms_kept(self):
+        st = load_embeddings("3 2\nsmall 1e-150 0\nbig 0 1e150\nzero 0 0\n")
+        assert st.top_k("small", 2) == [("big", 0.0), ("zero", 0.0)]
+        assert st.top_k("big", 1) == [("small", 0.0)]
 
 
 def brute_force_top_k(pairs, k):
@@ -155,17 +176,35 @@ vocabularies = st.dictionaries(
 )
 
 
+# Up to 60 words over the same 25 vectors: most k strictly between 0 and
+# n - 1 fall inside a run of tied words, which top_k ranks only in part.
+large_vocabularies = st.dictionaries(
+    st.text(alphabet="abcdef", min_size=1, max_size=3),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    min_size=8,
+    max_size=60,
+)
+
+
 class TestTopKProperties:
-    @given(vocab=vocabularies, data=st.data())
-    def test_matches_brute_force_oracle(self, vocab, data):
+    @staticmethod
+    def check_against_oracle(vocab, query, k):
         emb = store([(w, *v) for w, v in vocab.items()])
-        query = data.draw(st.sampled_from(sorted(vocab)))
-        k = data.draw(st.integers(0, len(vocab) + 3))
         full = emb.top_k(query, len(vocab))
         assert sorted(w for w, _ in full) == sorted(set(vocab) - {query})
         for word, sim in full:
             assert sim == pytest.approx(python_cosine(vocab[query], vocab[word]), abs=1e-12)
         assert emb.top_k(query, k) == brute_force_top_k(full, k)
+
+    @given(vocab=vocabularies, data=st.data())
+    def test_matches_brute_force_oracle(self, vocab, data):
+        query = data.draw(st.sampled_from(sorted(vocab)))
+        self.check_against_oracle(vocab, query, data.draw(st.integers(0, len(vocab) + 3)))
+
+    @given(vocab=large_vocabularies, data=st.data())
+    def test_matches_oracle_inside_the_vocabulary(self, vocab, data):
+        query = data.draw(st.sampled_from(sorted(vocab)))
+        self.check_against_oracle(vocab, query, data.draw(st.integers(1, len(vocab) - 2)))
 
     @given(vocab=vocabularies)
     def test_oov_query_raises(self, vocab):

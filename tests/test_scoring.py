@@ -105,8 +105,12 @@ class TestCalibration:
 
     def test_all_excluded_is_degenerate(self):
         t = make_tmr([(CONCEPT, "EVENT", 1), (PROPERTY, "AGENT", 1)])
-        with pytest.raises(DegenerateTableError):
-            calibrate([t], CFG)
+        with pytest.raises(DegenerateTableError, match="^exclusions removed every element$"):
+            calibrate([t, make_tmr([])], CFG)
+
+    def test_no_elements_at_all_is_degenerate(self):
+        with pytest.raises(DegenerateTableError, match="^none of the 2 reference repr"):
+            calibrate([make_tmr([]), make_tmr([])], CFG)
 
     def test_excluded_names_never_keyed(self):
         t = make_tmr(
