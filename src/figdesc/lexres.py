@@ -89,7 +89,6 @@ class EmbeddingStore:
         by_word = sorted(range(len(self._words)), key=self._words.__getitem__)
         self._rank = np.empty(len(by_word), dtype=np.intp)
         self._rank[by_word] = np.arange(len(by_word))
-        self._ranked: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def __contains__(self, word: str) -> bool:
         return word in self._index
@@ -100,38 +99,28 @@ class EmbeddingStore:
     def top_k(self, word: str, k: int) -> list[tuple[str, float]]:
         """k nearest words by cosine, descending; ties broken lexicographically.
 
-        The query word itself is excluded. Raises OovError for unknown words.
-        Each (word, k) is ranked once; a repeated query gets a new list.
+        The query word itself is excluded, and a k below 0 counts as 0.
+        Raises OovError for unknown words.
         """
         if word not in self._index:
             raise OovError(f"word {word!r} not in embedding vocabulary")
-        ranked = self._ranked.get((word, k))
-        if ranked is None:
-            ranked = self._ranked[word, k] = self._rank_neighbors(self._index[word], k)
-        order, sims = ranked
-        return list(zip(map(self._words.__getitem__, order.tolist()), sims.tolist()))
-
-    def _rank_neighbors(self, qi: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(indices, similarities) of the k words nearest to word qi, in top_k order."""
         import numpy as np
 
+        qi = self._index[word]
         q = self._matrix[qi]
         qn = float(np.linalg.norm(q))
         neg = -(self._unit @ (q / qn if qn else q))
+        neg[qi] = np.inf
+        k = min(max(k, 0), len(neg) - 1)
+        # Only words at least as similar as the k-th best can rank in the top
+        # k, ties at the k-th place included. The query word sorts last, so
+        # at k = 0 the bound takes every word and the slice keeps none.
+        kth = np.partition(neg, k - 1)[k - 1]
+        order = np.flatnonzero(neg <= kth)
         # lexsort's last key is the primary one: similarity descending, then
         # lexicographic rank among equal similarities.
-        if 0 < k < len(neg) - 1:
-            # Only words at least as similar as the k-th best can rank in the
-            # top k, ties at the k-th place included.
-            rest = neg.copy()
-            rest[qi] = np.inf
-            kth = np.partition(rest, k - 1)[k - 1]
-            order = np.flatnonzero(rest <= kth)
-            order = order[np.lexsort((self._rank[order], neg[order]))][:k]
-        else:
-            order = np.lexsort((self._rank, neg))
-            order = order[order != qi][:k]
-        return order, -neg[order]
+        order = order[np.lexsort((self._rank[order], neg[order]))][:k]
+        return list(zip(map(self._words.__getitem__, order.tolist()), (-neg[order]).tolist()))
 
 
 def load_embeddings(data: bytes | str) -> EmbeddingStore:
