@@ -39,13 +39,10 @@ print()
 
 # ---- property path completion ----
 
-# an adjective sense names an attribute and a value; with a known bearer
-# the path is direct, without one an UNKNOWN placeholder stands in
+# an adjective sense names an attribute and a value; when its bearer is
+# unexpressed, an UNKNOWN placeholder stands in for the described object
 from figdesc.errors import CompletionError
 from figdesc.ontology import PropertySense
-
-shape = PropertySense("SHAPE", "polygonal")
-print(graph.complete_path("SHOW-INFORMATION", shape, bearer="PEAK"))
 
 direction = PropertySense("DIRECTIONALITY", "horizontal")
 print(graph.complete_path("SHOW-INFORMATION", direction))

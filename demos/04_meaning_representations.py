@@ -13,7 +13,7 @@ from pathlib import Path
 
 from figdesc import fixtures, pipeline
 from figdesc.corpus import load_article_json, attach_parses
-from figdesc.tmr import build_sentence_tmr, extract_frames, tmr_elements
+from figdesc.tmr import build_sentence_tmr, extract_frames
 
 ROOT = Path(__file__).resolve().parent.parent
 MINI = ROOT / "data" / "minicorpus"
@@ -48,11 +48,6 @@ for el in sorted(tmr.elements, key=lambda e: (e.kind, e.name, e.distance)):
 print("edges:")
 for edge in tmr.edges:
     print("  %s -[%s]-> %s" % (edge[0], edge[1], edge[2]))
-print()
-
-# UNKNOWN placeholders appear in the raw elements but are dropped from
-# the scorable view
-print("scorable:", tmr_elements(tmr))
 print()
 
 # a sentence whose words stay outside the lexicon grounds to nothing

@@ -37,7 +37,7 @@ _HOMES = {
         "ScoringConfig", "WeightTable", "calibrate", "classify", "compute_threshold",
         "sentence_weight",
     ),
-    "tmr": ("Tmr", "build_sentence_tmr", "build_tmr", "extract_frames", "tmr_elements"),
+    "tmr": ("Tmr", "build_sentence_tmr", "build_tmr", "extract_frames"),
 }
 _EXPORTS = {name: home for home, names in _HOMES.items() for name in names}
 

@@ -96,9 +96,8 @@ _SETTINGS = {
 }
 
 _RESOURCES = ("ontology", "synsets", "embeddings", "gazetteer")
-_SCORING = ("lambda", "window", "pattern", "seed")
 # The settings a provenance header records: those that are not paths.
-_RECORDED = (*_SCORING, "lambdas", "folds")
+_RECORDED = ("lambda", "window", "pattern", "seed", "lambdas", "folds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,9 +206,9 @@ def cmd_calibrate(settings: dict) -> int:
     digests: dict[str, str] = {}
     res = pipeline.load_resources(*(settings[k] for k in _RESOURCES), digests)
     articles = pipeline.load_corpus_dir(settings["corpus"], digests)
-    config = scoring.ScoringConfig(lambda_=settings["lambda"], window=settings["window"])
     refs = pipeline.reference_tmrs(articles, res, settings["pattern"])
-    table = scoring.calibrate(refs, config)
+    # Calibration reads only the exclusion sets, never lambda or the window.
+    table = scoring.calibrate(refs, scoring.ScoringConfig())
     header = _header(settings, digests)
     with _writing(out):
         (out / "weights.json").write_text(scoring.save_weight_table(table))
@@ -360,16 +359,17 @@ def cmd_baseline(settings: dict) -> int:
     return 0
 
 
-# Each command: its function, its help and the names of the settings it takes.
+# Each command: its function, its help and the names of the settings it reads.
 _COMMANDS = {
     "detect": (cmd_detect, "list figure references and their candidates",
-               ("corpus", *_SCORING, "out", "config")),
+               ("corpus", "window", "pattern", "out", "config")),
     "calibrate": (cmd_calibrate, "build a weight table from a corpus",
-                  ("corpus", *_RESOURCES, *_SCORING, "out", "config")),
+                  ("corpus", *_RESOURCES, "pattern", "out", "config")),
     "classify": (cmd_classify, "score and classify candidate sentences",
-                 ("corpus", *_RESOURCES, "weights", *_SCORING, "out", "config")),
+                 ("corpus", *_RESOURCES, "weights", "lambda", "window", "pattern", "out",
+                  "config")),
     "evaluate": (cmd_evaluate, "lambda sweep and metrics against gold labels",
-                 ("scores", "gold", "weights", "lambdas", *_SCORING, "out", "config")),
+                 ("scores", "gold", "weights", "lambdas", "lambda", "out", "config")),
     "baseline": (cmd_baseline, "bag-of-words logistic regression CV",
                  ("labeled", "folds", "concept_metrics", "seed", "out", "config")),
 }

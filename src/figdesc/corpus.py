@@ -92,9 +92,6 @@ class ParsedSentence:
             self._rows = None
         return self._tokens
 
-    def root(self) -> Token:
-        return next(t for t in self.tokens if t.head == 0)
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -11,6 +11,7 @@ never imports it.
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -68,6 +69,24 @@ def load_synsets(data: bytes | str) -> SynsetLexicon:
     return SynsetLexicon(entries)
 
 
+def _squared_norms(rows: np.ndarray, name: Callable[[int], str]) -> np.ndarray:
+    """Each row's sum of squares, summed as np.linalg.norm sums it.
+
+    The store divides each row by its root, so the first row whose sum is
+    infinite, or 0 though the row is not, raises EmbeddingFormatError named
+    by name(row index).
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore"):  # an overflow is raised below, not warned
+        squares = np.add.reduce(rows * rows, axis=1)
+    bad = np.flatnonzero((squares == np.inf) | ((squares == 0.0) & rows.any(axis=1)))
+    if bad.size:
+        why = "overflows" if squares[bad[0]] == np.inf else "underflows to 0"
+        raise EmbeddingFormatError(f"{name(bad[0])}: vector norm {why}")
+    return squares
+
+
 class EmbeddingStore:
     """Dense word vectors with cosine nearest-neighbor lookup."""
 
@@ -82,7 +101,7 @@ class EmbeddingStore:
             if vectors
             else np.zeros((0, dim))
         )
-        norms = np.linalg.norm(self._matrix, axis=1)
+        norms = np.sqrt(_squared_norms(self._matrix, lambda i: f"word {self._words[i]!r}"))
         norms[norms == 0.0] = 1.0  # zero vectors get similarity 0 everywhere
         self._unit = self._matrix / norms[:, None]
         # Each word's position in lexicographic order: the top_k tie-break key.
@@ -126,9 +145,10 @@ class EmbeddingStore:
 def load_embeddings(data: bytes | str) -> EmbeddingStore:
     """Parse a text-format embedding file: '<vocab> <dim>' header, then rows.
 
-    Every row must carry exactly dim finite values whose norm is finite, and
-    nonzero unless every value is 0; violations raise with the offending line
-    number. A repeated word keeps its last vector and logs a warning.
+    The header's vocabulary count must equal the number of rows. Every row
+    must carry exactly dim finite values whose norm is finite, and nonzero
+    unless every value is 0; violations raise with the offending line number.
+    A repeated word keeps its last vector and logs a warning.
     """
     import numpy as np
 
@@ -139,40 +159,35 @@ def load_embeddings(data: bytes | str) -> EmbeddingStore:
     if len(header) != 2:
         raise EmbeddingFormatError("line 1: header must be '<vocab> <dim>'")
     try:
-        _, dim = int(header[0]), int(header[1])
+        count, dim = int(header[0]), int(header[1])
     except ValueError as e:
         raise EmbeddingFormatError("line 1: header must hold two integers") from e
     if dim <= 0:
         raise EmbeddingFormatError("line 1: dimension must be positive")
     vectors: dict[str, np.ndarray] = {}
-    # A norm that overflows is an input error, reported below, not a warning.
-    with np.errstate(over="ignore"):
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            cols = line.split()
-            if len(cols) != dim + 1:
-                raise EmbeddingFormatError(
-                    f"line {lineno}: expected {dim + 1} columns, got {len(cols)}"
-                )
-            word = cols[0]
-            try:
-                vec = np.array([float(x) for x in cols[1:]], dtype=np.float64)
-            except ValueError as e:
-                raise EmbeddingFormatError(f"line {lineno}: non-numeric value") from e
-            if not np.all(np.isfinite(vec)):
-                raise EmbeddingFormatError(f"line {lineno}: non-finite value")
-            # The store divides each row by its norm, the root of this sum
-            # taken as np.linalg.norm takes it, so the sum must be finite, and
-            # nonzero unless the row is.
-            squares = np.add.reduce(vec * vec)
-            if squares == np.inf:
-                raise EmbeddingFormatError(f"line {lineno}: vector norm overflows")
-            if squares == 0.0 and vec.any():
-                raise EmbeddingFormatError(f"line {lineno}: vector norm underflows to 0")
-            if word in vectors:
-                LOGGER.warning("duplicate embedding row for %r; keeping the last", word)
-            vectors[word] = vec
+    rows: list[tuple[int, np.ndarray]] = []  # (line number, vector), repeated words too
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cols = line.split()
+        if len(cols) != dim + 1:
+            raise EmbeddingFormatError(
+                f"line {lineno}: expected {dim + 1} columns, got {len(cols)}"
+            )
+        word = cols[0]
+        try:
+            vec = np.array([float(x) for x in cols[1:]], dtype=np.float64)
+        except ValueError as e:
+            raise EmbeddingFormatError(f"line {lineno}: non-numeric value") from e
+        if not np.all(np.isfinite(vec)):
+            raise EmbeddingFormatError(f"line {lineno}: non-finite value")
+        if word in vectors:
+            LOGGER.warning("duplicate embedding row for %r; keeping the last", word)
+        vectors[word] = vec
+        rows.append((lineno, vec))
+    if len(rows) != count:
+        raise EmbeddingFormatError(f"line 1: header counts {count} rows, but {len(rows)} follow")
+    _squared_norms(np.array([v for _, v in rows]).reshape(-1, dim), lambda i: f"line {rows[i][0]}")
     return EmbeddingStore(dim, vectors)
 
 

@@ -153,20 +153,13 @@ class OntologyGraph:
         lineage = {bearer_concept, *self.ancestors(bearer_concept)}
         return bool(lineage & set(prop.applicable_domains))
 
-    def complete_path(
-        self,
-        event_concept: str,
-        sense: PropertySense,
-        bearer: str | None = None,
-    ) -> list[str]:
-        """Path linking an event to an attribute whose bearer may be unexpressed.
+    def complete_path(self, event_concept: str, sense: PropertySense) -> list[str]:
+        """Path linking an event to an attribute whose bearer is unexpressed.
 
-        With no bearer, an UNKNOWN placeholder stands in for the described
-        object and, when the sense carries no value, a second UNKNOWN stands
-        in for the attribute value: [event, UNKNOWN, property, value|UNKNOWN].
-        With an explicit bearer the path needs no object placeholder:
-        [bearer, property, value|UNKNOWN]. Placeholders are sentence-scoped;
-        the graph is never modified.
+        An UNKNOWN placeholder stands in for the described object and, when
+        the sense carries no value, a second UNKNOWN stands in for the
+        attribute value: [event, UNKNOWN, property, value|UNKNOWN].
+        Placeholders are sentence-scoped; the graph is never modified.
         """
         if not self.has_concept(event_concept):
             raise IntegrityError(f"unknown concept {event_concept}")
@@ -178,8 +171,6 @@ class OntologyGraph:
                 f"{sense.prop} is {prop.kind}, path completion needs an ATTRIBUTE"
             )
         value = sense.value if sense.value is not None else UNKNOWN
-        if bearer is not None:
-            return [bearer, prop.name, value]
         if prop.applicable_domains and not any(
             d == ROOT_OBJECT or self.root_of(d) == ROOT_OBJECT
             for d in prop.applicable_domains

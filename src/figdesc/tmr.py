@@ -416,15 +416,6 @@ def build_sentence_tmr(
     return merge_tmrs(parts, sentence.global_index)
 
 
-def tmr_elements(tmr: Tmr) -> list[tuple[str, str, int]]:
-    """The scoring element multiset: every element except UNKNOWN placeholders."""
-    rows = [
-        (e.kind, e.name, e.distance) for e in tmr.elements if e.name != UNKNOWN
-    ]
-    rows.sort()
-    return rows
-
-
 def tmr_to_json(tmr: Tmr) -> dict:
     """Canonical serializable form with sorted element and edge lists."""
     return {

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from figdesc import pipeline
-from figdesc.cli import build_parser, main
+from figdesc.cli import _RECORDED, build_parser, main
 from figdesc.corpus import Token
 from figdesc.scoring import load_weight_table
 
@@ -235,15 +235,15 @@ class TestSettingsLayering:
         assert code == 0
         assert (tmp_path / "from-env" / "detect.jsonl").exists()
 
-    def test_config_numbers_read_as_flags(self, capsys, tmp_path):
+    def test_config_numbers_read_as_flags(self, capsys, tmp_path, outputs):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"lambda": 1, "window": 2}))
-        mini = ["detect", "--corpus", str(MINI_CORPUS)]
-        assert run(capsys, *mini, "--out", str(tmp_path / "file"), "--config", str(cfg))[0] == 0
+        file_argv = command_argv("classify", outputs, tmp_path / "file")
+        assert run(capsys, *file_argv, "--config", str(cfg))[0] == 0
         flags = ["--lambda", "1.0", "--window", "2"]
-        assert run(capsys, *mini, "--out", str(tmp_path / "flags"), *flags)[0] == 0
-        written = (tmp_path / "file" / "detect.jsonl").read_bytes()
-        assert written == (tmp_path / "flags" / "detect.jsonl").read_bytes()
+        assert run(capsys, *command_argv("classify", outputs, tmp_path / "flags"), *flags)[0] == 0
+        written = (tmp_path / "file" / "scores.jsonl").read_bytes()
+        assert written == (tmp_path / "flags" / "scores.jsonl").read_bytes()
         assert b'"lambda": 1.0' in written
 
     @pytest.mark.parametrize(
@@ -252,7 +252,7 @@ class TestSettingsLayering:
             ("detect", "out", 5, "a string"),
             ("detect", "corpus", ["a"], "a string"),
             ("detect", "window", 2.7, "an integer"),
-            ("detect", "lambda", True, "a finite number"),
+            ("classify", "lambda", True, "a finite number"),
             ("baseline", "folds", True, "an integer"),
             ("evaluate", "lambdas", 0.5, "a string"),
         ],
@@ -330,6 +330,62 @@ class TestSettingsLayering:
         assert all(len(r["neighbors"]) <= 2 for r in records)
 
 
+def without_headers(out: Path) -> dict:
+    """Each file in out by name, less its provenance header; a header-only file is dropped."""
+    kept = {}
+    for path in sorted(out.iterdir()):
+        if path.name.endswith(".meta.json"):
+            continue
+        if path.suffix == ".jsonl":
+            kept[path.name] = path.read_bytes().split(b"\n", 1)[1]
+        elif path.suffix == ".json":
+            doc = json.loads(path.read_text())
+            doc.pop("provenance", None)
+            kept[path.name] = doc
+        else:
+            kept[path.name] = path.read_bytes()
+    return kept
+
+
+class TestEverySettingIsRead:
+    """Each setting a command takes changes an output byte outside the header."""
+
+    VARIED = [
+        ("detect", "--window", "0"),
+        ("detect", "--pattern", r"figure (\d+)"),
+        ("calibrate", "--pattern", r"figure (\d+)"),
+        ("classify", "--lambda", "0.9"),
+        ("classify", "--window", "0"),
+        ("classify", "--pattern", r"figure (\d+)"),
+        ("evaluate", "--lambda", "0.9"),
+        ("evaluate", "--lambdas", "0.2,0.4"),
+        ("baseline", "--seed", "1"),
+        ("baseline", "--folds", "3"),
+    ]
+
+    @pytest.mark.parametrize("command, flag, value", VARIED)
+    def test_a_value_other_than_the_default_changes_an_output(
+        self, capsys, tmp_path, outputs, command, flag, value
+    ):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *command_argv(command, outputs, out), flag, value)
+        assert code == 0, err
+        varied, shared = without_headers(out), without_headers(outputs)
+        assert varied != {name: shared[name] for name in varied}
+
+    def test_every_setting_that_is_not_a_path_is_varied(self):
+        recorded = {"--" + name for name in _RECORDED}
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        taken = {
+            (command, flag)
+            for command, p in sub.choices.items()
+            for a in p._actions
+            for flag in a.option_strings
+            if flag in recorded
+        }
+        assert taken == {(command, flag) for command, flag, _ in self.VARIED}
+
+
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
@@ -354,6 +410,16 @@ class TestExitCodes:
             ("detect", "--weights", "/nope"),
             ("calibrate", "--weights", "/nope"),
             ("evaluate", "--corpus", "/nonexistent"),
+            # settings the command no longer takes: no output byte depended on them
+            ("detect", "--lambda", "0.7"),
+            ("detect", "--seed", "3"),
+            ("calibrate", "--lambda", "0.7"),
+            ("calibrate", "--window", "1"),
+            ("calibrate", "--seed", "3"),
+            ("classify", "--seed", "3"),
+            ("evaluate", "--window", "1"),
+            ("evaluate", "--pattern", "Fig"),
+            ("evaluate", "--seed", "3"),
         ],
     )
     def test_flag_the_command_does_not_take(
@@ -374,12 +440,13 @@ class TestExitCodes:
         assert "window" in err
 
     @pytest.mark.parametrize("flag, value", [("--window", "2.5"), ("--lambda", "x"), ("--seed", "1.5")])
-    def test_bad_flag_value_names_it(self, capsys, tmp_path, flag, value):
-        code, _, err = run(
-            capsys, "detect", "--corpus", str(MINI_CORPUS), "--out", str(tmp_path), flag, value
-        )
+    def test_bad_flag_value_names_it(self, capsys, tmp_path, outputs, flag, value):
+        command = {"--window": "detect", "--lambda": "evaluate", "--seed": "baseline"}[flag]
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *command_argv(command, outputs, out), flag, value)
         assert code == 1
         assert err == f"error: bad value for {flag}: {value!r}\n"
+        assert not out.exists()
 
     def test_config_file_not_utf8(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -407,6 +474,16 @@ class TestExitCodes:
         )
         assert code == 2
         assert "error:" in err
+
+    def test_embedding_count_unlike_the_rows_is_a_data_error(self, capsys, tmp_path, outputs):
+        embeddings = tmp_path / "embeddings.txt"
+        embeddings.write_text("-7 2\na 1 0\nb 0 1\n")
+        out = tmp_path / "out"
+        argv = replace_flag(command_argv("calibrate", outputs, out), "embeddings", embeddings)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error: {embeddings}: line 1: header counts -7 rows, but 2 follow\n"
+        assert not out.exists()
 
     def test_gold_ids_missing_from_scores(self, capsys, tmp_path, outputs):
         gold = tmp_path / "gold.jsonl"
@@ -483,11 +560,16 @@ class TestExitCodes:
         assert "window" in err
         assert not (tmp_path / "detect.jsonl").exists()
 
-    @pytest.mark.parametrize("command", ["detect", "calibrate", "classify", "evaluate"])
-    def test_negative_seed_leaves_no_out(self, capsys, tmp_path, outputs, command):
-        # only baseline uses the seed, but every command records it
+    @pytest.mark.parametrize("source", ["env", "config"])
+    def test_negative_seed_leaves_no_out(self, capsys, tmp_path, outputs, monkeypatch, source):
+        # baseline, the one command that reads the seed; TestBaselineInputs gives it as a flag
+        if source == "env":
+            monkeypatch.setenv("FIGDESC_SEED", "-1")
+        else:
+            monkeypatch.setenv("FIGDESC_CONFIG", str(tmp_path / "cfg.json"))
+            (tmp_path / "cfg.json").write_text('{"seed": -1}')
         out = tmp_path / "out"
-        code, _, err = run(capsys, *command_argv(command, outputs, out), "--seed", "-1")
+        code, _, err = run(capsys, *command_argv("baseline", outputs, out))
         assert code == 1
         assert err == "error: seed must be non-negative, got -1\n"
         assert not out.exists()
@@ -884,7 +966,7 @@ class TestParseChecksGuardEveryCommand:
         parse = article.sentences()[0].parse
         tok = parse.tokens[2]
         assert (tok.index, tok.form, tok.head) == (3, "treatment", 5)
-        assert parse.root().index == 5
+        assert [t.index for t in parse.tokens if t.head == 0] == [5]
         assert tok == Token(3, "treatment", "treatment", "NOUN", 5, "nsubjpass")
 
 
@@ -1281,4 +1363,4 @@ class TestReadmeFlagTable:
             for command, p in sub.choices.items()
         }
         assert documented == accepted
-        assert sum(len(flags) for flags in accepted.values()) == 46
+        assert sum(len(flags) for flags in accepted.values()) == 37

@@ -147,6 +147,22 @@ class TestEmbeddings:
             load_embeddings(f"3 2\nsmall 1 1\nbig {row}\nother 1 0.9\n")
         assert str(e.value) == f"line 3: vector norm {problem}"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "row, problem",
+        [([1e200, 1e200], "overflows"), ([1e-200, 1e-200], "underflows to 0")],
+    )
+    def test_norm_out_of_range_names_word_when_built_directly(self, row, problem):
+        with pytest.raises(EmbeddingFormatError) as e:
+            EmbeddingStore(2, {"small": [1.0, 1.0], "big": row, "other": [1.0, 0.9]})
+        assert str(e.value) == f"word 'big': vector norm {problem}"
+
+    @pytest.mark.parametrize("count", [-7, 3, 1], ids=["negative", "too-few-rows", "too-many-rows"])
+    def test_header_count_must_match_the_rows(self, count):
+        with pytest.raises(EmbeddingFormatError) as e:
+            load_embeddings(f"{count} 2\na 1 0\n\nb 0 1\n")
+        assert str(e.value) == f"line 1: header counts {count} rows, but 2 follow"
+
     def test_smallest_and_largest_norms_kept(self):
         st = load_embeddings("3 2\nsmall 1e-150 0\nbig 0 1e150\nzero 0 0\n")
         assert st.top_k("small", 2) == [("big", 0.0), ("zero", 0.0)]

@@ -24,6 +24,7 @@ from figdesc import cli, fixtures, pipeline
 from figdesc.baseline import load_labeled_jsonl
 from figdesc.corpus import attach_parses, load_article_json, load_article_xml
 from figdesc.errors import FigdescError
+from figdesc.figref import DEFAULT_PATTERN
 from figdesc.lexres import load_embeddings, load_synsets
 from figdesc.ontology import load_ontology
 from figdesc.scoring import WeightTable, load_weight_table, save_weight_table
@@ -192,7 +193,8 @@ SMALL_ONTOLOGY_JSON = json.dumps(
         ],
     }
 ).encode()
-SMALL_EMBEDDINGS = b"\n".join(_data("embeddings.txt").split(b"\n")[:9]) + b"\n"
+# The bundled store's first 8 rows, under a header that counts them.
+SMALL_EMBEDDINGS = b"8 50\n" + b"\n".join(_data("embeddings.txt").split(b"\n")[1:9]) + b"\n"
 WEIGHTS = save_weight_table(
     WeightTable({"LENS": 0.75, "TOOL": 0.25}, {"SIZE": 1.0}, 0.5, (3, 2, 1))
 ).encode()
@@ -263,14 +265,16 @@ def workspace(tmp_path_factory):
     gold = [line for line in GOLD.decode().splitlines() if '"M001"' in line]
     assert gold
     (root / "gold.jsonl").write_text("\n".join(gold) + "\n")
-    # detect takes every setting from this file, to fuzz each setting's type.
-    # "folds" is baseline's, which detect accepts; a mutated key may name none.
+    # detect, classify and baseline take this file, and between them they read
+    # every setting in it, so each setting's type is fuzzed. A command accepts
+    # the other commands' keys; a mutated key may name no setting. The pattern
+    # is the default, so classify scores each candidate that the gold names.
     config = {
         "corpus": str(corpus),
         "window": 2,
         "lambda": 0.5,
         "seed": 0,
-        "pattern": r"fig\.?\s*(\d+)",
+        "pattern": DEFAULT_PATTERN,
         "folds": 2,
     }
     (root / "config.json").write_text(json.dumps(config))
@@ -293,14 +297,15 @@ def _chain(root) -> list[list[str]]:
         [
             "classify", "--corpus", str(root / "corpus"),
             "--weights", str(seed / "weights.json"), *resources,
+            "--config", str(root / "config.json"),
         ],
         [
             "evaluate", "--scores", str(seed / "scores.jsonl"),
             "--gold", str(root / "gold.jsonl"), "--weights", str(seed / "weights.json"),
         ],
         [
-            "baseline", "--labeled", str(root / "labeled.jsonl"), "--folds", "2",
-            "--concept-metrics", str(seed / "metrics.json"),
+            "baseline", "--labeled", str(root / "labeled.jsonl"),
+            "--concept-metrics", str(seed / "metrics.json"), "--config", str(root / "config.json"),
         ],
     ]
 
@@ -321,11 +326,13 @@ FLAGS = {
     ("calibrate", "embeddings"): BYTES,
     ("calibrate", "gazetteer"): BYTES,
     ("classify", "weights"): JSON,
+    ("classify", "config"): JSON,
     ("evaluate", "scores"): JSON,
     ("evaluate", "gold"): JSON,
     ("evaluate", "weights"): JSON,
     ("baseline", "labeled"): JSON,
     ("baseline", "concept-metrics"): JSON,
+    ("baseline", "config"): JSON,
 }
 
 

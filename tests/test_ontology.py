@@ -123,10 +123,6 @@ class TestAttributeDomains:
 
 
 class TestPathCompletion:
-    def test_with_bearer(self, small):
-        path = small.complete_path("MOTION", PropertySense("SIZE", "small"), bearer="LENS")
-        assert path == ["LENS", "SIZE", "small"]
-
     def test_without_bearer_inserts_placeholder(self, small):
         path = small.complete_path("MOTION", PropertySense("SIZE", "small"))
         assert path == ["MOTION", UNKNOWN, "SIZE", "small"]

@@ -1,6 +1,7 @@
 import pytest
 
-from figdesc.ontology import ConceptSense, LexEntry, load_ontology
+from figdesc.ontology import UNKNOWN, ConceptSense, LexEntry, load_ontology
+from figdesc.scoring import ScoringConfig, WeightTable, element_contributions
 from figdesc.tmr import (
     CONCEPT,
     PROPERTY,
@@ -12,7 +13,6 @@ from figdesc.tmr import (
     is_chemical_token,
     load_gazetteer,
     merge_tmrs,
-    tmr_elements,
     tmr_to_json,
 )
 
@@ -21,6 +21,11 @@ from .helpers import REF_PARSE_ROWS, REF_TEXT, parse_rows, parsed_sentence
 
 def names(tmr, kind=None):
     return [e.name for e in tmr.elements if kind is None or e.kind == kind]
+
+
+def elements(tmr):
+    """The representation's (kind, name, distance) elements, sorted."""
+    return sorted((e.kind, e.name, e.distance) for e in tmr.elements)
 
 
 class TestChemicalDetection:
@@ -124,12 +129,16 @@ class TestGoldenSentence:
         )
 
     def test_element_multiset(self, tmr):
-        assert tmr_elements(tmr) == [
+        assert elements(tmr) == [
             (CONCEPT, "DRAWING", 1),
             (CONCEPT, "GRAPHICAL-REPRESENTATION", 2),
             (CONCEPT, "INFORMATION-OBJECT", 3),
             (CONCEPT, "SHOW-INFORMATION", 1),
             (CONCEPT, "SOCIAL-OBJECT", 4),
+            # one placeholder per unexpressed bearer and one for the missing value
+            (CONCEPT, UNKNOWN, 1),
+            (CONCEPT, UNKNOWN, 1),
+            (CONCEPT, UNKNOWN, 1),
             (PROPERTY, "AGENT", 1),
             (PROPERTY, "DIRECTIONALITY", 1),
             (PROPERTY, "GEOMETRIC-ASPECT", 1),
@@ -151,8 +160,11 @@ class TestGoldenSentence:
         assert ("UNKNOWN", "DIRECTIONALITY", "horizontal") in tmr.edges
 
     def test_placeholders_never_reach_scoring_elements(self, tmr):
-        assert any(e.name == "UNKNOWN" for e in tmr.elements)
-        assert all(name != "UNKNOWN" for _, name, _ in tmr_elements(tmr))
+        assert any(e.name == UNKNOWN for e in tmr.elements)
+        table = WeightTable({}, {}, 0.0, (0, 0, 0))
+        config = ScoringConfig(excluded_concepts=frozenset(), excluded_properties=frozenset())
+        scored = element_contributions(tmr, table, config)
+        assert [key for key, _ in scored] == [e for e in elements(tmr) if e[1] != UNKNOWN]
 
     def test_sentence_ref(self, tmr):
         assert tmr.sentence_ref == 7
@@ -172,7 +184,7 @@ class TestBuildTmr:
         tmr = build_sentence_tmr(
             sent, resources.graph, resources.gazetteer, resources.synsets, resources.embeddings
         )
-        got = set(tmr_elements(tmr))
+        got = set(elements(tmr))
         assert (CONCEPT, "DECREASE", 1) in got
         assert (CONCEPT, "CHANGE-EVENT", 2) in got
         assert (CONCEPT, "PEAK", 1) in got
@@ -197,7 +209,7 @@ class TestBuildTmr:
         # passive subject takes the theme role; PEAK descends from
         # INFORMATION-OBJECT, so the role specializes
         assert ("OBSERVE", "THEME-INFORMATION", "PEAK") in tmr.edges
-        assert (PROPERTY, "THEME-INFORMATION", 1) in tmr_elements(tmr)
+        assert (PROPERTY, "THEME-INFORMATION", 1) in elements(tmr)
         assert "AGENT" not in names(tmr)
 
     def test_unknown_verb_resolved_through_synonyms(self, resources):
@@ -214,7 +226,7 @@ class TestBuildTmr:
         tmr = build_sentence_tmr(
             sent, resources.graph, resources.gazetteer, resources.synsets, resources.embeddings
         )
-        assert (CONCEPT, "SHOW-INFORMATION", 1) in tmr_elements(tmr)
+        assert (CONCEPT, "SHOW-INFORMATION", 1) in elements(tmr)
 
     def test_unknown_verb_without_resources_stays_ungrounded(self, resources):
         rows = [
@@ -237,7 +249,7 @@ class TestBuildTmr:
         tmr = build_sentence_tmr(
             sent, resources.graph, resources.gazetteer, resources.synsets, resources.embeddings
         )
-        got = tmr_elements(tmr)
+        got = elements(tmr)
         assert (CONCEPT, "CHEMICAL", 1) in got
         assert (CONCEPT, "PHYSICAL-OBJECT", 2) in got
         assert ("SHOW-INFORMATION", "AGENT", "CHEMICAL") in tmr.edges
@@ -274,7 +286,7 @@ class TestBuildTmr:
         tmr = build_sentence_tmr(
             sent, resources.graph, resources.gazetteer, resources.synsets, resources.embeddings
         )
-        got = tmr_elements(tmr)
+        got = elements(tmr)
         assert (CONCEPT, "CURVE", 1) in got
         assert (PROPERTY, "SHAPE", 1) in got
         # no grounded verb: no event concept, no case roles
