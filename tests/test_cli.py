@@ -412,14 +412,10 @@ class TestExitCodes:
             ("evaluate", "--corpus", "/nonexistent"),
             # settings the command no longer takes: no output byte depended on them
             ("detect", "--lambda", "0.7"),
-            ("detect", "--seed", "3"),
             ("calibrate", "--lambda", "0.7"),
             ("calibrate", "--window", "1"),
-            ("calibrate", "--seed", "3"),
-            ("classify", "--seed", "3"),
             ("evaluate", "--window", "1"),
             ("evaluate", "--pattern", "Fig"),
-            ("evaluate", "--seed", "3"),
         ],
     )
     def test_flag_the_command_does_not_take(
@@ -560,8 +556,19 @@ class TestExitCodes:
         assert "window" in err
         assert not (tmp_path / "detect.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["detect", "calibrate", "classify", "evaluate"])
+    def test_negative_seed_leaves_no_out(self, capsys, tmp_path, outputs, command):
+        # only baseline reads the seed: the other commands refuse the flag before writing
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *command_argv(command, outputs, out), "--seed", "-1")
+        assert code == 1
+        assert "unrecognized arguments: --seed -1" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["env", "config"])
-    def test_negative_seed_leaves_no_out(self, capsys, tmp_path, outputs, monkeypatch, source):
+    def test_negative_seed_from_settings_leaves_no_out(
+        self, capsys, tmp_path, outputs, monkeypatch, source
+    ):
         # baseline, the one command that reads the seed; TestBaselineInputs gives it as a flag
         if source == "env":
             monkeypatch.setenv("FIGDESC_SEED", "-1")
