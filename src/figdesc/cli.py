@@ -17,10 +17,11 @@ import os
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 from . import figref, pipeline, scoring
-from .corpus import json_field, load_json_object
+from .corpus import Article, json_field, load_json_object
 from .errors import AlignmentError, ArticleParseError, ConfigError, FigdescError, SchemaError
 from .tmr import tmr_to_json
 
@@ -180,20 +181,21 @@ def cmd_detect(settings: dict) -> int:
     digests: dict[str, str] = {}
     window, pattern = settings["window"], settings["pattern"]
     articles = pipeline.load_corpus_dir(settings["corpus"], digests)
-    # map() drops each article once it is detected; only its detection is kept.
-    detections = sorted(
-        map(lambda a: pipeline.detect_article(a, window, pattern), articles),
-        key=lambda det: det.uid,
-    )
+
+    def encoded(article: Article) -> tuple[str, list[str], int]:
+        det = pipeline.detect_article(article, window, pattern)
+        lines = [pipeline.encode_record({"uid": det.uid, **ref}) for ref in det.refs]
+        return det.uid, lines, len(det.candidate_indices)
+
+    # map() drops each article and its detection once its rows are encoded.
+    detections = sorted(map(encoded, articles), key=lambda det: det[0])
     header = _header(settings, digests)
     with _writing(out):
         pipeline.write_jsonl(
-            out / "detect.jsonl",
-            header,
-            ({"uid": det.uid, **ref} for det in detections for ref in det.refs),
+            out / "detect.jsonl", header, chain.from_iterable(det[1] for det in detections)
         )
-    n_refs = sum(len(det.refs) for det in detections)
-    n_candidates = sum(len(det.candidate_indices) for det in detections)
+    n_refs = sum(len(lines) for _, lines, _ in detections)
+    n_candidates = sum(n for _, _, n in detections)
     print(
         f"detect: {len(detections)} articles, {n_refs} figure-referring sentences, "
         f"{n_candidates} candidate sentences -> {out / 'detect.jsonl'}"
@@ -247,7 +249,7 @@ def cmd_classify(settings: dict) -> int:
     )
     header = _header(settings, digests)
     with _writing(out):
-        pipeline.write_jsonl(out / "scores.jsonl", header, records)
+        pipeline.write_jsonl(out / "scores.jsonl", header, map(pipeline.encode_record, records))
     n_pos = sum(1 for row in scored if scoring.classify(row.weight, threshold))
     print(
         f"classify: {len(scored)} candidates, {n_pos} descriptive at "

@@ -72,18 +72,24 @@ def load_synsets(data: bytes | str) -> SynsetLexicon:
 def _squared_norms(rows: np.ndarray, name: Callable[[int], str]) -> np.ndarray:
     """Each row's sum of squares, summed as np.linalg.norm sums it.
 
-    The store divides each row by its root, so the first row whose sum is
-    infinite, or 0 though the row is not, raises EmbeddingFormatError named
-    by name(row index).
+    The store divides each row by its root, so the first row that holds a
+    non-finite value, or whose sum is infinite, or 0 though the row is not,
+    raises EmbeddingFormatError named by name(row index).
     """
     import numpy as np
 
     with np.errstate(over="ignore"):  # an overflow is raised below, not warned
         squares = np.add.reduce(rows * rows, axis=1)
-    bad = np.flatnonzero((squares == np.inf) | ((squares == 0.0) & rows.any(axis=1)))
+    # A non-finite value makes its row's sum non-finite too.
+    bad = np.flatnonzero(~np.isfinite(squares) | ((squares == 0.0) & rows.any(axis=1)))
     if bad.size:
-        why = "overflows" if squares[bad[0]] == np.inf else "underflows to 0"
-        raise EmbeddingFormatError(f"{name(bad[0])}: vector norm {why}")
+        i = bad[0]
+        why = (
+            "non-finite value" if not np.isfinite(rows[i]).all()
+            else "vector norm overflows" if squares[i] == np.inf
+            else "vector norm underflows to 0"
+        )
+        raise EmbeddingFormatError(f"{name(i)}: {why}")
     return squares
 
 
@@ -147,7 +153,8 @@ def load_embeddings(data: bytes | str) -> EmbeddingStore:
 
     The header's vocabulary count must equal the number of rows. Every row
     must carry exactly dim finite values whose norm is finite, and nonzero
-    unless every value is 0; violations raise with the offending line number.
+    unless every value is 0; violations raise with the offending line number,
+    those of the values and the norm once every row has parsed.
     A repeated word keeps its last vector and logs a warning.
     """
     import numpy as np
@@ -179,8 +186,6 @@ def load_embeddings(data: bytes | str) -> EmbeddingStore:
             vec = np.array([float(x) for x in cols[1:]], dtype=np.float64)
         except ValueError as e:
             raise EmbeddingFormatError(f"line {lineno}: non-numeric value") from e
-        if not np.all(np.isfinite(vec)):
-            raise EmbeddingFormatError(f"line {lineno}: non-finite value")
         if word in vectors:
             LOGGER.warning("duplicate embedding row for %r; keeping the last", word)
         vectors[word] = vec
@@ -205,6 +210,8 @@ def candidate_verb_lemmas(
     """
     verb = verb.lower()
     syns = synsets.synonyms(verb)
+    if not syns:
+        return []  # nothing to intersect: the neighbor search cannot add a lemma
     if verb not in embeddings:
         return synsets.ordered_synonyms(verb)
     ranked = embeddings.top_k(verb, k)

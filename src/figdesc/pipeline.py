@@ -3,9 +3,9 @@
 Articles live one per file in a corpus directory (.json or .xml), with an
 optional <stem>.conllu parse sidecar next to each. load_corpus_dir yields
 them one at a time; a command keeps only each article's small results and
-sorts them by uid. Each command scans each sentence for figure references
-once; detection picks both the reference sentences and their candidate
-neighbors from those results.
+sorts them by uid. Each command searches each sentence for a figure
+reference once; detection scans only the referring sentences for all their
+matches and picks the candidate neighbors from the referring positions.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Any
 from .corpus import Article, Sentence, attach_parses, parse_jsonl
 from .corpus import load_article_json, load_article_xml
 from .errors import ConfigError, FigdescError, SchemaError
-from .figref import detect_figure_refs, is_figure_referring, neighbor_positions
+from .figref import compile_pattern, detect_figure_refs, is_figure_referring, neighbor_positions
 from .figref import select_neighbors  # noqa: F401 - bench/tracing.py patches it here
 from .lexres import EmbeddingStore, SynsetLexicon, load_embeddings, load_synsets
 from .ontology import OntologyGraph, load_ontology
@@ -177,16 +177,18 @@ def detect_article(
     article: Article, window: int, pattern: str | None = None
 ) -> ArticleDetection:
     """Reference sentences and their candidate neighbors for one article."""
+    search = compile_pattern(pattern).search
     refs = []
     candidates: set[int] = set()
     for para in article.paragraphs:
         sentences = para.sentences
-        # One scan per sentence; an empty list marks a sentence as not referring.
-        scans = [detect_figure_refs(sentence, pattern) for sentence in sentences]
-        for local_idx, matches in enumerate(scans):
-            if not matches:
-                continue
-            positions = neighbor_positions(len(scans), local_idx, window, scans.__getitem__)
+        # One search per sentence; only the referring ones are scanned for
+        # every match. A match object is true even when it matched nothing.
+        referring = [j for j, sentence in enumerate(sentences) if search(sentence.text)]
+        is_referring = set(referring).__contains__
+        for local_idx in referring:
+            matches = detect_figure_refs(sentences[local_idx], pattern)
+            positions = neighbor_positions(len(sentences), local_idx, window, is_referring)
             neighbors = [sentences[j].global_index for j in positions]
             refs.append(
                 {
@@ -268,15 +270,20 @@ def provenance(settings: dict, digests: dict[str, str]) -> dict:
     return {"inputs": inputs, "settings": dict(sorted(settings.items()))}
 
 
-def write_jsonl(path: Path, header: dict, records: Iterable[dict]) -> None:
-    """JSONL with a first-line provenance record; keys sorted for stable bytes.
+def encode_record(record: dict) -> str:
+    """One JSONL line, newline excluded; keys sorted for stable bytes."""
+    return json.dumps(record, sort_keys=True)
+
+
+def write_jsonl(path: Path, header: dict, lines: Iterable[str]) -> None:
+    """JSONL: a first-line provenance record, then lines, each from encode_record.
 
     Written a line at a time: the whole text is never held in memory.
     """
     with open(path, "w") as fh:
-        fh.write(json.dumps({"provenance": header}, sort_keys=True) + "\n")
-        for r in records:
-            fh.write(json.dumps(r, sort_keys=True) + "\n")
+        fh.write(encode_record({"provenance": header}) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def read_jsonl(

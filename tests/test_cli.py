@@ -1014,6 +1014,30 @@ class TestStreamedCorpus:
         assert alive_at_load == [0] * 20
         assert len(refs) == 40
 
+    @pytest.mark.parametrize("command", ["detect", "classify"])
+    def test_no_detection_outlives_the_next_load(
+        self, capsys, tmp_path, outputs, monkeypatch, command
+    ):
+        refs = []  # to every ArticleDetection the command builds
+        alive_at_load = []  # how many of them are alive as each article file loads
+        detect_article, load_article_json = pipeline.detect_article, pipeline.load_article_json
+
+        def detect(*args):
+            detection = detect_article(*args)
+            refs.append(weakref.ref(detection))
+            return detection
+
+        def load(*args):
+            alive_at_load.append(sum(ref() is not None for ref in refs))
+            return load_article_json(*args)
+
+        monkeypatch.setattr(pipeline, "detect_article", detect)
+        monkeypatch.setattr(pipeline, "load_article_json", load)
+        code, _, err = run(capsys, *command_argv(command, outputs, tmp_path / "out"))
+        assert code == 0, err
+        assert alive_at_load == [0] * 20
+        assert len(refs) == 20
+
     @staticmethod
     def corpus(path: Path, files: dict[str, tuple[str, str]], parsed: set[str]) -> Path:
         """Mini corpus articles under new names and uids: file stem -> (source, uid).

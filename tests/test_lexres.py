@@ -5,13 +5,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from figdesc import fixtures
 from figdesc.errors import ArticleParseError, EmbeddingFormatError, OovError, SchemaError
 from figdesc.lexres import (
+    DEFAULT_TOP_K,
     EmbeddingStore,
     candidate_verb_lemmas,
     load_embeddings,
     load_synsets,
 )
+
+EMBEDDINGS = fixtures.fixture_path("embeddings.txt")
+
+
+def searching_candidate_verb_lemmas(synsets, embeddings, verb, k):
+    """Reference expansion that searches the neighbors of every embedded verb."""
+    verb = verb.lower()
+    syns = synsets.synonyms(verb)
+    if verb not in embeddings:
+        return synsets.ordered_synonyms(verb)
+    return [w for w, _ in embeddings.top_k(verb, k) if w in syns]
 
 
 class TestSynsets:
@@ -157,6 +170,20 @@ class TestEmbeddings:
             EmbeddingStore(2, {"small": [1.0, 1.0], "big": row, "other": [1.0, 0.9]})
         assert str(e.value) == f"word 'big': vector norm {problem}"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_names_word_when_built_directly(self, value):
+        with pytest.raises(EmbeddingFormatError) as e:
+            EmbeddingStore(2, {"b": [1.0, 0.0], "a": [value, 0.0], "c": [0.0, 1.0]})
+        assert str(e.value) == "word 'a': non-finite value"
+
+    def test_non_finite_value_names_line_after_every_row_parses(self):
+        with pytest.raises(EmbeddingFormatError) as e:
+            load_embeddings("3 2\nb 1 0\na nan 0\nc 0 1\n")
+        assert str(e.value) == "line 3: non-finite value"
+        with pytest.raises(EmbeddingFormatError, match="line 4: expected 3 columns"):
+            load_embeddings("3 2\nb 1 0\na nan 0\nc 0\n")
+
     @pytest.mark.parametrize("count", [-7, 3, 1], ids=["negative", "too-few-rows", "too-many-rows"])
     def test_header_count_must_match_the_rows(self, count):
         with pytest.raises(EmbeddingFormatError) as e:
@@ -265,6 +292,30 @@ class TestVerbExpansion:
         lex = load_synsets("{}")
         st = store([("mumble", 1, 0), ("talk", 0.9, 0.1)])
         assert candidate_verb_lemmas(lex, st, "mumble") == []
+
+    def test_no_synonyms_skips_the_neighbor_search(self, monkeypatch):
+        lex = load_synsets(self.SYNS)
+        st = store([("mumble", 1, 0), ("climb", 0.9, 0.1)])
+        calls = []
+        monkeypatch.setattr(st, "top_k", lambda *args: calls.append(args) or [])
+        assert candidate_verb_lemmas(lex, st, "mumble") == []
+        assert candidate_verb_lemmas(lex, st, "Mumble", k=1) == []
+        assert calls == []
+
+    def test_every_bundled_verb_expands_as_with_every_search(self, resources):
+        words = {line.split()[0] for line in EMBEDDINGS.read_text().splitlines()[1:]}
+        synsets = resources.synsets.entries
+        words |= set(synsets) | {lemma for sets in synsets.values() for s in sets for lemma in s}
+        with_synonyms = {w for w in words if resources.synsets.synonyms(w)}
+        assert with_synonyms and words - with_synonyms
+        for verb in sorted(words):
+            for k in (1, DEFAULT_TOP_K):
+                expected = searching_candidate_verb_lemmas(
+                    resources.synsets, resources.embeddings, verb, k
+                )
+                assert candidate_verb_lemmas(
+                    resources.synsets, resources.embeddings, verb, k
+                ) == expected, verb
 
     def test_fixture_resources_resolve_show_family(self, resources):
         got = candidate_verb_lemmas(resources.synsets, resources.embeddings, "depict")

@@ -11,7 +11,7 @@ from figdesc import pipeline
 from figdesc.cli import main
 from figdesc.corpus import load_article_json
 from figdesc.errors import AlignmentError, ArticleParseError, ConfigError, SchemaError
-from figdesc.figref import detect_figure_refs, select_neighbors
+from figdesc.figref import detect_figure_refs, neighbor_positions, select_neighbors
 from figdesc.scoring import ScoringConfig, WeightTable, calibrate
 
 
@@ -160,6 +160,39 @@ def _oracle_detection(article, window, pattern):
     return pipeline.ArticleDetection(article.uid, refs, sorted(candidates))
 
 
+def _full_scan_detection(article, window, pattern):
+    """Detection that scans every sentence for all its matches with
+    detect_figure_refs; an empty match list marks a sentence as not referring."""
+    refs = []
+    candidates: set[int] = set()
+    for para in article.paragraphs:
+        sentences = para.sentences
+        scans = [detect_figure_refs(sentence, pattern) for sentence in sentences]
+        for local_idx, matches in enumerate(scans):
+            if not matches:
+                continue
+            positions = neighbor_positions(len(scans), local_idx, window, scans.__getitem__)
+            neighbors = [sentences[j].global_index for j in positions]
+            refs.append(
+                {
+                    "global_index": sentences[local_idx].global_index,
+                    "labels": sorted({label for m in matches for label in m.labels}),
+                    "spans": [list(m.span) for m in matches],
+                    "neighbors": neighbors,
+                }
+            )
+            candidates.update(neighbors)
+    return pipeline.ArticleDetection(article.uid, refs, sorted(candidates))
+
+
+# Words that start, end or follow a reference under the patterns below.
+_SCAN_WORDS = [
+    "Fig. 2", "fig 3", "figs. 1, 3", "figure 5-7", "fig4", "see", "subfig 8",
+    "Tab. 4", "x", "xx", "plain", ".",
+]
+_sentence_texts = st.lists(st.sampled_from(_SCAN_WORDS), min_size=1, max_size=5).map(" ".join)
+
+
 class TestDetection:
     def test_hand_built_article(self):
         from figdesc.corpus import load_article_json
@@ -224,6 +257,25 @@ class TestDetection:
         article = load_article_json(json.dumps({"uid": "R", "body": body}))
         got = pipeline.detect_article(article, window, pattern)
         assert got == _oracle_detection(article, window, pattern)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.lists(_sentence_texts, min_size=1, max_size=8), min_size=1, max_size=4),
+        st.integers(0, 3),
+        st.sampled_from(
+            [
+                None,
+                r"^fig\.?\s*(\d+)",
+                r"(?<=see )fig\.?\s*(\d+)",
+                r"fig\s*(\d+)$",
+                r"(x*)",  # matches, empty, in every sentence
+            ]
+        ),
+    )
+    def test_matches_a_full_scan_of_every_sentence(self, body, window, pattern):
+        article = load_article_json(json.dumps({"uid": "S", "body": body}))
+        got = pipeline.detect_article(article, window, pattern)
+        assert got == _full_scan_detection(article, window, pattern)
 
 
 class TestReferenceTmrs:
@@ -295,7 +347,7 @@ class TestProvenance:
         path = tmp_path / "out.jsonl"
         header = {"inputs": {}, "settings": {"lambda": 0.5}}
         records = [{"b": 1, "a": 2}, {"x": "y"}]
-        pipeline.write_jsonl(path, header, records)
+        pipeline.write_jsonl(path, header, map(pipeline.encode_record, records))
         got_header, got_records = pipeline.read_jsonl(path)
         assert got_header == header
         assert got_records == records
