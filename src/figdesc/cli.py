@@ -192,7 +192,7 @@ def cmd_detect(settings: dict) -> int:
     header = _header(settings, digests)
     with _writing(out):
         pipeline.write_jsonl(
-            out / "detect.jsonl", header, chain.from_iterable(det[1] for det in detections)
+            out / "detect.jsonl", header, chain.from_iterable(lines for _, lines, _ in detections)
         )
     n_refs = sum(len(lines) for _, lines, _ in detections)
     n_candidates = sum(n for _, _, n in detections)
