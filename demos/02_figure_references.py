@@ -41,23 +41,24 @@ print()
 
 art = load_article_json((MINI / "M003.json").read_text())
 detection = pipeline.detect_article(art, window=2)
-print(art.uid, "references:", [(r["global_index"], r["labels"]) for r in detection.refs])
-print(art.uid, "candidates:", detection.candidate_indices)
+print(art.uid, "references:",
+      [(s.global_index, neighbors) for s, neighbors in detection.refs])
+print(art.uid, "candidates:", [s.global_index for s in detection.candidates])
+
+# the detection holds sentences; the labels and spans that detect writes come
+# from a scan of each reference sentence alone
+ref, _ = detection.refs[-1]
+print("labels of sentence", ref.global_index, "->",
+      [m.labels for m in detect_figure_refs(ref)])
 
 # a neighbor window is clipped at the paragraph boundary and never
 # includes another figure-referring sentence
-first_ref = detection.refs[0]["global_index"]
-for p in art.paragraphs:
-    globals_ = [s.global_index for s in p.sentences]
-    if first_ref in globals_:
-        pos = globals_.index(first_ref)
-        cand = select_neighbors(p, pos, window=2)
-        print("window 2 around sentence", cand.ref_global_index,
-              "->", cand.neighbor_indices)
-        cand = select_neighbors(p, pos, window=1)
-        print("window 1 around sentence", cand.ref_global_index,
-              "->", cand.neighbor_indices)
-        break
+paragraph = art.paragraphs[ref.paragraph_index]
+pos = ref.index_in_paragraph
+cand = select_neighbors(paragraph, pos, window=2)
+print("window 2 around sentence", cand.ref_global_index, "->", cand.neighbor_indices)
+cand = select_neighbors(paragraph, pos, window=1)
+print("window 1 around sentence", cand.ref_global_index, "->", cand.neighbor_indices)
 print()
 
 # ---- counts over the bundled mini corpus ----
@@ -70,6 +71,6 @@ for a in pipeline.load_corpus_dir(MINI):
     d = pipeline.detect_article(a, window=2)
     n_articles += 1
     n_refs += len(d.refs)
-    n_cands += len(d.candidate_indices)
+    n_cands += len(d.candidates)
 print(n_articles, "articles,", n_refs, "figure-referring sentences,",
       n_cands, "distinct candidate sentences")

@@ -21,7 +21,7 @@ from itertools import chain
 from pathlib import Path
 
 from . import figref, pipeline, scoring
-from .corpus import Article, json_field, load_json_object
+from .corpus import Sentence, json_field, load_json_object
 from .errors import AlignmentError, ArticleParseError, ConfigError, FigdescError, SchemaError
 from .tmr import tmr_to_json
 
@@ -32,18 +32,18 @@ DEFAULT_LAMBDAS = [0.1, 0.3, 0.5, 0.7, 0.9, 1.5]
 _REQUIRED = object()
 
 
-def _float_list(value: str) -> list[float]:
-    numbers = [float(x) for x in value.split(",") if x.strip()]
+def _scale(value, flag: str = "--lambda") -> float:
+    lambda_ = float(value)
+    if not (math.isfinite(lambda_) and lambda_ > 0):
+        raise ConfigError(f"{flag} must be positive and finite, got {lambda_}")
+    return lambda_
+
+
+def _lambdas(value: str) -> list[float]:
+    numbers = [_scale(x, "--lambdas") for x in value.split(",") if x.strip()]
     if not numbers:
         raise ValueError("no value")
     return numbers
-
-
-def _scale(value) -> float:
-    lambda_ = float(value)
-    if not (math.isfinite(lambda_) and lambda_ > 0):
-        raise ConfigError(f"--lambda must be positive and finite, got {lambda_}")
-    return lambda_
 
 
 def _window(value) -> int:
@@ -90,7 +90,7 @@ _SETTINGS = {
     "config": (str, "a string", None, "JSON config file with flag defaults"),
     "scores": (str, "a string", _REQUIRED, "scores JSONL from classify"),
     "gold": (str, "a string", _REQUIRED, "gold label JSONL"),
-    "lambdas": (_float_list, "a string", DEFAULT_LAMBDAS, "comma-separated lambdas to sweep"),
+    "lambdas": (_lambdas, "a string", DEFAULT_LAMBDAS, "comma-separated lambdas to sweep"),
     "labeled": (str, "a string", _REQUIRED, "labeled sentence JSONL"),
     "folds": (_folds, "an integer", 10, "cross-validation fold count"),
     "concept_metrics": (str, "a string", None, "metrics JSON from evaluate, for side-by-side"),
@@ -179,23 +179,27 @@ def _write_json(path: Path, doc: dict) -> None:
 def cmd_detect(settings: dict) -> int:
     out = Path(settings["out"])
     digests: dict[str, str] = {}
-    window, pattern = settings["window"], settings["pattern"]
+    pattern = settings["pattern"]
     articles = pipeline.load_corpus_dir(settings["corpus"], digests)
 
-    def encoded(article: Article) -> tuple[str, list[str], int]:
-        det = pipeline.detect_article(article, window, pattern)
-        lines = [pipeline.encode_record({"uid": det.uid, **ref}) for ref in det.refs]
-        return det.uid, lines, len(det.candidate_indices)
+    def row(uid: str, sentence: Sentence, neighbors: list[int]) -> str:
+        matches = figref.detect_figure_refs(sentence, pattern)
+        record = {"uid": uid, "global_index": sentence.global_index, "neighbors": neighbors}
+        record["labels"] = sorted({label for m in matches for label in m.labels})
+        record["spans"] = [list(m.span) for m in matches]
+        return pipeline.encode_record(record)
 
-    # map() drops each article and its detection once its rows are encoded.
-    detections = sorted(map(encoded, articles), key=lambda det: det[0])
+    def encoded(det: pipeline.ArticleDetection) -> tuple[list[str], int]:
+        return [row(det.uid, *ref) for ref in det.refs], len(det.candidates)
+
+    detections = pipeline.detect_by_uid(articles, settings["window"], pattern, encoded)
     header = _header(settings, digests)
     with _writing(out):
         pipeline.write_jsonl(
-            out / "detect.jsonl", header, chain.from_iterable(lines for _, lines, _ in detections)
+            out / "detect.jsonl", header, chain.from_iterable(lines for lines, _ in detections)
         )
-    n_refs = sum(len(lines) for _, lines, _ in detections)
-    n_candidates = sum(n for _, _, n in detections)
+    n_refs = sum(len(lines) for lines, _ in detections)
+    n_candidates = sum(n for _, n in detections)
     print(
         f"detect: {len(detections)} articles, {n_refs} figure-referring sentences, "
         f"{n_candidates} candidate sentences -> {out / 'detect.jsonl'}"

@@ -60,14 +60,11 @@ def _parse_labels(raw: str) -> tuple[str, ...]:
 
 
 def detect_figure_refs(sentence: Sentence, pattern: str | None = None) -> list[FigRefMatch]:
-    """All figure references in one sentence, left to right; none if not referring."""
-    rx = compile_pattern(pattern)
-    out = []
-    for m in rx.finditer(sentence.text):
-        out.append(
-            FigRefMatch(sentence.global_index, _parse_labels(m.group(1)), m.span())
-        )
-    return out
+    """Every figure reference in one sentence, left to right; no labels if group 1 is unset."""
+    return [
+        FigRefMatch(sentence.global_index, _parse_labels(m.group(1) or ""), m.span())
+        for m in compile_pattern(pattern).finditer(sentence.text)
+    ]
 
 
 def is_figure_referring(sentence: Sentence, pattern: str | None = None) -> bool:

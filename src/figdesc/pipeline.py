@@ -2,10 +2,10 @@
 
 Articles live one per file in a corpus directory (.json or .xml), with an
 optional <stem>.conllu parse sidecar next to each. load_corpus_dir yields
-them one at a time; a command keeps only each article's small results and
-sorts them by uid. Each command searches each sentence for a figure
-reference once; detection scans only the referring sentences for all their
-matches and picks the candidate neighbors from the referring positions.
+them one at a time. detect_article alone decides which sentences of an
+article refer to a figure and which of their neighbors are candidates;
+detect_by_uid runs it for detect, calibrate and classify alike, keeping only
+each article's small results and ordering them by uid.
 """
 
 from __future__ import annotations
@@ -18,17 +18,20 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import Any, TypeVar
 
 from .corpus import Article, Sentence, attach_parses, parse_jsonl
 from .corpus import load_article_json, load_article_xml
 from .errors import ConfigError, FigdescError, SchemaError
-from .figref import compile_pattern, detect_figure_refs, is_figure_referring, neighbor_positions
-from .figref import select_neighbors  # noqa: F401 - bench/tracing.py patches it here
+from .figref import compile_pattern, neighbor_positions
+# bench/tracing.py patches these here; no code of this module calls them.
+from .figref import detect_figure_refs, is_figure_referring, select_neighbors  # noqa: F401
 from .lexres import EmbeddingStore, SynsetLexicon, load_embeddings, load_synsets
 from .ontology import OntologyGraph, load_ontology
 from .scoring import ScoringConfig, WeightTable, sentence_weight
 from .tmr import Tmr, build_sentence_tmr, load_gazetteer
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -169,8 +172,8 @@ def load_corpus_dir(path: str | Path, digests: dict[str, str] | None = None) -> 
 @dataclass
 class ArticleDetection:
     uid: str
-    refs: list[dict]  # one row per reference sentence
-    candidate_indices: list[int]  # distinct, ascending global indices
+    refs: list[tuple[Sentence, list[int]]]  # each reference, its neighbors' global indices
+    candidates: list[Sentence]  # distinct, in ascending global index
 
 
 def detect_article(
@@ -179,27 +182,34 @@ def detect_article(
     """Reference sentences and their candidate neighbors for one article."""
     search = compile_pattern(pattern).search
     refs = []
-    candidates: set[int] = set()
+    candidates = []
     for para in article.paragraphs:
         sentences = para.sentences
-        # One search per sentence; only the referring ones are scanned for
-        # every match. A match object is true even when it matched nothing.
+        # One search per sentence. A match object is true even when it matched nothing.
         referring = [j for j, sentence in enumerate(sentences) if search(sentence.text)]
         is_referring = set(referring).__contains__
+        near: set[int] = set()
         for local_idx in referring:
-            matches = detect_figure_refs(sentences[local_idx], pattern)
             positions = neighbor_positions(len(sentences), local_idx, window, is_referring)
-            neighbors = [sentences[j].global_index for j in positions]
-            refs.append(
-                {
-                    "global_index": sentences[local_idx].global_index,
-                    "labels": sorted({label for m in matches for label in m.labels}),
-                    "spans": [list(m.span) for m in matches],
-                    "neighbors": neighbors,
-                }
-            )
-            candidates.update(neighbors)
-    return ArticleDetection(article.uid, refs, sorted(candidates))
+            refs.append((sentences[local_idx], [sentences[j].global_index for j in positions]))
+            near.update(positions)
+        candidates += [sentences[j] for j in sorted(near)]
+    return ArticleDetection(article.uid, refs, candidates)
+
+
+def detect_by_uid(
+    articles: Iterable[Article], window: int, pattern: str | None, keep: Callable[..., T]
+) -> list[T]:
+    """keep(detection) for each article's detection, in uid order.
+
+    map() drops each article and its detection once keep returns, so only
+    what keep returns is held as the articles go by.
+    """
+
+    def kept(article: Article) -> tuple[str, T]:
+        return article.uid, keep(detect_article(article, window, pattern))
+
+    return [result for _, result in sorted(map(kept, articles), key=lambda pair: pair[0])]
 
 
 @dataclass
@@ -218,16 +228,13 @@ def reference_tmrs(
 ) -> list[Tmr]:
     """Representations of every figure-referring sentence, ordered by (uid, index).
 
-    Only the representations of each article are kept as the articles go by.
+    The references do not depend on the window, so none is taken.
     """
 
-    def of_article(article: Article) -> tuple[str, list[Tmr]]:
-        refs = [s for s in article.sentences() if is_figure_referring(s, pattern)]
-        return article.uid, [resources.tmr(s) for s in refs]
+    def tmrs(detection: ArticleDetection) -> list[Tmr]:
+        return [resources.tmr(sentence) for sentence, _ in detection.refs]
 
-    # map() drops each article once its representations are built.
-    by_uid = sorted(map(of_article, articles), key=lambda pair: pair[0])
-    return [tmr for _, tmrs in by_uid for tmr in tmrs]
+    return list(chain.from_iterable(detect_by_uid(articles, 0, pattern, tmrs)))
 
 
 def score_candidates(
@@ -237,26 +244,16 @@ def score_candidates(
     config: ScoringConfig,
     pattern: str | None = None,
 ) -> list[ScoredSentence]:
-    """Weight every distinct candidate sentence, ordered by (uid, index).
+    """Weight every distinct candidate sentence, ordered by (uid, index)."""
 
-    Only the scored rows of each article are kept as the articles go by.
-    """
+    def rows(detection: ArticleDetection) -> list[ScoredSentence]:
+        uid, sentences = detection.uid, detection.candidates
+        return [
+            ScoredSentence(uid, s.global_index, s.text, tmr, sentence_weight(tmr, table, config))
+            for s, tmr in zip(sentences, map(resources.tmr, sentences))
+        ]
 
-    def of_article(article: Article) -> list[ScoredSentence]:
-        detection = detect_article(article, config.window, pattern)
-        by_global = {s.global_index: s for s in article.sentences()}
-        rows = []
-        for gidx in detection.candidate_indices:
-            sentence = by_global[gidx]
-            tmr = resources.tmr(sentence)
-            weight = sentence_weight(tmr, table, config)
-            rows.append(ScoredSentence(article.uid, gidx, sentence.text, tmr, weight))
-        return rows
-
-    return sorted(
-        chain.from_iterable(map(of_article, articles)),
-        key=lambda r: (r.uid, r.global_index),
-    )
+    return list(chain.from_iterable(detect_by_uid(articles, config.window, pattern, rows)))
 
 
 # ---- provenance ----

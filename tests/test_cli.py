@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from figdesc import pipeline
+from figdesc import figref, pipeline
 from figdesc.cli import _RECORDED, build_parser, main
 from figdesc.corpus import Token
 from figdesc.scoring import load_weight_table
@@ -610,6 +610,18 @@ class TestExitCodes:
         assert reason in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("pattern", [r"fig(\d+)?", r"fig(\d*)|(tab)"])
+    @pytest.mark.parametrize("command", ["detect", "calibrate", "classify"])
+    def test_group_1_may_sit_out_a_match(self, capsys, tmp_path, outputs, command, pattern):
+        """Such a match gives no labels, keeps its span, and its sentence refers."""
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *command_argv(command, outputs, out), "--pattern", pattern)
+        assert code == 0, err
+        if command == "detect":
+            _, rows = pipeline.read_jsonl(out / "detect.jsonl")
+            assert any(row["labels"] == [] for row in rows)
+            assert all(row["spans"] for row in rows)
+
     @pytest.mark.parametrize("pattern", [5, ["Fig"], True], ids=["int", "list", "bool"])
     @pytest.mark.parametrize("command", ["detect", "calibrate", "classify"])
     def test_non_string_pattern_in_config_is_a_config_error(
@@ -887,6 +899,22 @@ class TestEvaluateInputs:
         assert f"bad value for --lambdas: {value!r}" in err
         assert not (out / "sweep.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "value, shown", [("-1", "-1.0"), ("0.5,0", "0.0"), ("nan", "nan"), ("0.5,inf", "inf")]
+    )
+    @pytest.mark.parametrize("gold", ["good", "malformed"])
+    def test_out_of_range_lambdas_before_any_input(
+        self, capsys, tmp_path, outputs, value, shown, gold
+    ):
+        argv = command_argv("evaluate", outputs, tmp_path / "out")
+        if gold == "malformed":
+            (tmp_path / "gold.jsonl").write_text('{"uid": ')
+            argv = replace_flag(argv, "gold", tmp_path / "gold.jsonl")
+        code, _, err = run(capsys, *argv, "--lambdas", value)
+        assert code == 1
+        assert err == f"error: --lambdas must be positive and finite, got {shown}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestEvaluateChecksWeights:
     """evaluate rejects a --weights file other than the one classify scored with."""
@@ -1014,7 +1042,7 @@ class TestStreamedCorpus:
         assert alive_at_load == [0] * 20
         assert len(refs) == 40
 
-    @pytest.mark.parametrize("command", ["detect", "classify"])
+    @pytest.mark.parametrize("command", CORPUS_COMMANDS)
     def test_no_detection_outlives_the_next_load(
         self, capsys, tmp_path, outputs, monkeypatch, command
     ):
@@ -1037,6 +1065,27 @@ class TestStreamedCorpus:
         assert code == 0, err
         assert alive_at_load == [0] * 20
         assert len(refs) == 20
+
+    @pytest.mark.parametrize(
+        "command, written",
+        [("calibrate", ["weights.json", "weights.meta.json"]), ("classify", ["scores.jsonl"])],
+    )
+    def test_references_come_only_from_detect_article(
+        self, capsys, tmp_path, outputs, monkeypatch, command, written
+    ):
+        """Neither command searches or scans a sentence outside detect_article."""
+
+        def refuse(*args):
+            raise AssertionError("a second way of finding a figure reference")
+
+        for owner in (figref, pipeline):
+            monkeypatch.setattr(owner, "is_figure_referring", refuse)
+            monkeypatch.setattr(owner, "detect_figure_refs", refuse)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *command_argv(command, outputs, out))
+        assert code == 0, err
+        for name in written:
+            assert (out / name).read_bytes() == (outputs / name).read_bytes(), name
 
     @staticmethod
     def corpus(path: Path, files: dict[str, tuple[str, str]], parsed: set[str]) -> Path:

@@ -67,6 +67,17 @@ class TestDetection:
         (m,) = detect_figure_refs(make_sentence("See plate IV."), pattern=pat)
         assert m.labels == ("IV",)
 
+    @pytest.mark.parametrize(
+        "pattern, spans", [(r"fig(\d+)?", [(4, 7)]), (r"fig(\d*)|(tab)", [(4, 7), (17, 20)])]
+    )
+    def test_group_1_left_out_of_a_match_gives_no_labels(self, pattern, spans):
+        # The match keeps its span and its sentence still refers, as with
+        # an empty group 1.
+        sentence = make_sentence("See fig here and tab there.")
+        matches = detect_figure_refs(sentence, pattern)
+        assert [(m.labels, m.span) for m in matches] == [((), span) for span in spans]
+        assert is_figure_referring(sentence, pattern)
+
 
 def brute_force_neighbors(paragraph, ref_pos, window, pattern=None):
     """Independent re-derivation: scan every sentence, keep the ones whose

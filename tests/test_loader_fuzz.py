@@ -13,6 +13,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 import shutil
 from functools import partial
 
@@ -355,3 +356,35 @@ def test_main_never_returns_3_on_a_mutated_input(workspace, command, flag, data)
     target.write_bytes(bad)
     code = _main([*argv, "--out", str(workspace / "out")])
     assert code in (0, 1, 2)
+
+
+# Words of the one-article corpus, and regex shapes that compile with a group
+# 1 but bend the usual match: group 1 optional, group 1 left out of an
+# alternative, a match that can be empty, and a lookbehind.
+PATTERN_WORDS = ["fig", "figure", "the", "shows", "treatment", "s", "."]
+PATTERN_SHAPES = [
+    r"{0}(\d+)?",
+    r"({0})?\s*(\d*)",
+    r"{0}(\d*)|({1})",
+    r"(?:{0})|({1})",
+    r"((?:{0})*)",
+    r"()",
+    r"(?<={0} )(\w+)",
+    r"(?<!{0})({1})",
+]
+
+
+@st.composite
+def unusual_pattern(draw) -> str:
+    shape = draw(st.sampled_from(PATTERN_SHAPES))
+    words = draw(st.lists(st.sampled_from(PATTERN_WORDS), min_size=2, max_size=2))
+    return shape.format(*(re.escape(word) for word in words))
+
+
+@pytest.mark.parametrize("command", ["detect", "classify"])
+@settings(max_examples=15, deadline=None)
+@given(pattern=unusual_pattern(), window=st.integers(0, 3))
+def test_main_never_returns_3_on_an_unusual_pattern(workspace, command, pattern, window):
+    (argv,) = [a for a in _chain(workspace) if a[0] == command]
+    argv += ["--pattern", pattern, "--window", str(window)]
+    assert _main([*argv, "--out", str(workspace / "out")]) == 0

@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 import re
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -138,26 +142,24 @@ _DETECTION_TEXTS = [
 ]
 
 
+def _detection(article, refs, candidate_indices):
+    by_global = {s.global_index: s for s in article.sentences()}
+    candidates = [by_global[g] for g in sorted(candidate_indices)]
+    return pipeline.ArticleDetection(article.uid, refs, candidates)
+
+
 def _oracle_detection(article, window, pattern):
     """Detection as separate scans: each sentence, then select_neighbors per reference."""
     refs = []
     candidates: set[int] = set()
     for para in article.paragraphs:
         for local_idx, sentence in enumerate(para.sentences):
-            matches = detect_figure_refs(sentence, pattern)
-            if not matches:
+            if not detect_figure_refs(sentence, pattern):
                 continue
             cand = select_neighbors(para, local_idx, window, pattern)
-            refs.append(
-                {
-                    "global_index": sentence.global_index,
-                    "labels": sorted({label for m in matches for label in m.labels}),
-                    "spans": [list(m.span) for m in matches],
-                    "neighbors": list(cand.neighbor_indices),
-                }
-            )
+            refs.append((sentence, list(cand.neighbor_indices)))
             candidates.update(cand.neighbor_indices)
-    return pipeline.ArticleDetection(article.uid, refs, sorted(candidates))
+    return _detection(article, refs, candidates)
 
 
 def _full_scan_detection(article, window, pattern):
@@ -173,16 +175,15 @@ def _full_scan_detection(article, window, pattern):
                 continue
             positions = neighbor_positions(len(scans), local_idx, window, scans.__getitem__)
             neighbors = [sentences[j].global_index for j in positions]
-            refs.append(
-                {
-                    "global_index": sentences[local_idx].global_index,
-                    "labels": sorted({label for m in matches for label in m.labels}),
-                    "spans": [list(m.span) for m in matches],
-                    "neighbors": neighbors,
-                }
-            )
+            refs.append((sentences[local_idx], neighbors))
             candidates.update(neighbors)
-    return pipeline.ArticleDetection(article.uid, refs, sorted(candidates))
+    return _detection(article, refs, candidates)
+
+
+def _shape(detection):
+    """(reference global index, neighbors) pairs and candidate global indices."""
+    refs = [(sentence.global_index, neighbors) for sentence, neighbors in detection.refs]
+    return refs, [s.global_index for s in detection.candidates]
 
 
 # Words that start, end or follow a reference under the patterns below.
@@ -208,12 +209,10 @@ class TestDetection:
         article = load_article_json(json.dumps(doc))
         det = pipeline.detect_article(article, window=2)
         assert det.uid == "T1"
-        (ref,) = det.refs
-        assert ref["global_index"] == 3
-        assert ref["labels"] == ["3"]
-        assert ref["neighbors"] == [2, 4, 5]
-        assert len(ref["spans"]) == 1
-        assert det.candidate_indices == [2, 4, 5]
+        assert _shape(det) == ([(3, [2, 4, 5])], [2, 4, 5])
+        ((sentence, _),) = det.refs
+        assert sentence is article.paragraphs[1].sentences[1]
+        assert det.candidates == [article.paragraphs[1].sentences[j] for j in (0, 2, 3)]
 
     def test_candidates_are_distinct_across_overlapping_refs(self):
         from figdesc.corpus import load_article_json
@@ -226,22 +225,21 @@ class TestDetection:
         }
         article = load_article_json(json.dumps(doc))
         det = pipeline.detect_article(article, window=2)
-        assert [r["global_index"] for r in det.refs] == [1, 3]
         # sentence 2 neighbors both refs but appears once
-        assert det.candidate_indices == [0, 2, 4]
+        assert _shape(det) == ([(1, [0, 2]), (3, [2, 4])], [0, 2, 4])
 
     def test_minicorpus_layout(self, mini_articles):
         for article in mini_articles:
-            det = pipeline.detect_article(article, window=2)
-            assert [r["global_index"] for r in det.refs] == [2, 3, 5]
-            assert det.candidate_indices == [4, 6]
+            refs, candidates = _shape(pipeline.detect_article(article, window=2))
+            assert [gidx for gidx, _ in refs] == [2, 3, 5]
+            assert candidates == [4, 6]
 
     def test_custom_pattern_narrows_refs(self, mini_articles):
         det = pipeline.detect_article(
             mini_articles[0], window=2, pattern=r"\bnevermatch(\d+)"
         )
         assert det.refs == []
-        assert det.candidate_indices == []
+        assert det.candidates == []
 
     @settings(max_examples=300)
     @given(
@@ -269,6 +267,8 @@ class TestDetection:
                 r"(?<=see )fig\.?\s*(\d+)",
                 r"fig\s*(\d+)$",
                 r"(x*)",  # matches, empty, in every sentence
+                r"fig(\d+)?",  # group 1 can sit out a match
+                r"fig(\d*)|(tab)",  # group 1 sits out every "tab" match
             ]
         ),
     )
@@ -326,6 +326,45 @@ class TestScoreCandidates:
             mini_articles, resources, empty, ScoringConfig()
         )
         assert all(r.weight == 0.0 for r in rows)
+
+
+class TestOneDefinitionOfAReference:
+    """calibrate and classify read the references and candidates that detect writes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.lists(_sentence_texts, min_size=1, max_size=6), min_size=1, max_size=3),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(0, 3),
+        st.sampled_from([None, r"(x*)", r"^fig\.?\s*(\d+)", r"fig(\d+)?"]),
+    )
+    def test_detect_calibrate_and_classify_agree(self, resources, bodies, window, pattern):
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus, out = Path(tmp) / "corpus", Path(tmp) / "out"
+            corpus.mkdir()
+            for i, body in enumerate(bodies):  # file-name order is the reverse of uid order
+                doc = {"uid": f"U{i}", "body": body}
+                (corpus / f"{len(bodies) - i}.json").write_text(json.dumps(doc))
+            argv = ["detect", "--corpus", str(corpus), "--window", str(window), "--out", str(out)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, *(["--pattern", pattern] if pattern else [])]) == 0
+            _, rows = pipeline.read_jsonl(out / "detect.jsonl")
+            articles = list(pipeline.load_corpus_dir(corpus))
+        refs = {article.uid: [] for article in articles}
+        candidates = set()
+        for row in rows:
+            refs[row["uid"]].append(row["global_index"])
+            candidates.update((row["uid"], gidx) for gidx in row["neighbors"])
+        for article in articles:
+            tmrs = pipeline.reference_tmrs([article], resources, pattern)
+            assert [tmr.sentence_ref for tmr in tmrs] == refs[article.uid]
+        table = WeightTable({}, {}, 0.0, (0, 0, 0))
+        config = ScoringConfig(window=window)
+        scored = pipeline.score_candidates(articles, resources, table, config, pattern)
+        assert [(row.uid, row.global_index) for row in scored] == sorted(candidates)
 
 
 class TestProvenance:
