@@ -143,6 +143,46 @@ class TestPipelineCommands:
         assert "inputs" in header and "settings" in header
         assert header["settings"]["window"] == 2
 
+    @staticmethod
+    def detect_rows(capsys, tmp_path, body, *flags):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "T1.json").write_text(json.dumps({"uid": "T1", "body": body}))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "detect", "--corpus", str(corpus), "--out", str(out), *flags)
+        assert code == 0, err
+        return pipeline.read_jsonl(out / "detect.jsonl")[1]
+
+    def test_detect_row_of_a_hand_built_article(self, capsys, tmp_path):
+        body = [
+            ["Intro one.", "Intro two."],
+            ["Left text.", "Fig. 3 shows it.", "Right text.", "Far text."],
+            ["Unrelated."],
+        ]
+        rows = self.detect_rows(capsys, tmp_path, body, "--window", "2")
+        assert rows == [
+            {"uid": "T1", "global_index": 3, "labels": ["3"], "spans": [[0, 6]],
+             "neighbors": [2, 4, 5]}
+        ]
+
+    def test_detect_labels_are_sorted_and_distinct(self, capsys, tmp_path):
+        rows = self.detect_rows(capsys, tmp_path, [["Figs. 3, 1 and Fig. 3 agree."]])
+        assert rows == [
+            {"uid": "T1", "global_index": 0, "labels": ["1", "3"], "spans": [[0, 10], [15, 21]],
+             "neighbors": []}
+        ]
+
+    @pytest.mark.parametrize("pattern", [r"fig(\d+)?", r"fig(\d*)|(tab)"])
+    def test_detect_row_where_group_1_sits_out_a_match(self, capsys, tmp_path, pattern):
+        """Only the match that sets group 1 gives a label; every match keeps its span."""
+        body = [["Fig2 and fig. tab", "Plain."]]
+        rows = self.detect_rows(capsys, tmp_path, body, "--pattern", pattern)
+        spans = {r"fig(\d+)?": [[0, 4], [9, 12]], r"fig(\d*)|(tab)": [[0, 4], [9, 12], [14, 17]]}
+        assert rows == [
+            {"uid": "T1", "global_index": 0, "labels": ["2"], "spans": spans[pattern],
+             "neighbors": [1]}
+        ]
+
     def test_calibrate_output(self, outputs):
         table = load_weight_table((outputs / "weights.json").read_bytes())
         assert table.calibration_counts[0] == 60
@@ -619,7 +659,10 @@ class TestExitCodes:
         assert code == 0, err
         if command == "detect":
             _, rows = pipeline.read_jsonl(out / "detect.jsonl")
-            assert any(row["labels"] == [] for row in rows)
+            # M001's "Figure 1 shows the absorption spectrum.": "Fig" matches, "1" does not follow
+            assert rows[0] == {
+                "uid": "M001", "global_index": 2, "labels": [], "spans": [[0, 3]], "neighbors": []
+            }
             assert all(row["spans"] for row in rows)
 
     @pytest.mark.parametrize("pattern", [5, ["Fig"], True], ids=["int", "list", "bool"])

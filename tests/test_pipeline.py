@@ -192,6 +192,15 @@ _SCAN_WORDS = [
     "Tab. 4", "x", "xx", "plain", ".",
 ]
 _sentence_texts = st.lists(st.sampled_from(_SCAN_WORDS), min_size=1, max_size=5).map(" ".join)
+_SCAN_PATTERNS = [
+    None,
+    r"^fig\.?\s*(\d+)",
+    r"(?<=see )fig\.?\s*(\d+)",
+    r"fig\s*(\d+)$",
+    r"(x*)",  # matches, empty, in every sentence
+    r"fig(\d+)?",  # group 1 can sit out a match
+    r"fig(\d*)|(tab)",  # group 1 sits out every "tab" match
+]
 
 
 class TestDetection:
@@ -260,17 +269,7 @@ class TestDetection:
     @given(
         st.lists(st.lists(_sentence_texts, min_size=1, max_size=8), min_size=1, max_size=4),
         st.integers(0, 3),
-        st.sampled_from(
-            [
-                None,
-                r"^fig\.?\s*(\d+)",
-                r"(?<=see )fig\.?\s*(\d+)",
-                r"fig\s*(\d+)$",
-                r"(x*)",  # matches, empty, in every sentence
-                r"fig(\d+)?",  # group 1 can sit out a match
-                r"fig(\d*)|(tab)",  # group 1 sits out every "tab" match
-            ]
-        ),
+        st.sampled_from(_SCAN_PATTERNS),
     )
     def test_matches_a_full_scan_of_every_sentence(self, body, window, pattern):
         article = load_article_json(json.dumps({"uid": "S", "body": body}))
@@ -329,7 +328,8 @@ class TestScoreCandidates:
 
 
 class TestOneDefinitionOfAReference:
-    """calibrate and classify read the references and candidates that detect writes."""
+    """calibrate and classify read the references and candidates that detect writes,
+    and each of detect's rows holds the labels and spans of its sentence's matches."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -339,7 +339,7 @@ class TestOneDefinitionOfAReference:
             max_size=3,
         ),
         st.integers(0, 3),
-        st.sampled_from([None, r"(x*)", r"^fig\.?\s*(\d+)", r"fig(\d+)?"]),
+        st.sampled_from(_SCAN_PATTERNS),
     )
     def test_detect_calibrate_and_classify_agree(self, resources, bodies, window, pattern):
         with tempfile.TemporaryDirectory() as tmp:
@@ -355,7 +355,11 @@ class TestOneDefinitionOfAReference:
             articles = list(pipeline.load_corpus_dir(corpus))
         refs = {article.uid: [] for article in articles}
         candidates = set()
+        sentences = {(a.uid, s.global_index): s for a in articles for s in a.sentences()}
         for row in rows:
+            matches = detect_figure_refs(sentences[row["uid"], row["global_index"]], pattern)
+            assert row["labels"] == sorted({label for m in matches for label in m.labels})
+            assert row["spans"] == [list(m.span) for m in matches]
             refs[row["uid"]].append(row["global_index"])
             candidates.update((row["uid"], gidx) for gidx in row["neighbors"])
         for article in articles:
