@@ -12,7 +12,6 @@ from pathlib import Path
 
 from figdesc import fixtures, pipeline
 from figdesc.scoring import (
-    ScoringConfig,
     calibrate,
     classify,
     compute_threshold,
@@ -30,13 +29,14 @@ res = pipeline.load_resources(
     fixtures.fixture_path("embeddings.txt"),
     fixtures.fixture_path("gazetteer.txt"),
 )
-config = ScoringConfig(lambda_=0.5, window=2)
+LAMBDA = 0.5  # the threshold scale, as the CLI's --lambda
+WINDOW = 2  # neighbors on each side, as the CLI's --window
 
 # ---- calibration ----
 
 # each pass streams the corpus: load_corpus_dir yields one article at a time
 refs = pipeline.reference_tmrs(pipeline.load_corpus_dir(MINI), res)
-table = calibrate(refs, config)
+table = calibrate(refs)
 print("calibrated on", len(refs), "reference sentences")
 print("mean reference weight:", round(table.mean_ref_weight, 6))
 
@@ -48,14 +48,14 @@ print()
 
 # ---- scoring candidates ----
 
-scored = pipeline.score_candidates(pipeline.load_corpus_dir(MINI), res, table, config)
-threshold = compute_threshold(table.mean_ref_weight, config.lambda_)
+scored = pipeline.score_candidates(pipeline.load_corpus_dir(MINI), res, table, WINDOW)
+threshold = compute_threshold(table.mean_ref_weight, LAMBDA)
 print(len(scored), "candidates, threshold", round(threshold, 6))
 
 one = max(scored, key=lambda r: r.weight)
 print(f"\nhighest candidate: {one.uid}[{one.global_index}] {one.text!r}")
 print("per-element contributions:")
-for (kind, name, dist), part in element_contributions(one.tmr, table, config):
+for (kind, name, dist), part in element_contributions(one.tmr, table):
     print(f"  {kind:8} {name:25} d={dist}  {part:.4f}")
 print("weight:", round(one.weight, 4), "->",
       "descriptive" if classify(one.weight, threshold) else "not descriptive")

@@ -33,10 +33,7 @@ _HOMES = {
         "load_synsets",
     ),
     "ontology": ("OntologyGraph", "load_ontology"),
-    "scoring": (
-        "ScoringConfig", "WeightTable", "calibrate", "classify", "compute_threshold",
-        "sentence_weight",
-    ),
+    "scoring": ("WeightTable", "calibrate", "classify", "compute_threshold", "sentence_weight"),
     "tmr": ("Tmr", "build_sentence_tmr", "build_tmr", "extract_frames"),
 }
 _EXPORTS = {name: home for home, names in _HOMES.items() for name in names}

@@ -21,6 +21,7 @@ import numpy as np
 
 from .corpus import json_field, parse_jsonl
 from .errors import ConfigError, DivergenceError
+from .scoring import evaluate
 
 _TOKEN_RE = re.compile(r"[a-z]+")
 
@@ -178,22 +179,6 @@ def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     return folds
 
 
-def _fold_metrics(preds: np.ndarray, gold: np.ndarray) -> dict[str, float]:
-    tp = int(np.sum((preds == 1) & (gold == 1)))
-    fp = int(np.sum((preds == 1) & (gold == 0)))
-    fn = int(np.sum((preds == 0) & (gold == 1)))
-    tn = int(np.sum((preds == 0) & (gold == 0)))
-    total = len(gold)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    return {
-        "accuracy": (tp + tn) / total if total else 0.0,
-        "f1": 2 * precision * recall / (precision + recall)
-        if precision + recall
-        else 0.0,
-    }
-
-
 def kfold_cv(
     dataset: list[tuple[str, int]],
     k: int = 10,
@@ -221,10 +206,10 @@ def kfold_cv(
         train[test_idx, j] = 0.0
     in_vocab = X.T @ train >= min_freq
     preds = train_logreg(X, labels, cfg, rows=train, cols=in_vocab).predict(X)
-    per_fold = [
-        _fold_metrics(preds[test_idx, j], labels[test_idx])
-        for j, test_idx in enumerate(folds)
-    ]
+    per_fold = []
+    for j, test_idx in enumerate(folds):
+        m = evaluate(preds[test_idx, j].tolist(), labels[test_idx].tolist())
+        per_fold.append({"accuracy": m["accuracy"], "f1": m["f1"]})
     mean = {
         "accuracy": sum(f["accuracy"] for f in per_fold) / len(per_fold),
         "f1": sum(f["f1"] for f in per_fold) / len(per_fold),

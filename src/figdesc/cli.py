@@ -83,7 +83,7 @@ _SETTINGS = {
     "gazetteer": (str, "a string", None, "chemical gazetteer file"),
     "weights": (str, "a string", _REQUIRED, "calibrated weight table JSON"),
     "lambda": (_scale, "a finite number", 0.5, "threshold scale factor"),
-    "window": (_window, "an integer", 2, "neighbor window size"),
+    "window": (_window, "an integer", figref.DEFAULT_WINDOW, "neighbor window size"),
     "out": (str, "a string", _REQUIRED, "output directory"),
     "seed": (_seed, "an integer", 0, "random seed (baseline folds)"),
     "pattern": (_pattern, "a string", None, "override figure-reference regex"),
@@ -213,8 +213,7 @@ def cmd_calibrate(settings: dict) -> int:
     res = pipeline.load_resources(*(settings[k] for k in _RESOURCES), digests)
     articles = pipeline.load_corpus_dir(settings["corpus"], digests)
     refs = pipeline.reference_tmrs(articles, res, settings["pattern"])
-    # Calibration reads only the exclusion sets, never lambda or the window.
-    table = scoring.calibrate(refs, scoring.ScoringConfig())
+    table = scoring.calibrate(refs)
     header = _header(settings, digests)
     with _writing(out):
         (out / "weights.json").write_text(scoring.save_weight_table(table))
@@ -236,9 +235,10 @@ def cmd_classify(settings: dict) -> int:
         settings["weights"], "weights", digests, scoring.load_weight_table
     )
     articles = pipeline.load_corpus_dir(settings["corpus"], digests)
-    config = scoring.ScoringConfig(lambda_=settings["lambda"], window=settings["window"])
-    threshold = scoring.compute_threshold(table.mean_ref_weight, config.lambda_)
-    scored = pipeline.score_candidates(articles, res, table, config, settings["pattern"])
+    threshold = scoring.compute_threshold(table.mean_ref_weight, settings["lambda"])
+    scored = pipeline.score_candidates(
+        articles, res, table, settings["window"], settings["pattern"]
+    )
     records = (
         {
             "uid": row.uid,
@@ -257,7 +257,7 @@ def cmd_classify(settings: dict) -> int:
     n_pos = sum(1 for row in scored if scoring.classify(row.weight, threshold))
     print(
         f"classify: {len(scored)} candidates, {n_pos} descriptive at "
-        f"lambda={config.lambda_:g} (threshold {threshold:.6f}) -> {out / 'scores.jsonl'}"
+        f"lambda={settings['lambda']:g} (threshold {threshold:.6f}) -> {out / 'scores.jsonl'}"
     )
     return 0
 

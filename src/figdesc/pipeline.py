@@ -28,7 +28,7 @@ from .figref import compile_pattern, neighbor_positions
 from .figref import detect_figure_refs, is_figure_referring, select_neighbors  # noqa: F401
 from .lexres import EmbeddingStore, SynsetLexicon, load_embeddings, load_synsets
 from .ontology import OntologyGraph, load_ontology
-from .scoring import ScoringConfig, WeightTable, sentence_weight
+from .scoring import WeightTable, sentence_weight
 from .tmr import Tmr, build_sentence_tmr, load_gazetteer
 
 T = TypeVar("T")
@@ -241,7 +241,7 @@ def score_candidates(
     articles: Iterable[Article],
     resources: Resources,
     table: WeightTable,
-    config: ScoringConfig,
+    window: int,
     pattern: str | None = None,
 ) -> list[ScoredSentence]:
     """Weight every distinct candidate sentence, ordered by (uid, index)."""
@@ -249,11 +249,11 @@ def score_candidates(
     def rows(detection: ArticleDetection) -> list[ScoredSentence]:
         uid, sentences = detection.uid, detection.candidates
         return [
-            ScoredSentence(uid, s.global_index, s.text, tmr, sentence_weight(tmr, table, config))
+            ScoredSentence(uid, s.global_index, s.text, tmr, sentence_weight(tmr, table))
             for s, tmr in zip(sentences, map(resources.tmr, sentences))
         ]
 
-    return list(chain.from_iterable(detect_by_uid(articles, config.window, pattern, rows)))
+    return list(chain.from_iterable(detect_by_uid(articles, window, pattern, rows)))
 
 
 # ---- provenance ----

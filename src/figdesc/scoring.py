@@ -35,14 +35,6 @@ DEFAULT_EXCLUDED_PROPERTIES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class ScoringConfig:
-    lambda_: float = 0.5
-    window: int = 2
-    excluded_concepts: frozenset[str] = DEFAULT_EXCLUDED_CONCEPTS
-    excluded_properties: frozenset[str] = DEFAULT_EXCLUDED_PROPERTIES
-
-
 @dataclass
 class WeightTable:
     """Calibrated per-element weights plus the corpus mean reference weight."""
@@ -53,15 +45,15 @@ class WeightTable:
     calibration_counts: tuple[int, int, int]  # (tmrs, concepts, properties)
 
 
-def _included(kind: str, name: str, config: ScoringConfig) -> bool:
+def _included(kind: str, name: str) -> bool:
     if name == UNKNOWN:
         return False
     if kind == CONCEPT:
-        return name not in config.excluded_concepts
-    return name not in config.excluded_properties
+        return name not in DEFAULT_EXCLUDED_CONCEPTS
+    return name not in DEFAULT_EXCLUDED_PROPERTIES
 
 
-def calibrate(ref_tmrs: list[Tmr], config: ScoringConfig) -> WeightTable:
+def calibrate(ref_tmrs: list[Tmr]) -> WeightTable:
     """Build a weight table from reference-sentence representations.
 
     Raises CalibrationError on an empty corpus and DegenerateTableError when
@@ -76,7 +68,7 @@ def calibrate(ref_tmrs: list[Tmr], config: ScoringConfig) -> WeightTable:
     histo: dict[tuple[str, str], dict[int, int]] = {}
     for tmr in ref_tmrs:
         for el in tmr.elements:
-            if not _included(el.kind, el.name, config):
+            if not _included(el.kind, el.name):
                 continue
             by_dist = histo.setdefault((el.kind, el.name), {})
             by_dist[el.distance] = by_dist.get(el.distance, 0) + 1
@@ -109,7 +101,7 @@ def calibrate(ref_tmrs: list[Tmr], config: ScoringConfig) -> WeightTable:
         calibration_counts=(0, 0, 0),
     )
     # Second pass: the mean reference weight uses the final normalized table.
-    weights = sorted(sentence_weight(t, table, config) for t in ref_tmrs)
+    weights = sorted(sentence_weight(t, table) for t in ref_tmrs)
     table.mean_ref_weight = math.fsum(weights) / len(weights)
     table.calibration_counts = (
         len(ref_tmrs),
@@ -125,24 +117,24 @@ def _weight_of(kind: str, name: str, table: WeightTable) -> float:
 
 
 def element_contributions(
-    tmr: Tmr, table: WeightTable, config: ScoringConfig
+    tmr: Tmr, table: WeightTable
 ) -> list[tuple[tuple[str, str, int], float]]:
     """Per-occurrence contributions weight/distance^2, in canonical order."""
     rows = []
     for el in sorted(tmr.elements, key=lambda e: (e.kind, e.name, e.distance)):
-        if not _included(el.kind, el.name, config):
+        if not _included(el.kind, el.name):
             continue
         w = _weight_of(el.kind, el.name, table)
         rows.append(((el.kind, el.name, el.distance), w / el.distance**2))
     return rows
 
 
-def sentence_weight(tmr: Tmr, table: WeightTable, config: ScoringConfig) -> float:
+def sentence_weight(tmr: Tmr, table: WeightTable) -> float:
     """Sum of calibrated weights over the representation, inverse-square damped.
 
     Elements the calibration never saw contribute zero.
     """
-    return math.fsum(c for _, c in element_contributions(tmr, table, config))
+    return math.fsum(c for _, c in element_contributions(tmr, table))
 
 
 def compute_threshold(mean_ref_weight: float, lambda_: float) -> float:

@@ -35,7 +35,6 @@ from figdesc.corpus import Token
 from figdesc.figref import is_figure_referring, select_neighbors
 from figdesc.ontology import ConceptSense, LexEntry, PropertySense
 from figdesc.scoring import (
-    ScoringConfig,
     WeightTable,
     calibrate,
     classify,
@@ -89,7 +88,6 @@ def test_01_worked_example_weights(resources):
             mean_ref_weight=0.407,
             calibration_counts=(1, 5, 2),
         )
-        config = ScoringConfig()
         sent = parsed_sentence(REF_TEXT, REF_PARSE_ROWS)
         tmr = build_sentence_tmr(
             sent,
@@ -98,11 +96,11 @@ def test_01_worked_example_weights(resources):
             resources.synsets,
             resources.embeddings,
         )
-        rows = dict(element_contributions(tmr, table, config))
+        rows = dict(element_contributions(tmr, table))
         assert len(rows) == len(GOLDEN_CONTRIBUTIONS)
         for key, expected in GOLDEN_CONTRIBUTIONS.items():
             assert rows[key] == pytest.approx(expected, abs=1e-4), key
-        weight = sentence_weight(tmr, table, config)
+        weight = sentence_weight(tmr, table)
         assert weight == pytest.approx(GOLDEN_SENTENCE_WEIGHT, abs=1e-4)
 
 
@@ -152,7 +150,6 @@ def test_03_calibration_normalization():
     """1,000 random corpora: each category sums to one, exclusions never leak."""
     with budget(30.0):
         rng = random.Random(20240822)
-        config = ScoringConfig()
         calibrated = 0
         while calibrated < 1000:
             corpus = _random_corpus(rng)
@@ -161,7 +158,7 @@ def test_03_calibration_normalization():
             )
             if not includable:
                 continue
-            table = calibrate(corpus, config)
+            table = calibrate(corpus)
             for pool in (table.concept_weights, table.property_weights):
                 if pool:
                     assert abs(math.fsum(pool.values()) - 1.0) <= 1e-9
@@ -372,11 +369,10 @@ def test_07_end_to_end_f1(mini_articles, resources, gold_labels):
         assert len(mini_articles) == 20
         assert len(gold_labels) == 40
 
-        config = ScoringConfig(lambda_=0.5)
         refs = pipeline.reference_tmrs(mini_articles, resources)
-        table = calibrate(refs, config)
-        threshold = compute_threshold(table.mean_ref_weight, config.lambda_)
-        scored = pipeline.score_candidates(mini_articles, resources, table, config)
+        table = calibrate(refs)
+        threshold = compute_threshold(table.mean_ref_weight, 0.5)
+        scored = pipeline.score_candidates(mini_articles, resources, table, 2)
 
         keys = sorted(gold_labels)
         by_id = {(r.uid, r.global_index): r for r in scored}

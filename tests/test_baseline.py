@@ -24,6 +24,7 @@ from figdesc.baseline import (
     train_logreg,
 )
 from figdesc.errors import ArticleParseError, ConfigError, DivergenceError, SchemaError
+from figdesc.scoring import evaluate
 
 
 class TestFeatures:
@@ -298,7 +299,8 @@ class TestBatchedFoldsMatchPerFoldTraining:
         ):
             assert np.all(np.abs(z) > 1e-9)
             preds = (z >= 0).astype(int)
-            assert fold == baseline._fold_metrics(preds, labels[test_idx])
+            metrics = evaluate(preds.tolist(), labels[test_idx].tolist())
+            assert fold == {"accuracy": metrics["accuracy"], "f1": metrics["f1"]}
 
     def test_divergence_names_fold_and_epoch(self):
         dataset = [("up", 0), ("down", 1), ("up down", 0), ("peak", 1)]

@@ -16,7 +16,7 @@ from figdesc.cli import main
 from figdesc.corpus import load_article_json
 from figdesc.errors import AlignmentError, ArticleParseError, ConfigError, SchemaError
 from figdesc.figref import detect_figure_refs, neighbor_positions, select_neighbors
-from figdesc.scoring import ScoringConfig, WeightTable, calibrate
+from figdesc.scoring import WeightTable, calibrate
 
 
 class TestCorpusDir:
@@ -297,14 +297,12 @@ class TestReferenceTmrs:
 @pytest.fixture(scope="module")
 def table(mini_articles, resources):
     refs = pipeline.reference_tmrs(mini_articles, resources)
-    return calibrate(refs, ScoringConfig())
+    return calibrate(refs)
 
 
 class TestScoreCandidates:
     def test_rows_sorted_and_complete(self, mini_articles, resources, table):
-        rows = pipeline.score_candidates(
-            mini_articles, resources, table, ScoringConfig()
-        )
+        rows = pipeline.score_candidates(mini_articles, resources, table, 2)
         keys = [(r.uid, r.global_index) for r in rows]
         assert keys == sorted(keys)
         assert len(rows) == 40  # two candidates per article
@@ -315,15 +313,13 @@ class TestScoreCandidates:
             assert r.tmr.sentence_ref == r.global_index
 
     def test_uid_order_whatever_the_input_order(self, mini_articles, resources, table):
-        in_order = pipeline.score_candidates(mini_articles, resources, table, ScoringConfig())
+        in_order = pipeline.score_candidates(mini_articles, resources, table, 2)
         reverse = iter(mini_articles[::-1])
-        assert pipeline.score_candidates(reverse, resources, table, ScoringConfig()) == in_order
+        assert pipeline.score_candidates(reverse, resources, table, 2) == in_order
 
     def test_unknown_elements_score_zero(self, mini_articles, resources):
         empty = WeightTable({}, {}, 0.0, (0, 0, 0))
-        rows = pipeline.score_candidates(
-            mini_articles, resources, empty, ScoringConfig()
-        )
+        rows = pipeline.score_candidates(mini_articles, resources, empty, 2)
         assert all(r.weight == 0.0 for r in rows)
 
 
@@ -366,8 +362,7 @@ class TestOneDefinitionOfAReference:
             tmrs = pipeline.reference_tmrs([article], resources, pattern)
             assert [tmr.sentence_ref for tmr in tmrs] == refs[article.uid]
         table = WeightTable({}, {}, 0.0, (0, 0, 0))
-        config = ScoringConfig(window=window)
-        scored = pipeline.score_candidates(articles, resources, table, config, pattern)
+        scored = pipeline.score_candidates(articles, resources, table, window, pattern)
         assert [(row.uid, row.global_index) for row in scored] == sorted(candidates)
 
 

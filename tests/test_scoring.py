@@ -17,7 +17,6 @@ from figdesc.errors import (
 from figdesc.scoring import (
     DEFAULT_EXCLUDED_CONCEPTS,
     DEFAULT_EXCLUDED_PROPERTIES,
-    ScoringConfig,
     WeightTable,
     calibrate,
     classify,
@@ -30,6 +29,7 @@ from figdesc.scoring import (
     sentence_weight,
     sweep_to_tsv,
 )
+from figdesc.ontology import UNKNOWN
 from figdesc.tmr import CONCEPT, PROPERTY, Tmr, TmrElement, build_sentence_tmr
 
 from .helpers import (
@@ -41,9 +41,6 @@ from .helpers import (
     REF_TEXT,
     parsed_sentence,
 )
-
-CFG = ScoringConfig()
-
 
 def make_tmr(rows, ref=0):
     t = Tmr(sentence_ref=ref)
@@ -73,16 +70,16 @@ class TestWorkedExample:
         )
 
     def test_contributions(self, tmr):
-        rows = element_contributions(tmr, golden_table(), CFG)
+        rows = element_contributions(tmr, golden_table())
         assert dict(rows) == pytest.approx(GOLDEN_CONTRIBUTIONS, abs=1e-4)
         assert len(rows) == len(GOLDEN_CONTRIBUTIONS)
 
     def test_sentence_weight(self, tmr):
-        w = sentence_weight(tmr, golden_table(), CFG)
+        w = sentence_weight(tmr, golden_table())
         assert w == pytest.approx(GOLDEN_SENTENCE_WEIGHT, abs=1e-4)
 
     def test_case_roles_never_contribute(self, tmr):
-        keys = [k for k, _ in element_contributions(tmr, golden_table(), CFG)]
+        keys = [k for k, _ in element_contributions(tmr, golden_table())]
         assert all(name not in DEFAULT_EXCLUDED_PROPERTIES for _, name, _ in keys)
 
 
@@ -90,7 +87,7 @@ class TestCalibration:
     def test_hand_computed_table(self):
         t1 = make_tmr([(CONCEPT, "A", 1), (CONCEPT, "B", 2)])
         t2 = make_tmr([(CONCEPT, "A", 2), (PROPERTY, "P", 1)])
-        table = calibrate([t1, t2], CFG)
+        table = calibrate([t1, t2])
         # raw: A = 1 + 1/4, B = 1/4; P = 1
         assert table.concept_weights["A"] == pytest.approx(5 / 6)
         assert table.concept_weights["B"] == pytest.approx(1 / 6)
@@ -101,16 +98,16 @@ class TestCalibration:
 
     def test_empty_corpus(self):
         with pytest.raises(CalibrationError):
-            calibrate([], CFG)
+            calibrate([])
 
     def test_all_excluded_is_degenerate(self):
         t = make_tmr([(CONCEPT, "EVENT", 1), (PROPERTY, "AGENT", 1)])
         with pytest.raises(DegenerateTableError, match="^exclusions removed every element$"):
-            calibrate([t, make_tmr([])], CFG)
+            calibrate([t, make_tmr([])])
 
     def test_no_elements_at_all_is_degenerate(self):
         with pytest.raises(DegenerateTableError, match="^none of the 2 reference repr"):
-            calibrate([make_tmr([]), make_tmr([])], CFG)
+            calibrate([make_tmr([]), make_tmr([])])
 
     def test_excluded_names_never_keyed(self):
         t = make_tmr(
@@ -122,22 +119,21 @@ class TestCalibration:
                 (PROPERTY, "P", 1),
             ]
         )
-        table = calibrate([t], CFG)
+        table = calibrate([t])
         assert set(table.concept_weights) == {"A"}
         assert set(table.property_weights) == {"P"}
 
     def test_unknown_placeholders_never_keyed(self):
         t = make_tmr([(CONCEPT, "A", 1), (CONCEPT, "UNKNOWN", 1), (PROPERTY, "UNKNOWN", 1)])
-        empty_exclusions = ScoringConfig(
-            excluded_concepts=frozenset(), excluded_properties=frozenset()
-        )
-        table = calibrate([t], empty_exclusions)
+        # No exclusion set names UNKNOWN: the placeholder is dropped on its own.
+        assert UNKNOWN not in DEFAULT_EXCLUDED_CONCEPTS | DEFAULT_EXCLUDED_PROPERTIES
+        table = calibrate([t])
         assert set(table.concept_weights) == {"A"}
         assert table.property_weights == {}
 
     def test_single_category_corpus(self):
         t = make_tmr([(PROPERTY, "P", 1), (PROPERTY, "Q", 3)])
-        table = calibrate([t], CFG)
+        table = calibrate([t])
         assert table.concept_weights == {}
         assert math.fsum(table.property_weights.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -167,7 +163,7 @@ def has_includable(corpus):
 class TestCalibrationProperties:
     @given(corpus_strategy.filter(has_includable))
     def test_each_category_sums_to_one(self, corpus):
-        table = calibrate([make_tmr(rows, i) for i, rows in enumerate(corpus)], CFG)
+        table = calibrate([make_tmr(rows, i) for i, rows in enumerate(corpus)])
         for pool in (table.concept_weights, table.property_weights):
             if pool:
                 assert abs(math.fsum(pool.values()) - 1.0) <= 1e-9
@@ -179,8 +175,8 @@ class TestCalibrationProperties:
         tmrs = [make_tmr(rows, i) for i, rows in enumerate(corpus)]
         shuffled = list(tmrs)
         random.Random(seed).shuffle(shuffled)
-        a = calibrate(tmrs, CFG)
-        b = calibrate(shuffled, CFG)
+        a = calibrate(tmrs)
+        b = calibrate(shuffled)
         assert a.concept_weights == b.concept_weights
         assert a.property_weights == b.property_weights
         assert a.mean_ref_weight == b.mean_ref_weight
@@ -188,36 +184,36 @@ class TestCalibrationProperties:
     @given(corpus_strategy.filter(has_includable))
     def test_mean_matches_rescoring_the_references(self, corpus):
         tmrs = [make_tmr(rows, i) for i, rows in enumerate(corpus)]
-        table = calibrate(tmrs, CFG)
-        weights = sorted(sentence_weight(t, table, CFG) for t in tmrs)
+        table = calibrate(tmrs)
+        weights = sorted(sentence_weight(t, table) for t in tmrs)
         assert table.mean_ref_weight == math.fsum(weights) / len(weights)
 
 
 class TestScoring:
     def test_unseen_elements_contribute_zero(self):
-        table = calibrate([make_tmr([(CONCEPT, "A", 1)])], CFG)
+        table = calibrate([make_tmr([(CONCEPT, "A", 1)])])
         t = make_tmr([(CONCEPT, "A", 1), (CONCEPT, "NEVER-SEEN", 1)])
-        assert sentence_weight(t, table, CFG) == pytest.approx(1.0)
+        assert sentence_weight(t, table) == pytest.approx(1.0)
 
     def test_distance_damping(self):
         table = WeightTable({"A": 1.0}, {}, 0.0, (1, 1, 0))
         for d in (1, 2, 3, 4):
             t = make_tmr([(CONCEPT, "A", d)])
-            assert sentence_weight(t, table, CFG) == pytest.approx(1.0 / d**2)
+            assert sentence_weight(t, table) == pytest.approx(1.0 / d**2)
 
     def test_repeated_occurrences_accumulate(self):
         table = WeightTable({"A": 0.5}, {}, 0.0, (1, 1, 0))
         t = make_tmr([(CONCEPT, "A", 1), (CONCEPT, "A", 2)])
-        assert sentence_weight(t, table, CFG) == pytest.approx(0.5 + 0.125)
+        assert sentence_weight(t, table) == pytest.approx(0.5 + 0.125)
 
     def test_empty_tmr_scores_zero(self):
         table = WeightTable({"A": 1.0}, {}, 0.0, (1, 1, 0))
-        assert sentence_weight(make_tmr([]), table, CFG) == 0.0
+        assert sentence_weight(make_tmr([]), table) == 0.0
 
     def test_contributions_canonical_order(self):
         table = WeightTable({"B": 0.5, "A": 0.5}, {"P": 1.0}, 0.0, (1, 2, 1))
         t = make_tmr([(PROPERTY, "P", 1), (CONCEPT, "B", 2), (CONCEPT, "A", 1)])
-        keys = [k for k, _ in element_contributions(t, table, CFG)]
+        keys = [k for k, _ in element_contributions(t, table)]
         assert keys == [(CONCEPT, "A", 1), (CONCEPT, "B", 2), (PROPERTY, "P", 1)]
 
 
@@ -290,7 +286,7 @@ class TestPersistence:
     def test_roundtrip(self):
         t1 = make_tmr([(CONCEPT, "A", 1), (CONCEPT, "B", 2), (PROPERTY, "P", 1)])
         t2 = make_tmr([(CONCEPT, "A", 3), (PROPERTY, "Q", 1)])
-        table = calibrate([t1, t2], CFG)
+        table = calibrate([t1, t2])
         loaded = load_weight_table(save_weight_table(table))
         assert loaded.calibration_counts == table.calibration_counts
         assert loaded.mean_ref_weight == pytest.approx(table.mean_ref_weight, rel=1e-11)

@@ -1,7 +1,12 @@
 import pytest
 
 from figdesc.ontology import UNKNOWN, ConceptSense, LexEntry, load_ontology
-from figdesc.scoring import ScoringConfig, WeightTable, element_contributions
+from figdesc.scoring import (
+    DEFAULT_EXCLUDED_CONCEPTS,
+    DEFAULT_EXCLUDED_PROPERTIES,
+    WeightTable,
+    element_contributions,
+)
 from figdesc.tmr import (
     CONCEPT,
     PROPERTY,
@@ -162,9 +167,13 @@ class TestGoldenSentence:
     def test_placeholders_never_reach_scoring_elements(self, tmr):
         assert any(e.name == UNKNOWN for e in tmr.elements)
         table = WeightTable({}, {}, 0.0, (0, 0, 0))
-        config = ScoringConfig(excluded_concepts=frozenset(), excluded_properties=frozenset())
-        scored = element_contributions(tmr, table, config)
-        assert [key for key, _ in scored] == [e for e in elements(tmr) if e[1] != UNKNOWN]
+        # No exclusion set names UNKNOWN: the placeholder is dropped on its own.
+        excluded = {CONCEPT: DEFAULT_EXCLUDED_CONCEPTS, PROPERTY: DEFAULT_EXCLUDED_PROPERTIES}
+        assert all(UNKNOWN not in pool for pool in excluded.values())
+        scored = element_contributions(tmr, table)
+        included = [e for e in elements(tmr) if e[1] not in excluded[e[0]]]
+        assert any(e[1] == UNKNOWN for e in included)
+        assert [key for key, _ in scored] == [e for e in included if e[1] != UNKNOWN]
 
     def test_sentence_ref(self, tmr):
         assert tmr.sentence_ref == 7
