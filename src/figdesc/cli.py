@@ -227,6 +227,30 @@ def cmd_calibrate(settings: dict) -> int:
     return 0
 
 
+def _recorded_inputs(data: bytes) -> dict:
+    doc = load_json_object(data, "weights meta")
+    return json_field(doc, "inputs", "weights meta", "an object of strings")
+
+
+def _check_calibrated_with(settings: dict, digests: dict[str, str]) -> None:
+    """The resources loaded must be those calibrate recorded beside --weights.
+
+    A resource recorded on one side only, or with another sha256, is an
+    AlignmentError. Corpus files are not compared: classify may score any corpus.
+    """
+    meta_path = Path(settings["weights"]).with_name("weights.meta.json")
+    if not meta_path.is_file():
+        return
+    recorded = pipeline.read_input(meta_path, parse=_recorded_inputs)
+    for key in _RESOURCES:
+        want, got = recorded.get(key), digests.get(key)
+        if want != got:
+            read = f"--{key} {settings[key]} has sha256 {got}" if got else f"no --{key} was given"
+            raise AlignmentError(
+                f"{meta_path} records {key} of sha256 {want or '(none)'}, but {read}"
+            )
+
+
 def cmd_classify(settings: dict) -> int:
     out = Path(settings["out"])
     digests: dict[str, str] = {}
@@ -234,6 +258,7 @@ def cmd_classify(settings: dict) -> int:
     table = pipeline.read_input(
         settings["weights"], "weights", digests, scoring.load_weight_table
     )
+    _check_calibrated_with(settings, digests)
     articles = pipeline.load_corpus_dir(settings["corpus"], digests)
     threshold = scoring.compute_threshold(table.mean_ref_weight, settings["lambda"])
     scored = pipeline.score_candidates(

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from figdesc import figref, pipeline
+from figdesc import figref, fixtures, pipeline
 from figdesc.cli import _RECORDED, build_parser, main
 from figdesc.corpus import Token
 from figdesc.scoring import load_weight_table
@@ -993,6 +993,100 @@ class TestEvaluateChecksWeights:
         argv = replace_flag(command_argv("evaluate", outputs, out), "scores", scores)
         code, _, err = run(capsys, *argv)
         assert code == 0, err
+
+
+class TestClassifyChecksCalibration:
+    """classify rejects resources other than those weights.meta.json, beside
+    --weights, records that calibrate read."""
+
+    @staticmethod
+    def weights_dir(tmp_path, outputs, meta=True):
+        """A copy of the shared weights.json, and of weights.meta.json if meta."""
+        where = tmp_path / "weights"
+        where.mkdir()
+        for name in ("weights.json", "weights.meta.json")[: 1 + meta]:
+            shutil.copyfile(outputs / name, where / name)
+        return where
+
+    @staticmethod
+    def other_gazetteer(tmp_path):
+        path = tmp_path / "gazetteer.txt"
+        path.write_text(fixtures.fixture_path("gazetteer.txt").read_text() + "unobtainium\n")
+        return path
+
+    def classify(self, capsys, outputs, out, weights, *edits):
+        argv = replace_flag(command_argv("classify", outputs, out), "weights", weights)
+        for flag, value in edits:
+            argv = replace_flag(argv, flag, value)
+        return run(capsys, *argv)
+
+    def test_other_resource_is_a_data_error(self, capsys, tmp_path, outputs):
+        where = self.weights_dir(tmp_path, outputs)
+        gazetteer = self.other_gazetteer(tmp_path)
+        out = tmp_path / "out"
+        code, _, err = self.classify(
+            capsys, outputs, out, where / "weights.json", ("gazetteer", gazetteer)
+        )
+        assert code == 2
+        assert f"{where / 'weights.meta.json'} records gazetteer of sha256" in err
+        assert f"but --gazetteer {gazetteer} has sha256" in err
+        assert not out.exists()
+
+    def test_resource_not_given_is_a_data_error(self, capsys, tmp_path, outputs):
+        where = self.weights_dir(tmp_path, outputs)
+        argv = command_argv("classify", outputs, tmp_path / "out")
+        argv = replace_flag(argv, "weights", where / "weights.json")
+        i = argv.index("--synsets")
+        code, _, err = run(capsys, *argv[:i], *argv[i + 2 :])
+        assert code == 2
+        assert f"{where / 'weights.meta.json'} records synsets of sha256" in err
+        assert "but no --synsets was given" in err
+
+    def test_resource_not_recorded_is_a_data_error(self, capsys, tmp_path, outputs):
+        where = self.weights_dir(tmp_path, outputs)
+        meta = json.loads((where / "weights.meta.json").read_text())
+        del meta["inputs"]["embeddings"]
+        (where / "weights.meta.json").write_text(json.dumps(meta))
+        code, _, err = self.classify(capsys, outputs, tmp_path / "out", where / "weights.json")
+        assert code == 2
+        assert "records embeddings of sha256 (none), but --embeddings " in err
+
+    def test_other_corpus_is_not_compared(self, capsys, tmp_path, outputs):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI_CORPUS, corpus)
+        (corpus / "M001.json").unlink()
+        where = self.weights_dir(tmp_path, outputs)
+        code, _, err = self.classify(
+            capsys, outputs, tmp_path / "out", where / "weights.json", ("corpus", corpus)
+        )
+        assert code == 0, err
+
+    def test_no_meta_file_nothing_checked(self, capsys, tmp_path, outputs):
+        where = self.weights_dir(tmp_path, outputs, meta=False)
+        gazetteer = self.other_gazetteer(tmp_path)
+        code, _, err = self.classify(
+            capsys, outputs, tmp_path / "out", where / "weights.json", ("gazetteer", gazetteer)
+        )
+        assert code == 0, err
+
+    def test_meta_file_is_read_but_not_recorded(self, capsys, tmp_path, outputs):
+        where = self.weights_dir(tmp_path, outputs)
+        out = tmp_path / "out"
+        code, _, err = self.classify(capsys, outputs, out, where / "weights.json")
+        assert code == 0, err
+        assert (out / "scores.jsonl").read_bytes() == (outputs / "scores.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{", "malformed JSON"), ('{"inputs": {"ontology": 5}}', "must be a string"),
+         ("{}", "missing field 'inputs'")],
+    )
+    def test_bad_meta_file_is_a_data_error(self, capsys, tmp_path, outputs, text, message):
+        where = self.weights_dir(tmp_path, outputs)
+        (where / "weights.meta.json").write_text(text)
+        code, _, err = self.classify(capsys, outputs, tmp_path / "out", where / "weights.json")
+        assert code == 2
+        assert f"{where / 'weights.meta.json'}: " in err and message in err
 
 
 # Block 0 of M001 parses "No further treatment was applied.", a filler: no
