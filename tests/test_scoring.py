@@ -14,6 +14,7 @@ from figdesc.errors import (
     DegenerateTableError,
     SchemaError,
 )
+from figdesc.ontology import UNKNOWN
 from figdesc.scoring import (
     DEFAULT_EXCLUDED_CONCEPTS,
     DEFAULT_EXCLUDED_PROPERTIES,
@@ -29,7 +30,6 @@ from figdesc.scoring import (
     sentence_weight,
     sweep_to_tsv,
 )
-from figdesc.ontology import UNKNOWN
 from figdesc.tmr import CONCEPT, PROPERTY, Tmr, TmrElement, build_sentence_tmr
 
 from .helpers import (
@@ -41,6 +41,7 @@ from .helpers import (
     REF_TEXT,
     parsed_sentence,
 )
+
 
 def make_tmr(rows, ref=0):
     t = Tmr(sentence_ref=ref)
