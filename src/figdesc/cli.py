@@ -264,6 +264,7 @@ def cmd_classify(settings: dict) -> int:
     scored = pipeline.score_candidates(
         articles, res, table, settings["window"], settings["pattern"]
     )
+    descriptive = [scoring.classify(row.weight, threshold) for row in scored]
     records = (
         {
             "uid": row.uid,
@@ -271,15 +272,15 @@ def cmd_classify(settings: dict) -> int:
             "text": row.text,
             "weight": row.weight,
             "threshold": threshold,
-            "is_descriptive": scoring.classify(row.weight, threshold),
+            "is_descriptive": is_descriptive,
             "tmr": tmr_to_json(row.tmr),
         }
-        for row in scored
+        for row, is_descriptive in zip(scored, descriptive)
     )
     header = _header(settings, digests)
     with _writing(out):
         pipeline.write_jsonl(out / "scores.jsonl", header, map(pipeline.encode_record, records))
-    n_pos = sum(1 for row in scored if scoring.classify(row.weight, threshold))
+    n_pos = sum(descriptive)
     print(
         f"classify: {len(scored)} candidates, {n_pos} descriptive at "
         f"lambda={settings['lambda']:g} (threshold {threshold:.6f}) -> {out / 'scores.jsonl'}"

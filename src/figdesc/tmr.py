@@ -59,11 +59,16 @@ _FORMULA_UNIT_RE = re.compile(r"([A-Z][a-z]?)(\d*)")
 _MAX_COMBINATIONS = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TmrElement:
     kind: str  # CONCEPT or PROPERTY
     name: str  # ontology identifier, or UNKNOWN for placeholders
     distance: int
+
+    def __reduce__(self) -> tuple:
+        # Pickled as a constructor call: the frozen-slots default state calls
+        # dataclasses.fields() per element, and a split corpus unpickles many.
+        return TmrElement, (self.kind, self.name, self.distance)
 
 
 @dataclass
