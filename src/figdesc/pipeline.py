@@ -5,7 +5,11 @@ optional <stem>.conllu parse sidecar next to each. load_corpus_dir yields
 them one at a time. detect_article alone decides which sentences of an
 article refer to a figure and which of their neighbors are candidates;
 detect_by_uid runs it for detect, calibrate and classify alike, keeping only
-each article's small results and ordering them by uid.
+each article's small results and ordering them by uid. Given a
+load_corpus_dir iterator not yet started, detect_by_uid reads the corpus in
+one part per CPU, each in a forked child that pickles its results back
+through a pipe; the results, digests and errors are those of one pass over
+the files in name order.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Any, TypeVar
+from typing import Any, NoReturn, TypeVar
 
 from .corpus import Article, Sentence, attach_parses, parse_jsonl
 from .corpus import load_article_json, load_article_xml
@@ -140,15 +144,59 @@ def load_corpus_dir(path: str | Path, digests: dict[str, str] | None = None) -> 
     raised when the loader reaches it, as is a uid that an earlier file
     holds. Each corpus file is read once by read_input, orphan sidecars
     included, under the key corpus/<file name>; digests is complete once the
-    generator is exhausted. File-name order need not be uid order.
+    iterator is exhausted. File-name order need not be uid order. Nothing is
+    read before the first next(); detect_by_uid may instead read an iterator
+    not yet started in parts, one per CPU.
     """
-    names = corpus_files(path)
-    present = set(names)
+    return _Corpus(path, digests)
+
+
+class _Corpus(Iterator[Article]):
+    """The iterator load_corpus_dir returns."""
+
+    def __init__(self, path: str | Path, digests: dict[str, str] | None) -> None:
+        self.path = path
+        self.digests = digests
+        self._articles: Iterator[Article] | None = None
+
+    def __next__(self) -> Article:
+        if self._articles is None:
+            self._articles = self._load()
+        return next(self._articles)
+
+    def _load(self) -> Iterator[Article]:
+        names = corpus_files(self.path)
+        yield from _load_files(self.path, names, set(names), self.digests, {})
+
+    def claim(self) -> bool:
+        """Whether nothing has been read yet; if so, the caller reads the files
+        itself, and this iterator yields nothing more."""
+        if self._articles is not None:
+            return False
+        self._articles = iter(())
+        return True
+
+
+def _duplicate_uid(uid: str, first: str, name: str) -> SchemaError:
+    return SchemaError(f"uid: duplicate article uid {uid!r} in {first} and {name}")
+
+
+def _load_files(
+    path: str | Path,
+    names: list[str],
+    present: set[str],
+    digests: dict[str, str] | None,
+    file_of: dict[str, str],
+) -> Iterator[Article]:
+    """The articles of names, a run of the corpus files present, in order.
+
+    A sidecar is read with its article, wherever its name falls; file_of
+    gains each article's uid, mapped to its file name, before it is yielded.
+    """
 
     def load(name: str, parse: Callable[[bytes], Any]) -> Any:
         return read_input(os.path.join(path, name), f"corpus/{name}", digests, parse, name)
 
-    file_of: dict[str, str] = {}
     for name in names:
         suffix = _suffix(name)
         stem = name[: -len(suffix)]
@@ -160,10 +208,7 @@ def load_corpus_dir(path: str | Path, digests: dict[str, str] | None = None) -> 
         if stem + ".conllu" in present:
             article = load(stem + ".conllu", partial(attach_parses, article))
         if article.uid in file_of:
-            raise SchemaError(
-                f"uid: duplicate article uid {article.uid!r} "
-                f"in {file_of[article.uid]} and {name}"
-            )
+            raise _duplicate_uid(article.uid, file_of[article.uid], name)
         file_of[article.uid] = name
         yield article
         del article  # hold no article while the next one loads
@@ -203,13 +248,197 @@ def detect_by_uid(
     """keep(detection) for each article's detection, in uid order.
 
     map() drops each article and its detection once keep returns, so only
-    what keep returns is held as the articles go by.
+    what keep returns is held as the articles go by. A load_corpus_dir
+    iterator not yet started is read in parts instead (_kept_in_parts): one
+    child process per CPU runs this same map over a run of the corpus files
+    and sends back what keep returned. The result, the digests and every
+    error are those of one pass over the files in name order.
     """
 
     def kept(article: Article) -> tuple[str, T]:
         return article.uid, keep(detect_article(article, window, pattern))
 
-    return [result for _, result in sorted(map(kept, articles), key=lambda pair: pair[0])]
+    if isinstance(articles, _Corpus) and articles.claim():
+        pairs = _kept_in_parts(articles.path, articles.digests, kept)
+    else:
+        pairs = map(kept, articles)
+    return [result for _, result in sorted(pairs, key=lambda pair: pair[0])]
+
+
+# A corpus is split only into parts of at least this many files. A split
+# costs about 20 ms of forking, pickling and merging, and a file 0.15-0.5 ms
+# to read and detect (2-CPU x86 host), so a smaller part saves less than that
+# on a second CPU.
+_MIN_PART_FILES = 250
+_BATCH = 64  # articles whose kept pairs a child sends in one message
+
+
+def _part_count(n_files: int) -> int:
+    """Parts to read n_files corpus files in: one per CPU this process may run
+    on, each of at least _MIN_PART_FILES files, and one where os.fork is missing."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_files // _MIN_PART_FILES))
+
+
+def _kept_in_parts(
+    path: str | Path, digests: dict[str, str] | None, kept: Callable[[Article], tuple[str, T]]
+) -> Iterable[tuple[str, T]]:
+    """kept(article) for each article of the corpus at path, read in parts.
+
+    The sorted file names are cut into _part_count contiguous runs. One run
+    is read in this process; two or more are each read by a forked child
+    (_read_part), while this process only merges what they send. A sidecar
+    is read with its article, in whichever run that falls.
+    """
+    names = corpus_files(path)
+    present = set(names)
+    n, parts = len(names), _part_count(len(names))
+    if parts == 1:
+        return map(kept, _load_files(path, names, present, digests, {}))
+    runs = [names[i * n // parts : (i + 1) * n // parts] for i in range(parts)]
+    return _merge_parts(runs, _fork_parts(path, digests, runs, present, kept))
+
+
+def _fork_parts(
+    path: str | Path,
+    digests: dict[str, str] | None,
+    runs: list[list[str]],
+    present: set[str],
+    kept: Callable[[Article], tuple[str, T]],
+) -> list[tuple[list[tuple[str, T]], Any, int]]:
+    """Per run, read by its own forked child: (kept pairs, end message, wait status).
+
+    The children share one pipe, and each writes its messages in pieces
+    small enough to reach it whole (_read_part). The digests they send go
+    into digests as they arrive. A run's end message is None if its
+    child died before it sent it. Every child is reaped before this returns
+    or raises, and killed first if it raises, on KeyboardInterrupt too.
+    """
+    import pickle  # only a split corpus sends anything between processes
+    import signal
+
+    pids: list[int] = []
+    pairs: list[list] = [[] for _ in runs]
+    ends: list[Any] = [None] * len(runs)
+    buffers = [bytearray() for _ in runs]
+    r, w = os.pipe()
+    try:
+        with open(r, "rb") as pipe:
+            try:
+                for i, run in enumerate(runs):
+                    pid = os.fork()
+                    if pid == 0:
+                        os.close(r)
+                        _read_part(w, i, path, run, present, digests is not None, kept)
+                    pids.append(pid)
+            finally:
+                os.close(w)  # the pipe ends once the last child has closed it
+            while len(head := pipe.read(8)) == 8:
+                tag, size = int.from_bytes(head[:4], "little"), int.from_bytes(head[4:], "little")
+                i, buf = tag >> 1, buffers[tag >> 1]
+                buf += pipe.read(size)
+                if tag & 1:  # the message's last piece
+                    sent, hashes, ends[i] = pickle.loads(buf)
+                    buf.clear()
+                    pairs[i] += sent
+                    if hashes:
+                        digests.update(hashes)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    return list(zip(pairs, ends, statuses))
+
+
+def _read_part(
+    fd: int,
+    part: int,
+    path: str | Path,
+    names: list[str],
+    present: set[str],
+    hashing: bool,
+    kept: Callable[[Article], tuple[str, T]],
+) -> NoReturn:
+    """In a forked child: send down fd the kept pairs of the articles in names.
+
+    Each message is a pickle of (pairs, digests, end), and holds the pairs
+    and the digests taken since the last one. The last message alone has an
+    end: the error that stopped the run, or None, and the uid of an article
+    loaded whose keep raised, or None. A message goes in pieces of at most
+    PIPE_BUF bytes, which a pipe never interleaves, each after 8 bytes:
+    part * 2 + (1 on the message's last piece), and the piece's length. The
+    child writes nothing else and leaves through os._exit, so no exit
+    handler or unflushed buffer of the parent runs twice.
+    """
+    code = 1
+    try:
+        import pickle
+
+        piece = os.fpathconf(fd, "PC_PIPE_BUF") - 8
+        digests: dict[str, str] | None = {} if hashing else None
+        batch: list = []
+
+        def send(end: tuple | None = None) -> None:
+            data = pickle.dumps((batch, digests, end), pickle.HIGHEST_PROTOCOL)
+            for start in range(0, len(data), piece):
+                chunk = data[start : start + piece]
+                tag = part << 1 | (start + piece >= len(data))
+                os.write(fd, tag.to_bytes(4, "little") + len(chunk).to_bytes(4, "little") + chunk)
+            batch.clear()
+            if digests:
+                digests.clear()
+
+        file_of: dict[str, str] = {}
+        n_kept, error = 0, None
+        try:
+            for pair in map(kept, _load_files(path, names, present, digests, file_of)):
+                batch.append(pair)
+                n_kept += 1
+                if len(batch) == _BATCH:
+                    send()
+        except Exception as e:  # noqa: BLE001 - the parent raises it in the run's place
+            error = e
+        unkept = next(reversed(file_of)) if len(file_of) > n_kept else None
+        try:
+            send((error, unkept))
+        except (pickle.PicklingError, TypeError, AttributeError):
+            # An error that does not pickle; main() prints only its message.
+            send((RuntimeError(str(error)), unkept))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _merge_parts(
+    runs: list[list[str]], parts: list[tuple[list[tuple[str, T]], Any, int]]
+) -> list[tuple[str, T]]:
+    """The runs' kept pairs, or the error that one pass over the files raises.
+
+    The runs are taken in order, and the first to fail decides: by a uid an
+    earlier run holds, by the error that stopped it, or by its child's death.
+    The n-th article a run loaded is its n-th article file.
+    """
+    file_of: dict[str, str] = {}
+    merged: list = []
+    for i, (run, (pairs, end, status)) in enumerate(zip(runs, parts)):
+        if end is None:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise RuntimeError(f"corpus part {i + 1} of {len(runs)} {how} before it finished")
+        error, unkept = end
+        uids = chain((uid for uid, _ in pairs), [unkept] if unkept is not None else [])
+        articles = (name for name in run if _suffix(name) != ".conllu")
+        for uid, name in zip(uids, articles):
+            if uid in file_of:
+                raise _duplicate_uid(uid, file_of[uid], name)
+            file_of[uid] = name
+        if error is not None:
+            raise error
+        merged += pairs
+    return merged
 
 
 @dataclass

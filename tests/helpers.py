@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
+from figdesc import pipeline
 from figdesc.corpus import Paragraph, ParsedSentence, Sentence, Token
 
 DATA_ROOT = Path(__file__).resolve().parent.parent / "data"
@@ -25,6 +30,25 @@ def resource_args() -> list[str]:
         "--gazetteer",
         str(fixtures.fixture_path("gazetteer.txt")),
     ]
+
+
+@contextmanager
+def split_into(parts: int) -> Iterator[None]:
+    """Every corpus read in the block is cut into this many parts, whatever its size.
+
+    One part reads it in this process; two or more fork a child per part.
+    """
+    with mock.patch.object(pipeline, "_part_count", lambda n_files: parts):
+        yield
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def make_sentence(

@@ -18,13 +18,26 @@ from figdesc.cli import _RECORDED, build_parser, main
 from figdesc.corpus import Token
 from figdesc.scoring import load_weight_table
 
-from .helpers import DATA_ROOT, LABELED_PATH, MINI_CORPUS, resource_args
+from .helpers import (
+    DATA_ROOT,
+    LABELED_PATH,
+    MINI_CORPUS,
+    no_child_left,
+    resource_args,
+    split_into,
+)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def append(path: Path, value) -> None:
+    """One line more in the file at path; appends from many processes stay whole."""
+    with open(path, "a") as fh:
+        fh.write(f"{value}\n")
 
 
 def command_argv(command: str, outputs: Path, out: Path) -> list[str]:
@@ -1153,19 +1166,25 @@ def corpus_argv(command: str, outputs: Path, corpus: Path, out: Path) -> list[st
 class TestStreamedCorpus:
     """The corpus commands hold one article at a time, with the old order and errors."""
 
+    # The hooks of the next two tests run in the process that loads the
+    # articles, a forked child once the corpus is split. They append a line
+    # per event to a file, which every process shares.
+
     @pytest.mark.parametrize("command", CORPUS_COMMANDS)
     def test_no_article_outlives_the_next_load(
         self, capsys, tmp_path, outputs, monkeypatch, command
     ):
-        refs = []  # to every article loaded, with or without its parses
-        alive_at_load = []  # how many of them are alive as each article file loads
+        loaded = tmp_path / "loaded"  # a line per article loaded, with or without its parses
+        alive = tmp_path / "alive"  # how many of them are alive as each article file loads
+        refs = []  # this process's weak references to the articles it loaded
 
         def tracked(fn, check):
             def wrapper(*args):
                 if check:
-                    alive_at_load.append(sum(ref() is not None for ref in refs))
+                    append(alive, sum(ref() is not None for ref in refs))
                 article = fn(*args)
                 refs.append(weakref.ref(article))
+                append(loaded, article.uid)
                 return article
 
             return wrapper
@@ -1174,34 +1193,46 @@ class TestStreamedCorpus:
             pipeline, "load_article_json", tracked(pipeline.load_article_json, True)
         )
         monkeypatch.setattr(pipeline, "attach_parses", tracked(pipeline.attach_parses, False))
-        code, _, err = run(capsys, *command_argv(command, outputs, tmp_path / "out"))
-        assert code == 0, err
-        assert alive_at_load == [0] * 20
-        assert len(refs) == 40
+        for parts in (1, 2, 3):
+            loaded.write_text("")
+            alive.write_text("")
+            with split_into(parts):
+                code, _, err = run(capsys, *command_argv(command, outputs, tmp_path / "out"))
+            assert code == 0, err
+            assert alive.read_text().split() == ["0"] * 20, parts
+            assert len(loaded.read_text().split()) == 40, parts
+            assert no_child_left()
 
     @pytest.mark.parametrize("command", CORPUS_COMMANDS)
     def test_no_detection_outlives_the_next_load(
         self, capsys, tmp_path, outputs, monkeypatch, command
     ):
-        refs = []  # to every ArticleDetection the command builds
-        alive_at_load = []  # how many of them are alive as each article file loads
+        built = tmp_path / "built"  # a line per ArticleDetection the command builds
+        alive = tmp_path / "alive"  # how many of them are alive as each article file loads
+        refs = []  # this process's weak references to the detections it built
         detect_article, load_article_json = pipeline.detect_article, pipeline.load_article_json
 
         def detect(*args):
             detection = detect_article(*args)
             refs.append(weakref.ref(detection))
+            append(built, detection.uid)
             return detection
 
         def load(*args):
-            alive_at_load.append(sum(ref() is not None for ref in refs))
+            append(alive, sum(ref() is not None for ref in refs))
             return load_article_json(*args)
 
         monkeypatch.setattr(pipeline, "detect_article", detect)
         monkeypatch.setattr(pipeline, "load_article_json", load)
-        code, _, err = run(capsys, *command_argv(command, outputs, tmp_path / "out"))
-        assert code == 0, err
-        assert alive_at_load == [0] * 20
-        assert len(refs) == 20
+        for parts in (1, 2, 3):
+            built.write_text("")
+            alive.write_text("")
+            with split_into(parts):
+                code, _, err = run(capsys, *command_argv(command, outputs, tmp_path / "out"))
+            assert code == 0, err
+            assert alive.read_text().split() == ["0"] * 20, parts
+            assert len(built.read_text().split()) == 20, parts
+            assert no_child_left()
 
     @pytest.mark.parametrize(
         "command, written",
@@ -1347,13 +1378,13 @@ class TestCorpusReadOnce:
         corpus = tmp_path / "corpus"
         shutil.copytree(MINI_CORPUS, corpus)
         (corpus / "Z999.conllu").write_text("# a sidecar no article claims\n")
-        opened = Counter()
+        opened = tmp_path / "opened"  # a line per corpus file read, by whichever process
         read_bytes = pipeline._read_bytes
 
         def counting_read_bytes(*path):
             full = Path(os.path.join(*path))
             if full.parent == corpus:
-                opened[full.name] += 1
+                append(opened, full.name)
             return read_bytes(*path)
 
         monkeypatch.setattr(pipeline, "_read_bytes", counting_read_bytes)
@@ -1362,21 +1393,26 @@ class TestCorpusReadOnce:
             "calibrate": resource_args(),
             "classify": ["--weights", str(outputs / "weights.json"), *resource_args()],
         }[command]
-        out = tmp_path / "out"
-        code, _, err = run(capsys, command, "--corpus", str(corpus), "--out", str(out), *extra)
-        assert code == 0, err
         names = pipeline.corpus_files(corpus)
         assert "Z999.conllu" in names and "gold.jsonl" not in names
-        assert opened == {name: 1 for name in names}
-        text = (out / header_file).read_text()
-        header = json.loads(text.splitlines()[0] if header_file.endswith(".jsonl") else text)
-        if "provenance" in header:
-            header = header["provenance"]
-        hashes = {k: v for k, v in header["inputs"].items() if k.startswith("corpus/")}
-        assert hashes == {
-            f"corpus/{name}": hashlib.sha256((corpus / name).read_bytes()).hexdigest()
-            for name in names
-        }
+        for parts in (1, 2, 3):
+            opened.write_text("")
+            out = tmp_path / f"out{parts}"
+            argv = [command, "--corpus", str(corpus), "--out", str(out), *extra]
+            with split_into(parts):
+                code, _, err = run(capsys, *argv)
+            assert code == 0, err
+            assert no_child_left()
+            assert Counter(opened.read_text().split()) == {name: 1 for name in names}, parts
+            text = (out / header_file).read_text()
+            header = json.loads(text.splitlines()[0] if header_file.endswith(".jsonl") else text)
+            if "provenance" in header:
+                header = header["provenance"]
+            hashes = {k: v for k, v in header["inputs"].items() if k.startswith("corpus/")}
+            assert hashes == {
+                f"corpus/{name}": hashlib.sha256((corpus / name).read_bytes()).hexdigest()
+                for name in names
+            }, parts
 
     @pytest.mark.parametrize("command, flag", NON_CORPUS_INPUTS)
     def test_each_other_input_opened_once_and_hashed(

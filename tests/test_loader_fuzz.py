@@ -6,7 +6,9 @@ values of other types or deleted, CoNLL-U lines broken against the rules at
 https://universaldependencies.org/format.html, and lines dropped or
 repeated. A loader may accept the result or raise a FigdescError subclass;
 any other exception is a bug. The same mutations, written to the file
-behind each command-line flag, must never make main() return 3.
+behind each command-line flag, must never make main() return 3, and a
+corpus command must give the same exit code, output and bytes whether it
+reads the corpus in one, two or three parts.
 """
 
 import contextlib
@@ -31,7 +33,7 @@ from figdesc.ontology import load_ontology
 from figdesc.scoring import WeightTable, load_weight_table, save_weight_table
 from figdesc.tmr import load_gazetteer
 
-from .helpers import LABELED_PATH, MINI_CORPUS
+from .helpers import LABELED_PATH, MINI_CORPUS, no_child_left, split_into
 
 BAD_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80"]
 ODD_VALUES = [
@@ -317,6 +319,25 @@ def _main(argv: list[str]) -> int:
         return cli.main(argv)
 
 
+def _main_in_parts(argv: list[str], out) -> int:
+    """main(argv) with --out out, its corpus read in one, two and three parts.
+
+    Each run must give the same exit code, stdout, stderr and output bytes,
+    and leave no child process behind.
+    """
+    runs = []
+    for parts in (1, 2, 3) if argv[0] in ("detect", "calibrate", "classify") else (1,):
+        shutil.rmtree(out, ignore_errors=True)
+        sink = io.StringIO()
+        with split_into(parts), contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = cli.main([*argv, "--out", str(out)])
+        files = {f.name: f.read_bytes() for f in out.iterdir()} if out.is_dir() else None
+        runs.append((code, sink.getvalue(), files))
+        assert no_child_left()
+    assert all(run == runs[0] for run in runs), [run[:2] for run in runs]
+    return runs[0][0]
+
+
 # (command, flag): the mutations that apply to the file behind the flag
 FLAGS = {
     ("detect", "corpus/M001.json"): JSON,
@@ -354,8 +375,7 @@ def test_main_never_returns_3_on_a_mutated_input(workspace, command, flag, data)
         argv[i] = str(target)
     bad = data.draw(mutated(target.read_bytes(), FLAGS[command, flag]), label="file")
     target.write_bytes(bad)
-    code = _main([*argv, "--out", str(workspace / "out")])
-    assert code in (0, 1, 2)
+    assert _main_in_parts(argv, workspace / "out") in (0, 1, 2)
 
 
 # Words of the one-article corpus, and regex shapes that compile with a group
@@ -387,4 +407,4 @@ def unusual_pattern(draw) -> str:
 def test_main_never_returns_3_on_an_unusual_pattern(workspace, command, pattern, window):
     (argv,) = [a for a in _chain(workspace) if a[0] == command]
     argv += ["--pattern", pattern, "--window", str(window)]
-    assert _main([*argv, "--out", str(workspace / "out")]) == 0
+    assert _main_in_parts(argv, workspace / "out") == 0

@@ -4,8 +4,12 @@ import io
 import json
 import re
 import shutil
+import signal
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,8 @@ from figdesc.corpus import load_article_json
 from figdesc.errors import AlignmentError, ArticleParseError, ConfigError, SchemaError
 from figdesc.figref import detect_figure_refs, neighbor_positions, select_neighbors
 from figdesc.scoring import WeightTable, calibrate
+
+from .helpers import MINI_CORPUS, no_child_left, split_into
 
 
 class TestCorpusDir:
@@ -402,3 +408,192 @@ class TestProvenance:
         assert res.embeddings is None
         assert res.gazetteer == frozenset()
         assert res.graph.has_concept("THING")
+
+
+# A corpus command in a child interpreter, its corpus cut into argv[1]
+# parts. The article titled "kill" kills the process that detects it. The
+# command exits 99 if it leaves a child behind.
+SPLIT_MAIN = """
+import os, signal, sys
+from figdesc import cli, pipeline
+pipeline._part_count = lambda n_files: int(sys.argv[1])
+detect_article = pipeline.detect_article
+def detect(article, *args):
+    if article.title == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return detect_article(article, *args)
+pipeline.detect_article = detect
+code = cli.main(sys.argv[2:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit(99)
+"""
+
+
+class TestSplitCorpus:
+    """A corpus read in forked parts gives what one pass over its files gives.
+
+    Each case runs detect with one part and with two and three, and leaves
+    no child process behind.
+    """
+
+    @staticmethod
+    def corpus(path: Path, uids: dict[str, str], titles=None, bad=()) -> Path:
+        """Mini corpus article M001 under each file name and uid; bad files are malformed.
+
+        titles gives some of the files a title, which the tests' hooks look for.
+        """
+        path.mkdir()
+        doc = json.loads((MINI_CORPUS / "M001.json").read_text())
+        for name, uid in uids.items():
+            title = (titles or {}).get(name, "")
+            (path / name).write_text(json.dumps({**doc, "uid": uid, "title": title}))
+        for name in bad:
+            (path / name).write_text('{"uid": ')
+        return path
+
+    @staticmethod
+    def detect(capsys, corpus: Path, out: Path) -> list[tuple]:
+        """(exit code, stdout, stderr, output files) of detect, by part count."""
+        runs = []
+        for parts in (1, 2, 3):
+            shutil.rmtree(out, ignore_errors=True)
+            with split_into(parts):
+                code = main(["detect", "--corpus", str(corpus), "--out", str(out)])
+            captured = capsys.readouterr()
+            files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else None
+            runs.append((code, captured.out, captured.err, files))
+            assert no_child_left()
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        return runs[0]
+
+    def test_outputs_match_one_part(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI_CORPUS, corpus)
+        code, out, _, files = self.detect(capsys, corpus, tmp_path / "out")
+        assert code == 0 and "20 articles" in out and files
+
+    def test_duplicate_uid_across_parts(self, capsys, tmp_path):
+        uids = {"a.json": "X", "b.json": "Y", "c.json": "Z", "d.json": "X"}
+        corpus = self.corpus(tmp_path / "corpus", uids)
+        code, _, err, files = self.detect(capsys, corpus, tmp_path / "out")
+        assert (code, err, files) == (
+            2, "error: uid: duplicate article uid 'X' in a.json and d.json\n", None
+        )
+
+    def test_bad_file_in_each_part(self, capsys, tmp_path):
+        uids = {"a.json": "A", "c.json": "C"}
+        corpus = self.corpus(tmp_path / "corpus", uids, bad=["b.json", "d.json"])
+        code, _, err, files = self.detect(capsys, corpus, tmp_path / "out")
+        assert (code, files) == (2, None)
+        assert err.startswith("error: b.json: article: malformed JSON")
+
+    def test_duplicate_in_a_later_part_before_an_error(self, capsys, tmp_path):
+        uids = {"a.json": "X", "b.json": "Y", "c.json": "X"}
+        corpus = self.corpus(tmp_path / "corpus", uids, bad=["d.json"])
+        code, _, err, _ = self.detect(capsys, corpus, tmp_path / "out")
+        assert (code, err) == (2, "error: uid: duplicate article uid 'X' in a.json and c.json\n")
+
+    def test_error_in_an_earlier_part_before_a_duplicate(self, capsys, tmp_path):
+        uids = {"a.json": "X", "c.json": "Y", "d.json": "X"}
+        corpus = self.corpus(tmp_path / "corpus", uids, bad=["b.json"])
+        code, _, err, _ = self.detect(capsys, corpus, tmp_path / "out")
+        assert code == 2 and err.startswith("error: b.json: article: malformed JSON")
+
+    @pytest.mark.parametrize("raised", ["ValueError", "local"])
+    def test_bug_in_a_part_exits_3(self, capsys, tmp_path, monkeypatch, raised):
+        """A bug keeps its message, even as an exception that does not pickle."""
+
+        class Local(Exception):
+            pass
+
+        detect_article = pipeline.detect_article
+
+        def detect(article, *args):
+            if article.title == "boom":
+                raise (ValueError if raised == "ValueError" else Local)("boom in d.json")
+            return detect_article(article, *args)
+
+        monkeypatch.setattr(pipeline, "detect_article", detect)
+        uids = {"a.json": "A", "b.json": "B", "c.json": "C", "d.json": "D"}
+        corpus = self.corpus(tmp_path / "corpus", uids, {"d.json": "boom"})
+        code, _, err, files = self.detect(capsys, corpus, tmp_path / "out")
+        assert (code, err, files) == (3, "internal error: boom in d.json\n", None)
+
+    def test_duplicate_whose_detection_raises(self, capsys, tmp_path, monkeypatch):
+        """One pass stops at the repeated uid before it detects that article."""
+        detect_article = pipeline.detect_article
+
+        def detect(article, *args):
+            if article.title == "boom":
+                raise ValueError("detected a repeated uid")
+            return detect_article(article, *args)
+
+        monkeypatch.setattr(pipeline, "detect_article", detect)
+        uids = {"a.json": "X", "b.json": "Y", "c.json": "Z", "d.json": "X"}
+        corpus = self.corpus(tmp_path / "corpus", uids, {"d.json": "boom"})
+        code, _, err, _ = self.detect(capsys, corpus, tmp_path / "out")
+        assert (code, err) == (2, "error: uid: duplicate article uid 'X' in a.json and d.json\n")
+
+    def test_killed_child_exits_3(self, tmp_path):
+        uids = {"a.json": "A", "b.json": "B", "c.json": "C", "d.json": "D"}
+        corpus = self.corpus(tmp_path / "corpus", uids, {"d.json": "kill"})
+        for parts in (2, 3):
+            proc = subprocess.run(
+                [sys.executable, "-c", SPLIT_MAIN, str(parts), "detect",
+                 "--corpus", str(corpus), "--out", str(tmp_path / "out")],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 3, proc.stderr
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                f"internal error: corpus part {parts} of {parts} was killed by signal"
+                f" {signal.SIGKILL.value} before it finished\n"
+            )
+            assert not (tmp_path / "out").exists()
+
+    def test_children_write_nothing_to_stdout(self, tmp_path):
+        """The bytes on the command's own stdout and stderr match one part's."""
+        runs = []
+        for parts in (1, 2):
+            out = tmp_path / "out"
+            shutil.rmtree(out, ignore_errors=True)
+            proc = subprocess.run(
+                [sys.executable, "-c", SPLIT_MAIN, str(parts), "detect",
+                 "--corpus", str(MINI_CORPUS), "--out", str(out)],
+                capture_output=True, timeout=120,
+            )
+            written = (out / "detect.jsonl").read_bytes()
+            runs.append((proc.returncode, proc.stdout, proc.stderr, written))
+        assert runs[1] == runs[0] and runs[0][0] == 0 and runs[0][2] == b""
+
+    @pytest.mark.parametrize("raised", [KeyboardInterrupt, RuntimeError])
+    def test_parent_error_kills_and_reaps_every_child(self, capsys, tmp_path, raised):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI_CORPUS, corpus)
+        argv = ["detect", "--corpus", str(corpus), "--out", str(tmp_path / "out")]
+        with split_into(2), mock.patch("pickle.loads", side_effect=raised("in the parent")):
+            if raised is KeyboardInterrupt:
+                with pytest.raises(KeyboardInterrupt):
+                    main(argv)
+            else:
+                assert main(argv) == 3
+        assert capsys.readouterr().err in ("", "internal error: in the parent\n")
+        assert no_child_left()
+        assert not (tmp_path / "out").exists()
+
+    def test_only_an_unstarted_iterator_is_read_in_parts(self):
+        """Read in parts, it yields nothing more; started, it goes on in this process."""
+        uid = lambda detection: detection.uid  # noqa: E731
+        articles = pipeline.load_corpus_dir(MINI_CORPUS)
+        with split_into(2):
+            assert len(pipeline.detect_by_uid(articles, 1, None, uid)) == 20
+        assert list(articles) == []
+        articles = pipeline.load_corpus_dir(MINI_CORPUS)
+        first = next(articles)
+        with split_into(2), mock.patch("os.fork", side_effect=AssertionError("forked")):
+            uids = pipeline.detect_by_uid(articles, 1, None, uid)
+        assert len(uids) == 19 and first.uid not in uids
+        assert no_child_left()
