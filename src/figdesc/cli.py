@@ -11,6 +11,7 @@ all before the command runs. Exit codes: 0 success, 1 usage/config error,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -214,9 +215,10 @@ def cmd_calibrate(settings: dict) -> int:
     articles = pipeline.load_corpus_dir(settings["corpus"], digests)
     refs = pipeline.reference_tmrs(articles, res, settings["pattern"])
     table = scoring.calibrate(refs)
-    header = _header(settings, digests)
+    weights = scoring.save_weight_table(table).encode()
+    header = {**_header(settings, digests), "weights": hashlib.sha256(weights).hexdigest()}
     with _writing(out):
-        (out / "weights.json").write_text(scoring.save_weight_table(table))
+        (out / "weights.json").write_bytes(weights)
         _write_json(out / "weights.meta.json", header)
     n_tmr, n_c, n_p = table.calibration_counts
     print(
@@ -227,21 +229,27 @@ def cmd_calibrate(settings: dict) -> int:
     return 0
 
 
-def _recorded_inputs(data: bytes) -> dict:
+def _recorded_inputs(data: bytes) -> tuple[dict, str]:
+    """The inputs a weights meta file records, and the sha256 of its weights."""
     doc = load_json_object(data, "weights meta")
-    return json_field(doc, "inputs", "weights meta", "an object of strings")
+    inputs = json_field(doc, "inputs", "weights meta", "an object of strings")
+    return inputs, json_field(doc, "weights", "weights meta", "a string")
 
 
 def _check_calibrated_with(settings: dict, digests: dict[str, str]) -> None:
     """The resources loaded must be those calibrate recorded beside --weights.
 
-    A resource recorded on one side only, or with another sha256, is an
+    The meta file counts only if it records the sha256 of the --weights bytes
+    read; one written for another table is ignored, as is a missing one. A
+    resource recorded on one side only, or with another sha256, is an
     AlignmentError. Corpus files are not compared: classify may score any corpus.
     """
     meta_path = Path(settings["weights"]).with_name("weights.meta.json")
     if not meta_path.is_file():
         return
-    recorded = pipeline.read_input(meta_path, parse=_recorded_inputs)
+    recorded, weights = pipeline.read_input(meta_path, parse=_recorded_inputs)
+    if weights != digests["weights"]:
+        return
     for key in _RESOURCES:
         want, got = recorded.get(key), digests.get(key)
         if want != got:

@@ -7,9 +7,9 @@ article refer to a figure and which of their neighbors are candidates;
 detect_by_uid runs it for detect, calibrate and classify alike, keeping only
 each article's small results and ordering them by uid. Given a
 load_corpus_dir iterator not yet started, detect_by_uid reads the corpus in
-one part per CPU, each in a forked child that pickles its results back
-through a pipe; the results, digests and errors are those of one pass over
-the files in name order.
+one part per CPU: the first in this process, and each other in a forked
+child that pickles its results back through its own pipe. The results,
+digests and errors are those of one pass over the files in name order.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Any, NoReturn, TypeVar
+from typing import Any, BinaryIO, NoReturn, TypeVar
 
 from .corpus import Article, Sentence, attach_parses, parse_jsonl
 from .corpus import load_article_json, load_article_xml
@@ -249,10 +249,11 @@ def detect_by_uid(
 
     map() drops each article and its detection once keep returns, so only
     what keep returns is held as the articles go by. A load_corpus_dir
-    iterator not yet started is read in parts instead (_kept_in_parts): one
-    child process per CPU runs this same map over a run of the corpus files
-    and sends back what keep returned. The result, the digests and every
-    error are those of one pass over the files in name order.
+    iterator not yet started is read in parts instead (_kept_in_parts), one
+    per CPU: this process runs the same map over the first run of the corpus
+    files, and a forked child over each other run, sending back what keep
+    returned. The result, the digests and every error are those of one pass
+    over the files in name order.
     """
 
     def kept(article: Article) -> tuple[str, T]:
@@ -265,12 +266,11 @@ def detect_by_uid(
     return [result for _, result in sorted(pairs, key=lambda pair: pair[0])]
 
 
-# A corpus is split only into parts of at least this many files. A split
-# costs about 20 ms of forking, pickling and merging, and a file 0.15-0.5 ms
-# to read and detect (2-CPU x86 host), so a smaller part saves less than that
-# on a second CPU.
+# A corpus is split only into parts of at least this many files. A child
+# costs about 5 ms of forking and pickling, and a file 0.15-0.5 ms to read
+# and detect (2-CPU x86 host), so a part this large repays its child many
+# times over on a free second CPU.
 _MIN_PART_FILES = 250
-_BATCH = 64  # articles whose kept pairs a child sends in one message
 
 
 def _part_count(n_files: int) -> int:
@@ -283,162 +283,112 @@ def _part_count(n_files: int) -> int:
 
 def _kept_in_parts(
     path: str | Path, digests: dict[str, str] | None, kept: Callable[[Article], tuple[str, T]]
-) -> Iterable[tuple[str, T]]:
+) -> list[tuple[str, T]]:
     """kept(article) for each article of the corpus at path, read in parts.
 
-    The sorted file names are cut into _part_count contiguous runs. One run
-    is read in this process; two or more are each read by a forked child
-    (_read_part), while this process only merges what they send. A sidecar
-    is read with its article, in whichever run that falls.
+    The sorted file names are cut into _part_count contiguous runs. This
+    process reads the first. A forked child reads each other run and sends
+    back what it kept down its own pipe (_read_part). The runs are then
+    taken in order, and the first to fail decides, as in one pass over the
+    files: by a uid an earlier run holds, by the error that stopped it, or
+    by its child's death. A sidecar is read with its article, in whichever
+    run that falls. Every child is reaped before this returns or raises, and
+    killed first if it raises, on KeyboardInterrupt too.
     """
     names = corpus_files(path)
     present = set(names)
     n, parts = len(names), _part_count(len(names))
-    if parts == 1:
-        return map(kept, _load_files(path, names, present, digests, {}))
     runs = [names[i * n // parts : (i + 1) * n // parts] for i in range(parts)]
-    return _merge_parts(runs, _fork_parts(path, digests, runs, present, kept))
-
-
-def _fork_parts(
-    path: str | Path,
-    digests: dict[str, str] | None,
-    runs: list[list[str]],
-    present: set[str],
-    kept: Callable[[Article], tuple[str, T]],
-) -> list[tuple[list[tuple[str, T]], Any, int]]:
-    """Per run, read by its own forked child: (kept pairs, end message, wait status).
-
-    The children share one pipe, and each writes its messages in pieces
-    small enough to reach it whole (_read_part). The digests they send go
-    into digests as they arrive. A run's end message is None if its
-    child died before it sent it. Every child is reaped before this returns
-    or raises, and killed first if it raises, on KeyboardInterrupt too.
-    """
-    import pickle  # only a split corpus sends anything between processes
-    import signal
-
+    if parts > 1:
+        import pickle  # only a split corpus sends anything between processes
+        import signal
     pids: list[int] = []
-    pairs: list[list] = [[] for _ in runs]
-    ends: list[Any] = [None] * len(runs)
-    buffers = [bytearray() for _ in runs]
-    r, w = os.pipe()
+    pipes: list[BinaryIO] = []
     try:
-        with open(r, "rb") as pipe:
+        for run in runs[1:]:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
             try:
-                for i, run in enumerate(runs):
-                    pid = os.fork()
-                    if pid == 0:
-                        os.close(r)
-                        _read_part(w, i, path, run, present, digests is not None, kept)
-                    pids.append(pid)
+                if (pid := os.fork()) == 0:
+                    _read_part(w, pipes, path, run, present, digests is not None, kept)
+                pids.append(pid)
             finally:
-                os.close(w)  # the pipe ends once the last child has closed it
-            while len(head := pipe.read(8)) == 8:
-                tag, size = int.from_bytes(head[:4], "little"), int.from_bytes(head[4:], "little")
-                i, buf = tag >> 1, buffers[tag >> 1]
-                buf += pipe.read(size)
-                if tag & 1:  # the message's last piece
-                    sent, hashes, ends[i] = pickle.loads(buf)
-                    buf.clear()
-                    pairs[i] += sent
-                    if hashes:
-                        digests.update(hashes)
+                os.close(w)  # the pipe ends once the child has closed its copy
+        file_of: dict[str, str] = {}
+        pairs = list(map(kept, _load_files(path, runs[0], present, digests, file_of)))
+        for part, (pid, pipe) in enumerate(zip(pids, pipes), start=2):
+            try:
+                sent, hashes, run_file_of, error = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pids.remove(pid)
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise RuntimeError(f"corpus part {part} of {parts} {how} before it finished")
+            for uid, name in run_file_of.items():
+                if uid in file_of:
+                    raise _duplicate_uid(uid, file_of[uid], name)
+                file_of[uid] = name
+            if error is not None:
+                raise error
+            pairs += sent
+            if hashes:
+                digests.update(hashes)
+        return pairs
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    return list(zip(pairs, ends, statuses))
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _read_part(
     fd: int,
-    part: int,
+    pipes: list[BinaryIO],
     path: str | Path,
     names: list[str],
     present: set[str],
     hashing: bool,
     kept: Callable[[Article], tuple[str, T]],
 ) -> NoReturn:
-    """In a forked child: send down fd the kept pairs of the articles in names.
+    """In a forked child: write down fd one pickle of (pairs, digests, file_of, error).
 
-    Each message is a pickle of (pairs, digests, end), and holds the pairs
-    and the digests taken since the last one. The last message alone has an
-    end: the error that stopped the run, or None, and the uid of an article
-    loaded whose keep raised, or None. A message goes in pieces of at most
-    PIPE_BUF bytes, which a pipe never interleaves, each after 8 bytes:
-    part * 2 + (1 on the message's last piece), and the piece's length. The
-    child writes nothing else and leaves through os._exit, so no exit
-    handler or unflushed buffer of the parent runs twice.
+    pairs are the kept pairs of the articles in names, and digests the hashes
+    of their files, or None unless hashing. file_of maps each article loaded
+    to its file name, one whose keep raised included. error is what stopped
+    the run, or None. The child closes the parent's pipes, writes nothing
+    else and leaves through os._exit, so no exit handler or unflushed buffer
+    of the parent runs twice.
     """
     code = 1
     try:
         import pickle
 
-        piece = os.fpathconf(fd, "PC_PIPE_BUF") - 8
+        for pipe in pipes:
+            pipe.close()
         digests: dict[str, str] | None = {} if hashing else None
-        batch: list = []
-
-        def send(end: tuple | None = None) -> None:
-            data = pickle.dumps((batch, digests, end), pickle.HIGHEST_PROTOCOL)
-            for start in range(0, len(data), piece):
-                chunk = data[start : start + piece]
-                tag = part << 1 | (start + piece >= len(data))
-                os.write(fd, tag.to_bytes(4, "little") + len(chunk).to_bytes(4, "little") + chunk)
-            batch.clear()
-            if digests:
-                digests.clear()
-
         file_of: dict[str, str] = {}
-        n_kept, error = 0, None
+        pairs: list = []
+        error = None
         try:
-            for pair in map(kept, _load_files(path, names, present, digests, file_of)):
-                batch.append(pair)
-                n_kept += 1
-                if len(batch) == _BATCH:
-                    send()
+            pairs = list(map(kept, _load_files(path, names, present, digests, file_of)))
         except Exception as e:  # noqa: BLE001 - the parent raises it in the run's place
             error = e
-        unkept = next(reversed(file_of)) if len(file_of) > n_kept else None
         try:
-            send((error, unkept))
+            data = pickle.dumps((pairs, digests, file_of, error), pickle.HIGHEST_PROTOCOL)
         except (pickle.PicklingError, TypeError, AttributeError):
-            # An error that does not pickle; main() prints only its message.
-            send((RuntimeError(str(error)), unkept))
+            # An error that does not pickle; main() prints only its message. Pairs
+            # that do not pickle fail again, and the child exits 1 having sent nothing.
+            error = RuntimeError(str(error))
+            data = pickle.dumps((pairs, digests, file_of, error), pickle.HIGHEST_PROTOCOL)
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
         code = 0
     finally:
         os._exit(code)
-
-
-def _merge_parts(
-    runs: list[list[str]], parts: list[tuple[list[tuple[str, T]], Any, int]]
-) -> list[tuple[str, T]]:
-    """The runs' kept pairs, or the error that one pass over the files raises.
-
-    The runs are taken in order, and the first to fail decides: by a uid an
-    earlier run holds, by the error that stopped it, or by its child's death.
-    The n-th article a run loaded is its n-th article file.
-    """
-    file_of: dict[str, str] = {}
-    merged: list = []
-    for i, (run, (pairs, end, status)) in enumerate(zip(runs, parts)):
-        if end is None:
-            code = os.waitstatus_to_exitcode(status)
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise RuntimeError(f"corpus part {i + 1} of {len(runs)} {how} before it finished")
-        error, unkept = end
-        uids = chain((uid for uid, _ in pairs), [unkept] if unkept is not None else [])
-        articles = (name for name in run if _suffix(name) != ".conllu")
-        for uid, name in zip(uids, articles):
-            if uid in file_of:
-                raise _duplicate_uid(uid, file_of[uid], name)
-            file_of[uid] = name
-        if error is not None:
-            raise error
-        merged += pairs
-    return merged
 
 
 @dataclass

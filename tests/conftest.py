@@ -5,7 +5,16 @@ import pytest
 
 from figdesc import fixtures, pipeline
 
+from .helpers import no_child_left
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(autouse=True)
+def _no_child_left_behind():
+    """Fails any test that leaves a child process behind, running or unreaped."""
+    yield
+    assert no_child_left(), "the test left a child process behind"
 
 
 @pytest.fixture(scope="session")

@@ -1082,6 +1082,23 @@ class TestClassifyChecksCalibration:
         )
         assert code == 0, err
 
+    def test_meta_file_of_another_table_is_not_used(self, capsys, tmp_path, outputs):
+        """A table copied under another name beside another calibration's meta
+        file is used with the resources it was calibrated on."""
+        ontology = ["--ontology", str(fixtures.fixture_path("ontology.txt"))]
+        own = tmp_path / "own"
+        code, _, err = run(
+            capsys, "calibrate", "--corpus", str(MINI_CORPUS), "--out", str(own), *ontology
+        )
+        assert code == 0, err
+        where = self.weights_dir(tmp_path, outputs)
+        shutil.copyfile(own / "weights.json", where / "old.json")
+        code, _, err = run(
+            capsys, "classify", "--corpus", str(MINI_CORPUS), "--weights",
+            str(where / "old.json"), "--out", str(tmp_path / "out"), *ontology,
+        )
+        assert code == 0, err
+
     def test_meta_file_is_read_but_not_recorded(self, capsys, tmp_path, outputs):
         where = self.weights_dir(tmp_path, outputs)
         out = tmp_path / "out"
@@ -1092,7 +1109,7 @@ class TestClassifyChecksCalibration:
     @pytest.mark.parametrize(
         "text, message",
         [("{", "malformed JSON"), ('{"inputs": {"ontology": 5}}', "must be a string"),
-         ("{}", "missing field 'inputs'")],
+         ("{}", "missing field 'inputs'"), ('{"inputs": {}}', "missing field 'weights'")],
     )
     def test_bad_meta_file_is_a_data_error(self, capsys, tmp_path, outputs, text, message):
         where = self.weights_dir(tmp_path, outputs)

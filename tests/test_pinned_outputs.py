@@ -4,9 +4,11 @@ Each chain runs in this process through cli.main: the mini-corpus chain
 (detect, calibrate, classify, evaluate against its gold labels), baseline on
 the shipped labelled sentences, and the benchmark's four workloads at seed 1,
 scale 0.05. Each output file and each chain's stdout, with the output path
-masked, is hashed and compared with PINNED. A change that is meant to change
-an output re-pins it: run this file as a script, which prints the table, and
-say in CHANGES.md which rows changed and why.
+masked, is hashed and compared with PINNED. The chains that read a corpus run
+again with every corpus cut into two and three parts, and must give the same
+rows. A change that is meant to change an output re-pins it: run this file as
+a script, which prints the table, and say in CHANGES.md which rows changed
+and why.
 """
 
 from __future__ import annotations
@@ -23,14 +25,15 @@ from pathlib import Path
 import pytest
 
 if __package__:
-    from .helpers import LABELED_PATH, MINI_CORPUS, resource_args
+    from .helpers import LABELED_PATH, MINI_CORPUS, resource_args, split_into
 else:  # run as a script
     sys.path[:0] = [str(Path(__file__).resolve().parents[1] / p) for p in ("src", ".")]
-    from tests.helpers import LABELED_PATH, MINI_CORPUS, resource_args
+    from tests.helpers import LABELED_PATH, MINI_CORPUS, resource_args, split_into
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "bench" / "workloads.py"
 WORKLOAD_NAMES = ("parsed-narrow", "parsed-wide", "detect-plain", "baseline-cv")
+CORPUS_CHAINS = ("minicorpus", "parsed-narrow", "parsed-wide", "detect-plain")
 
 
 def load_workloads():
@@ -81,13 +84,16 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def output_digests(work: Path) -> dict[str, str]:
-    """'<chain>/<output file>' and '<chain>/stdout' to the sha256 of their bytes.
+def output_digests(work: Path, names: tuple[str, ...] | None = None) -> dict[str, str]:
+    """'<chain>/<output file>' and '<chain>/stdout' to the sha256 of their bytes,
+    for the chains named, or for every chain.
 
     FIGDESC_* variables would change settings, so they must be unset.
     """
     digests = {}
     for name, argvs in chains(work).items():
+        if names is not None and name not in names:
+            continue
         out = work / "out" / name
         digests[f"{name}/stdout"] = sha256(run_chain(argvs, out).encode())
         for path in sorted(out.rglob("*")):
@@ -117,7 +123,7 @@ PINNED = {
     "minicorpus/sweep.meta.json": "b4b845876382f260353fed35ad3389f5ffd6a6d8fe715e9a15c7be7c719b46c8",
     "minicorpus/sweep.tsv": "d7d9ae460314c8b4f07aae32c9e07516dab3cbb1aa5f6768a62855c9eaf43419",
     "minicorpus/weights.json": "b2f3c7d8ac0571a900f543eccc56becf268904b207513d82f4eda8b0945d08ed",
-    "minicorpus/weights.meta.json": "ee71fd18fbf435add4fdaffa267b2983796914c1fc6d8e0ce49c13059a9fc432",
+    "minicorpus/weights.meta.json": "242ddd451ad824e5d511c2f273f1e114cae97e69f044a5616aad4266f63cc4b5",
     "parsed-narrow/detect.jsonl": "d7caae3c5b75bd7d50f09321e71458e5d9cd41c40e1e14f7730e28ce2c0da30d",
     "parsed-narrow/metrics.json": "593e7ac1edf27512ae721b1d7d79f96ee0cf87894de4ec91549018413306b83f",
     "parsed-narrow/scores.jsonl": "33b27acd83a750a013eae07c678c8c8779c3ddda0c1f14d8c3d5ab4af0f016dc",
@@ -125,7 +131,7 @@ PINNED = {
     "parsed-narrow/sweep.meta.json": "c24c54f038e49999fa29e65f002372c7efcf75dc8705e08fbe365906973acd5a",
     "parsed-narrow/sweep.tsv": "5d0ed64e80b3472f25dfaad02c0dec6343e4b5ea0fd6b280de448695c8326ba6",
     "parsed-narrow/weights.json": "c5aec69e91ee7972339eea47b0f800a6bef9466f451e95a744929a3f150c15d2",
-    "parsed-narrow/weights.meta.json": "304597194ebe9557a11ca5d4fd348f4aa0da3f74b1f61dfd5cc17fd2b202ff67",
+    "parsed-narrow/weights.meta.json": "86603a59a034313c2d4cea27a07718dababa1703624a9719e63c148568b654dd",
     "parsed-wide/detect.jsonl": "8b77262657de738b5bd9282eff8636d2c403e4646395140cfcd2e44a78c045b3",
     "parsed-wide/metrics.json": "a7163a49fe064e35bfdba4b62a176a6fac7829099da9be7291336251dfd7eb54",
     "parsed-wide/scores.jsonl": "0bb8e5be919447dbcc039767445396cb24c154d296683eb9bb39ced6092cf479",
@@ -133,15 +139,22 @@ PINNED = {
     "parsed-wide/sweep.meta.json": "4dd6a2d890e20e9e08fd41ac5891727f0f9da5f4c4a0275d9f04932bf2dcc506",
     "parsed-wide/sweep.tsv": "f63576c824215ce446529f0234de018ce667071446fbdc6f66f531559617da0d",
     "parsed-wide/weights.json": "514b85289f384438bfa08085ed8620501e1a380207c736cda16b58be59424cbd",
-    "parsed-wide/weights.meta.json": "135dc505e2d7eb428de9452b2ceca2b2cda402de2d41b596e5e4614b5d2cd5b2",
+    "parsed-wide/weights.meta.json": "c02ec97ed592627adf5acdb553263d638f5ff04ab8bec4f3f0d3d900c34a32d2",
 }
+
+
+@contextlib.contextmanager
+def no_settings_from_env():
+    """FIGDESC_* variables would change settings, so the block runs without them."""
+    with pytest.MonkeyPatch.context() as mp:
+        for var in [v for v in os.environ if v.startswith("FIGDESC_")]:
+            mp.delenv(var)
+        yield
 
 
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
-    with pytest.MonkeyPatch.context() as mp:
-        for var in [v for v in os.environ if v.startswith("FIGDESC_")]:
-            mp.delenv(var)
+    with no_settings_from_env():
         return output_digests(tmp_path_factory.mktemp("pinned"))
 
 
@@ -159,10 +172,17 @@ def test_output_bytes_are_pinned(digests, name):
     )
 
 
+@pytest.mark.parametrize("parts", [2, 3])
+def test_split_corpus_gives_the_pinned_bytes(tmp_path, parts):
+    with no_settings_from_env(), split_into(parts):
+        found = output_digests(tmp_path, CORPUS_CHAINS)
+    pinned = {name: PINNED[name] for name in PINNED if name.split("/")[0] in CORPUS_CHAINS}
+    assert sorted(found) == sorted(pinned)
+    assert [name for name in pinned if found[name] != pinned[name]] == []
+
+
 if __name__ == "__main__":
-    for var in [v for v in os.environ if v.startswith("FIGDESC_")]:
-        del os.environ[var]
-    with tempfile.TemporaryDirectory() as tmp:
+    with no_settings_from_env(), tempfile.TemporaryDirectory() as tmp:
         table = output_digests(Path(tmp))
     print(f"# {versions()}")
     print("PINNED = {")

@@ -574,7 +574,7 @@ class TestSplitCorpus:
         corpus = tmp_path / "corpus"
         shutil.copytree(MINI_CORPUS, corpus)
         argv = ["detect", "--corpus", str(corpus), "--out", str(tmp_path / "out")]
-        with split_into(2), mock.patch("pickle.loads", side_effect=raised("in the parent")):
+        with split_into(2), mock.patch("pickle.load", side_effect=raised("in the parent")):
             if raised is KeyboardInterrupt:
                 with pytest.raises(KeyboardInterrupt):
                     main(argv)
@@ -583,6 +583,32 @@ class TestSplitCorpus:
         assert capsys.readouterr().err in ("", "internal error: in the parent\n")
         assert no_child_left()
         assert not (tmp_path / "out").exists()
+
+    def test_results_larger_than_a_pipe(self):
+        """A child waits in its write, with the pipe full, while this process
+        reads its own run; what it sends still arrives whole."""
+
+        def big(detection):  # about 100 KB per article
+            return (detection.uid * 25_000).encode()
+
+        runs = []
+        for parts in (1, 2, 3):
+            articles = pipeline.load_corpus_dir(MINI_CORPUS)
+            with split_into(parts):
+                runs.append(pipeline.detect_by_uid(articles, 1, None, big))
+            assert no_child_left()
+        assert len(runs[0]) == 20 and runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_child_that_sends_nothing(self):
+        """A result that does not pickle ends its child, and the command names the part."""
+
+        def unpicklable(detection):
+            return lambda: detection.uid
+
+        with split_into(2), pytest.raises(RuntimeError) as raised:
+            pipeline.detect_by_uid(pipeline.load_corpus_dir(MINI_CORPUS), 1, None, unpicklable)
+        assert str(raised.value) == "corpus part 2 of 2 exited with status 1 before it finished"
+        assert no_child_left()
 
     def test_only_an_unstarted_iterator_is_read_in_parts(self):
         """Read in parts, it yields nothing more; started, it goes on in this process."""
