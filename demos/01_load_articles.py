@@ -70,6 +70,6 @@ print()
 
 # ---- a whole corpus directory ----
 
-# load_corpus_dir yields one article at a time, in file-name order
+# a pass over load_corpus_dir's corpus yields one article at a time, in file-name order
 articles = sorted(pipeline.load_corpus_dir(MINI), key=lambda a: a.uid)
 print(len(articles), "articles:", ", ".join(a.uid for a in articles[:6]), "...")

@@ -34,8 +34,9 @@ WINDOW = 2  # neighbors on each side, as the CLI's --window
 
 # ---- calibration ----
 
-# each pass streams the corpus: load_corpus_dir yields one article at a time
-refs = pipeline.reference_tmrs(pipeline.load_corpus_dir(MINI), res)
+# each pass over the corpus reads it anew, one article at a time
+corpus = pipeline.load_corpus_dir(MINI)
+refs = pipeline.reference_tmrs(corpus, res)
 table = calibrate(refs)
 print("calibrated on", len(refs), "reference sentences")
 print("mean reference weight:", round(table.mean_ref_weight, 6))
@@ -48,7 +49,7 @@ print()
 
 # ---- scoring candidates ----
 
-scored = pipeline.score_candidates(pipeline.load_corpus_dir(MINI), res, table, WINDOW)
+scored = pipeline.score_candidates(corpus, res, table, WINDOW)
 threshold = compute_threshold(table.mean_ref_weight, LAMBDA)
 print(len(scored), "candidates, threshold", round(threshold, 6))
 

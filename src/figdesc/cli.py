@@ -181,7 +181,7 @@ def cmd_detect(settings: dict) -> int:
     out = Path(settings["out"])
     digests: dict[str, str] = {}
     pattern = settings["pattern"]
-    articles = pipeline.load_corpus_dir(settings["corpus"], digests)
+    corpus = pipeline.load_corpus_dir(settings["corpus"], digests)
 
     def row(uid: str, sentence: Sentence, neighbors: list[int]) -> str:
         matches = figref.detect_figure_refs(sentence, pattern)
@@ -193,7 +193,7 @@ def cmd_detect(settings: dict) -> int:
     def encoded(det: pipeline.ArticleDetection) -> tuple[list[str], int]:
         return [row(det.uid, *ref) for ref in det.refs], len(det.candidates)
 
-    detections = pipeline.detect_by_uid(articles, settings["window"], pattern, encoded)
+    detections = pipeline.detect_by_uid(corpus, settings["window"], pattern, encoded)
     header = _header(settings, digests)
     with _writing(out):
         pipeline.write_jsonl(
@@ -212,8 +212,8 @@ def cmd_calibrate(settings: dict) -> int:
     out = Path(settings["out"])
     digests: dict[str, str] = {}
     res = pipeline.load_resources(*(settings[k] for k in _RESOURCES), digests)
-    articles = pipeline.load_corpus_dir(settings["corpus"], digests)
-    refs = pipeline.reference_tmrs(articles, res, settings["pattern"])
+    corpus = pipeline.load_corpus_dir(settings["corpus"], digests)
+    refs = pipeline.reference_tmrs(corpus, res, settings["pattern"])
     table = scoring.calibrate(refs)
     weights = scoring.save_weight_table(table).encode()
     header = {**_header(settings, digests), "weights": hashlib.sha256(weights).hexdigest()}
@@ -267,10 +267,10 @@ def cmd_classify(settings: dict) -> int:
         settings["weights"], "weights", digests, scoring.load_weight_table
     )
     _check_calibrated_with(settings, digests)
-    articles = pipeline.load_corpus_dir(settings["corpus"], digests)
+    corpus = pipeline.load_corpus_dir(settings["corpus"], digests)
     threshold = scoring.compute_threshold(table.mean_ref_weight, settings["lambda"])
     scored = pipeline.score_candidates(
-        articles, res, table, settings["window"], settings["pattern"]
+        corpus, res, table, settings["window"], settings["pattern"]
     )
     descriptive = [scoring.classify(row.weight, threshold) for row in scored]
     records = (

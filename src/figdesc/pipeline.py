@@ -1,15 +1,15 @@
 """Corpus-level orchestration shared by the CLI commands.
 
 Articles live one per file in a corpus directory (.json or .xml), with an
-optional <stem>.conllu parse sidecar next to each. load_corpus_dir yields
-them one at a time. detect_article alone decides which sentences of an
-article refer to a figure and which of their neighbors are candidates;
-detect_by_uid runs it for detect, calibrate and classify alike, keeping only
-each article's small results and ordering them by uid. Given a
-load_corpus_dir iterator not yet started, detect_by_uid reads the corpus in
-one part per CPU: the first in this process, and each other in a forked
-child that pickles its results back through its own pipe. The results,
-digests and errors are those of one pass over the files in name order.
+optional <stem>.conllu parse sidecar next to each. load_corpus_dir returns
+a Corpus, a value each pass over which reads the articles anew, one at a
+time. detect_article alone decides which sentences of an article refer to a
+figure and which of their neighbors are candidates; detect_by_uid runs it for
+detect, calibrate and classify alike, keeping only each article's small
+results and ordering them by uid. It reads the corpus in one part per CPU:
+the first in this process, and each other in a forked child that pickles its
+results back through its own pipe. The results, digests and errors are those
+of one pass over the files in name order.
 """
 
 from __future__ import annotations
@@ -89,16 +89,20 @@ def corpus_files(path: str | Path) -> list[str]:
 
     These are the .json and .xml articles and the .conllu parse sidecars;
     the corpus loader reads and hashes them. An entry that is not a file
-    (a directory named like one, say) is no part of the corpus.
+    (a directory named like one, say) is no part of the corpus. A directory
+    that cannot be listed is a ConfigError naming the flag and the path.
     """
     if not os.path.isdir(path):
         raise ConfigError(f"corpus directory {path} does not exist")
-    with os.scandir(path) as entries:
-        names = [
-            entry.name
-            for entry in entries
-            if _suffix(entry.name) in _CORPUS_SUFFIXES and entry.is_file()
-        ]
+    try:
+        with os.scandir(path) as entries:
+            names = [
+                entry.name
+                for entry in entries
+                if _suffix(entry.name) in _CORPUS_SUFFIXES and entry.is_file()
+            ]
+    except OSError as e:
+        raise ConfigError(f"cannot read --corpus directory {path}: {e.strerror or e}") from e
     return sorted(names)
 
 
@@ -136,45 +140,31 @@ def read_input(
         raise type(e)(f"{label or path}: {e}") from e
 
 
-def load_corpus_dir(path: str | Path, digests: dict[str, str] | None = None) -> Iterator[Article]:
-    """Yield each article in a directory, one at a time, in file-name order.
+@dataclass(frozen=True)
+class Corpus:
+    """A corpus directory and the digests its reads go to; see load_corpus_dir."""
 
-    JSON and XML articles are both accepted; a <stem>.conllu file next to an
-    article attaches its parses. An error in a file names that file and is
-    raised when the loader reaches it, as is a uid that an earlier file
-    holds. Each corpus file is read once by read_input, orphan sidecars
-    included, under the key corpus/<file name>; digests is complete once the
-    iterator is exhausted. File-name order need not be uid order. Nothing is
-    read before the first next(); detect_by_uid may instead read an iterator
-    not yet started in parts, one per CPU.
-    """
-    return _Corpus(path, digests)
+    path: str | Path
+    digests: dict[str, str] | None
 
-
-class _Corpus(Iterator[Article]):
-    """The iterator load_corpus_dir returns."""
-
-    def __init__(self, path: str | Path, digests: dict[str, str] | None) -> None:
-        self.path = path
-        self.digests = digests
-        self._articles: Iterator[Article] | None = None
-
-    def __next__(self) -> Article:
-        if self._articles is None:
-            self._articles = self._load()
-        return next(self._articles)
-
-    def _load(self) -> Iterator[Article]:
+    def __iter__(self) -> Iterator[Article]:
         names = corpus_files(self.path)
         yield from _load_files(self.path, names, set(names), self.digests, {})
 
-    def claim(self) -> bool:
-        """Whether nothing has been read yet; if so, the caller reads the files
-        itself, and this iterator yields nothing more."""
-        if self._articles is not None:
-            return False
-        self._articles = iter(())
-        return True
+
+def load_corpus_dir(path: str | Path, digests: dict[str, str] | None = None) -> Corpus:
+    """The corpus in a directory, which each pass over it reads anew.
+
+    A pass yields each article, one at a time, in file-name order, which
+    need not be uid order. JSON and XML articles are both accepted; a
+    <stem>.conllu file next to an article attaches its parses. An error in a
+    file names that file and is raised when the pass reaches it, as is a uid
+    that an earlier file holds. Each corpus file is read once per pass by
+    read_input, orphan sidecars included, under the key corpus/<file name>;
+    digests is complete once a pass ends. Nothing is read before a pass
+    starts. detect_by_uid makes its pass in parts, one per CPU.
+    """
+    return Corpus(path, digests)
 
 
 def _duplicate_uid(uid: str, first: str, name: str) -> SchemaError:
@@ -242,30 +232,6 @@ def detect_article(
     return ArticleDetection(article.uid, refs, candidates)
 
 
-def detect_by_uid(
-    articles: Iterable[Article], window: int, pattern: str | None, keep: Callable[..., T]
-) -> list[T]:
-    """keep(detection) for each article's detection, in uid order.
-
-    map() drops each article and its detection once keep returns, so only
-    what keep returns is held as the articles go by. A load_corpus_dir
-    iterator not yet started is read in parts instead (_kept_in_parts), one
-    per CPU: this process runs the same map over the first run of the corpus
-    files, and a forked child over each other run, sending back what keep
-    returned. The result, the digests and every error are those of one pass
-    over the files in name order.
-    """
-
-    def kept(article: Article) -> tuple[str, T]:
-        return article.uid, keep(detect_article(article, window, pattern))
-
-    if isinstance(articles, _Corpus) and articles.claim():
-        pairs = _kept_in_parts(articles.path, articles.digests, kept)
-    else:
-        pairs = map(kept, articles)
-    return [result for _, result in sorted(pairs, key=lambda pair: pair[0])]
-
-
 # A corpus is split only into parts of at least this many files. A child
 # costs about 5 ms of forking and pickling, and a file 0.15-0.5 ms to read
 # and detect (2-CPU x86 host), so a part this large repays its child many
@@ -281,20 +247,28 @@ def _part_count(n_files: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_files // _MIN_PART_FILES))
 
 
-def _kept_in_parts(
-    path: str | Path, digests: dict[str, str] | None, kept: Callable[[Article], tuple[str, T]]
-) -> list[tuple[str, T]]:
-    """kept(article) for each article of the corpus at path, read in parts.
+def detect_by_uid(
+    corpus: Corpus, window: int, pattern: str | None, keep: Callable[..., T]
+) -> list[T]:
+    """keep(detection) for each article's detection, in uid order.
 
     The sorted file names are cut into _part_count contiguous runs. This
-    process reads the first. A forked child reads each other run and sends
-    back what it kept down its own pipe (_read_part). The runs are then
-    taken in order, and the first to fail decides, as in one pass over the
-    files: by a uid an earlier run holds, by the error that stopped it, or
-    by its child's death. A sidecar is read with its article, in whichever
-    run that falls. Every child is reaped before this returns or raises, and
-    killed first if it raises, on KeyboardInterrupt too.
+    process reads the first, and map() drops each article and its detection
+    once keep returns, so only what keep returns is held as the articles go
+    by. A forked child reads each other run and sends back what keep
+    returned down its own pipe (_read_part). The runs are then taken in
+    order, and the first to fail decides, as in one pass over the files: by
+    a uid an earlier run holds, by the error that stopped it, or by its
+    child's death. So the result, the digests and every error are those of
+    one pass. A sidecar is read with its article, in whichever run that
+    falls. Every child is reaped before this returns or raises, and killed
+    first if it raises, on KeyboardInterrupt too.
     """
+
+    def kept(article: Article) -> tuple[str, T]:
+        return article.uid, keep(detect_article(article, window, pattern))
+
+    path, digests = corpus.path, corpus.digests
     names = corpus_files(path)
     present = set(names)
     n, parts = len(names), _part_count(len(names))
@@ -333,7 +307,6 @@ def _kept_in_parts(
             pairs += sent
             if hashes:
                 digests.update(hashes)
-        return pairs
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -343,6 +316,7 @@ def _kept_in_parts(
             pipe.close()
         for pid in pids:
             os.waitpid(pid, 0)
+    return [result for _, result in sorted(pairs, key=lambda pair: pair[0])]
 
 
 def _read_part(
@@ -401,7 +375,7 @@ class ScoredSentence:
 
 
 def reference_tmrs(
-    articles: Iterable[Article],
+    corpus: Corpus,
     resources: Resources,
     pattern: str | None = None,
 ) -> list[Tmr]:
@@ -413,11 +387,11 @@ def reference_tmrs(
     def tmrs(detection: ArticleDetection) -> list[Tmr]:
         return [resources.tmr(sentence) for sentence, _ in detection.refs]
 
-    return list(chain.from_iterable(detect_by_uid(articles, 0, pattern, tmrs)))
+    return list(chain.from_iterable(detect_by_uid(corpus, 0, pattern, tmrs)))
 
 
 def score_candidates(
-    articles: Iterable[Article],
+    corpus: Corpus,
     resources: Resources,
     table: WeightTable,
     window: int,
@@ -432,7 +406,7 @@ def score_candidates(
             for s, tmr in zip(sentences, map(resources.tmr, sentences))
         ]
 
-    return list(chain.from_iterable(detect_by_uid(articles, window, pattern, rows)))
+    return list(chain.from_iterable(detect_by_uid(corpus, window, pattern, rows)))
 
 
 # ---- provenance ----

@@ -121,7 +121,7 @@ def element_contributions(
 ) -> list[tuple[tuple[str, str, int], float]]:
     """Per-occurrence contributions weight/distance^2, in canonical order."""
     rows = []
-    for el in sorted(tmr.elements, key=lambda e: (e.kind, e.name, e.distance)):
+    for el in sorted(tmr.elements):
         if not _included(el.kind, el.name):
             continue
         w = _weight_of(el.kind, el.name, table)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .corpus import ParsedSentence, Token, decode_utf8
 from .errors import CompletionError, SchemaError
@@ -59,16 +60,12 @@ _FORMULA_UNIT_RE = re.compile(r"([A-Z][a-z]?)(\d*)")
 _MAX_COMBINATIONS = 100_000
 
 
-@dataclass(frozen=True, slots=True)
-class TmrElement:
+class TmrElement(NamedTuple):
+    """One element of a representation; sorts by kind, then name, then distance."""
+
     kind: str  # CONCEPT or PROPERTY
     name: str  # ontology identifier, or UNKNOWN for placeholders
     distance: int
-
-    def __reduce__(self) -> tuple:
-        # Pickled as a constructor call: the frozen-slots default state calls
-        # dataclasses.fields() per element, and a split corpus unpickles many.
-        return TmrElement, (self.kind, self.name, self.distance)
 
 
 @dataclass
@@ -225,11 +222,10 @@ def _combination_score(
         entry = assignment.get(mod.index)
         if entry is None or not isinstance(entry.sense, PropertySense):
             continue
-        prop = graph.properties.get(entry.sense.prop)
-        if prop is None or prop.kind != KIND_ATTRIBUTE:
+        if not _is_attribute(graph, entry.sense.prop):
             continue
         bearer = concept_of.get(anchor.index)
-        if bearer is not None and graph.attribute_applies(prop.name, bearer):
+        if bearer is not None and graph.attribute_applies(entry.sense.prop, bearer):
             score += 1
     return score
 
@@ -260,6 +256,12 @@ def _choose_assignment(
         if best_key is None or key < best_key:
             best, best_key = assignment, key
     return best or {}
+
+
+def _is_attribute(graph: OntologyGraph, prop_name: str) -> bool:
+    """Whether the property is an ATTRIBUTE, the only kind a path completes."""
+    prop = graph.properties.get(prop_name)
+    return prop is not None and prop.kind == KIND_ATTRIBUTE
 
 
 def _emit_concept(tmr: Tmr, graph: OntologyGraph, concept: str, distance: int) -> None:
@@ -347,7 +349,7 @@ def build_tmr(
                     role = "THEME-INFORMATION"
                 tmr.elements.append(TmrElement(PROPERTY, role, 1))
                 tmr.edges.append((event, role, concept))
-        elif event is not None:
+        elif event is not None and _is_attribute(graph, entry.sense.prop):
             try:
                 _emit_completion(tmr, graph, event, role, entry.sense)
             except CompletionError:
@@ -355,8 +357,8 @@ def build_tmr(
             tmr.elements.append(TmrElement(PROPERTY, entry.sense.prop, 1))
             tmr.elements.append(TmrElement(PROPERTY, role, 1))
         else:
-            # No event concept to anchor a completion; the evoked property
-            # still stands on its own at distance 1.
+            # No event concept to anchor a completion, or a property that is
+            # no attribute: the evoked property stands on its own at distance 1.
             tmr.elements.append(TmrElement(PROPERTY, entry.sense.prop, 1))
 
     for mod, anchor in frame.modifiers:
@@ -380,8 +382,7 @@ def build_tmr(
             if sense.value is None:
                 tmr.elements.append(TmrElement(CONCEPT, UNKNOWN, 1))
             continue
-        prop = graph.properties.get(sense.prop)
-        if event is not None and prop is not None and prop.kind == KIND_ATTRIBUTE:
+        if event is not None and _is_attribute(graph, sense.prop):
             try:
                 _emit_completion(tmr, graph, event, "THEME", sense)
             except CompletionError:
@@ -426,8 +427,7 @@ def tmr_to_json(tmr: Tmr) -> dict:
     return {
         "sentence": tmr.sentence_ref,
         "elements": [
-            {"kind": e.kind, "name": e.name, "distance": e.distance}
-            for e in sorted(tmr.elements, key=lambda e: (e.kind, e.name, e.distance))
+            {"kind": kind, "name": name, "distance": d} for kind, name, d in sorted(tmr.elements)
         ],
         "edges": sorted([list(edge) for edge in tmr.edges]),
     }

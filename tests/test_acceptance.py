@@ -369,10 +369,11 @@ def test_07_end_to_end_f1(mini_articles, resources, gold_labels):
         assert len(mini_articles) == 20
         assert len(gold_labels) == 40
 
-        refs = pipeline.reference_tmrs(mini_articles, resources)
+        corpus = pipeline.load_corpus_dir(MINI_CORPUS)
+        refs = pipeline.reference_tmrs(corpus, resources)
         table = calibrate(refs)
         threshold = compute_threshold(table.mean_ref_weight, 0.5)
-        scored = pipeline.score_candidates(mini_articles, resources, table, 2)
+        scored = pipeline.score_candidates(corpus, resources, table, 2)
 
         keys = sorted(gold_labels)
         by_id = {(r.uid, r.global_index): r for r in scored}

@@ -1163,7 +1163,7 @@ class TestParseChecksGuardEveryCommand:
         assert "sentence 0" in err
 
     def test_tokens_read_by_name(self):
-        article = next(pipeline.load_corpus_dir(MINI_CORPUS))
+        article = next(iter(pipeline.load_corpus_dir(MINI_CORPUS)))
         assert article.uid == "M001"
         parse = article.sentences()[0].parse
         tok = parse.tokens[2]
@@ -1365,6 +1365,27 @@ class TestStreamedCorpus:
         code, _, err = run(capsys, *corpus_argv(command, outputs, corpus, out))
         assert code == 2
         assert "a.json: article: malformed JSON" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", CORPUS_COMMANDS)
+    def test_unlistable_corpus_directory_exits_1(
+        self, capsys, tmp_path, outputs, monkeypatch, command
+    ):
+        """The listing fails as if the directory were unreadable, which root ignores."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI_CORPUS, corpus)
+        scandir = os.scandir
+
+        def refuse(path="."):
+            if Path(path) == corpus:
+                raise PermissionError(13, "Permission denied", str(path))
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", refuse)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *corpus_argv(command, outputs, corpus, out))
+        assert code == 1
+        assert err == f"error: cannot read --corpus directory {corpus}: Permission denied\n"
         assert not out.exists()
 
     def test_classify_reads_weights_before_the_corpus(self, capsys, tmp_path, outputs):

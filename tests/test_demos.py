@@ -9,7 +9,8 @@ import pytest
 
 import figdesc
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -23,3 +24,15 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_quick_start_runs():
+    """The README's first python block prints a row per mini-corpus candidate."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(Path(figdesc.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", block], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 40

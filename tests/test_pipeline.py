@@ -71,14 +71,14 @@ class TestCorpusDir:
     def test_missing_directory(self, tmp_path):
         articles = pipeline.load_corpus_dir(tmp_path / "nope")  # listed at the first next()
         with pytest.raises(ConfigError, match="does not exist"):
-            next(articles)
+            next(iter(articles))
 
     def test_yields_in_file_name_order_and_fails_at_the_bad_file(self, tmp_path):
         (tmp_path / "a.json").write_text(json.dumps({"uid": "Z", "body": [["Fine."]]}))
         (tmp_path / "b.json").write_text(json.dumps({"uid": "A", "body": [["Also."]]}))
         assert [a.uid for a in pipeline.load_corpus_dir(tmp_path)] == ["Z", "A"]
         (tmp_path / "c.json").write_text('{"uid": "C", ')
-        articles = pipeline.load_corpus_dir(tmp_path)
+        articles = iter(pipeline.load_corpus_dir(tmp_path))
         assert [next(articles).uid, next(articles).uid] == ["Z", "A"]
         with pytest.raises(ArticleParseError, match="^c.json: "):
             next(articles)
@@ -292,23 +292,38 @@ class TestReferenceTmrs:
             for s in article.sentences()
             if rx.search(s.text)
         )
-        tmrs = pipeline.reference_tmrs(mini_articles, resources)
+        tmrs = pipeline.reference_tmrs(pipeline.load_corpus_dir(MINI_CORPUS), resources)
         assert len(tmrs) == expected == 60
 
-    def test_uid_order_whatever_the_input_order(self, mini_articles, resources):
-        in_order = pipeline.reference_tmrs(mini_articles, resources)
-        assert pipeline.reference_tmrs(iter(mini_articles[::-1]), resources) == in_order
+    def test_uid_order_whatever_the_input_order(self, resources, reversed_mini):
+        in_order = pipeline.reference_tmrs(pipeline.load_corpus_dir(MINI_CORPUS), resources)
+        reverse = pipeline.load_corpus_dir(reversed_mini)
+        assert pipeline.reference_tmrs(reverse, resources) == in_order
 
 
 @pytest.fixture(scope="module")
-def table(mini_articles, resources):
-    refs = pipeline.reference_tmrs(mini_articles, resources)
+def reversed_mini(tmp_path_factory):
+    """A copy of the mini corpus whose file names run in the reverse of uid order."""
+    path = tmp_path_factory.mktemp("reversed") / "corpus"
+    path.mkdir()
+    names = pipeline.corpus_files(MINI_CORPUS)
+    uids = sorted({name.split(".")[0] for name in names})
+    for name in names:
+        stem, suffix = name.split(".")
+        shutil.copy(MINI_CORPUS / name, path / f"{len(uids) - uids.index(stem):02}.{suffix}")
+    assert [a.uid for a in pipeline.load_corpus_dir(path)] == uids[::-1]
+    return path
+
+
+@pytest.fixture(scope="module")
+def table(resources):
+    refs = pipeline.reference_tmrs(pipeline.load_corpus_dir(MINI_CORPUS), resources)
     return calibrate(refs)
 
 
 class TestScoreCandidates:
-    def test_rows_sorted_and_complete(self, mini_articles, resources, table):
-        rows = pipeline.score_candidates(mini_articles, resources, table, 2)
+    def test_rows_sorted_and_complete(self, resources, table):
+        rows = pipeline.score_candidates(pipeline.load_corpus_dir(MINI_CORPUS), resources, table, 2)
         keys = [(r.uid, r.global_index) for r in rows]
         assert keys == sorted(keys)
         assert len(rows) == 40  # two candidates per article
@@ -318,14 +333,15 @@ class TestScoreCandidates:
             assert r.text
             assert r.tmr.sentence_ref == r.global_index
 
-    def test_uid_order_whatever_the_input_order(self, mini_articles, resources, table):
-        in_order = pipeline.score_candidates(mini_articles, resources, table, 2)
-        reverse = iter(mini_articles[::-1])
+    def test_uid_order_whatever_the_input_order(self, resources, table, reversed_mini):
+        mini = pipeline.load_corpus_dir(MINI_CORPUS)
+        in_order = pipeline.score_candidates(mini, resources, table, 2)
+        reverse = pipeline.load_corpus_dir(reversed_mini)
         assert pipeline.score_candidates(reverse, resources, table, 2) == in_order
 
-    def test_unknown_elements_score_zero(self, mini_articles, resources):
+    def test_unknown_elements_score_zero(self, resources):
         empty = WeightTable({}, {}, 0.0, (0, 0, 0))
-        rows = pipeline.score_candidates(mini_articles, resources, empty, 2)
+        rows = pipeline.score_candidates(pipeline.load_corpus_dir(MINI_CORPUS), resources, empty, 2)
         assert all(r.weight == 0.0 for r in rows)
 
 
@@ -350,26 +366,30 @@ class TestOneDefinitionOfAReference:
             for i, body in enumerate(bodies):  # file-name order is the reverse of uid order
                 doc = {"uid": f"U{i}", "body": body}
                 (corpus / f"{len(bodies) - i}.json").write_text(json.dumps(doc))
+                (Path(tmp) / f"U{i}").mkdir()  # a corpus of this article alone
+                (Path(tmp) / f"U{i}" / "a.json").write_text(json.dumps(doc))
             argv = ["detect", "--corpus", str(corpus), "--window", str(window), "--out", str(out)]
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main([*argv, *(["--pattern", pattern] if pattern else [])]) == 0
             _, rows = pipeline.read_jsonl(out / "detect.jsonl")
             articles = list(pipeline.load_corpus_dir(corpus))
-        refs = {article.uid: [] for article in articles}
-        candidates = set()
-        sentences = {(a.uid, s.global_index): s for a in articles for s in a.sentences()}
-        for row in rows:
-            matches = detect_figure_refs(sentences[row["uid"], row["global_index"]], pattern)
-            assert row["labels"] == sorted({label for m in matches for label in m.labels})
-            assert row["spans"] == [list(m.span) for m in matches]
-            refs[row["uid"]].append(row["global_index"])
-            candidates.update((row["uid"], gidx) for gidx in row["neighbors"])
-        for article in articles:
-            tmrs = pipeline.reference_tmrs([article], resources, pattern)
-            assert [tmr.sentence_ref for tmr in tmrs] == refs[article.uid]
-        table = WeightTable({}, {}, 0.0, (0, 0, 0))
-        scored = pipeline.score_candidates(articles, resources, table, window, pattern)
-        assert [(row.uid, row.global_index) for row in scored] == sorted(candidates)
+            refs = {article.uid: [] for article in articles}
+            candidates = set()
+            sentences = {(a.uid, s.global_index): s for a in articles for s in a.sentences()}
+            for row in rows:
+                matches = detect_figure_refs(sentences[row["uid"], row["global_index"]], pattern)
+                assert row["labels"] == sorted({label for m in matches for label in m.labels})
+                assert row["spans"] == [list(m.span) for m in matches]
+                refs[row["uid"]].append(row["global_index"])
+                candidates.update((row["uid"], gidx) for gidx in row["neighbors"])
+            for article in articles:
+                alone = pipeline.load_corpus_dir(Path(tmp) / article.uid)
+                tmrs = pipeline.reference_tmrs(alone, resources, pattern)
+                assert [tmr.sentence_ref for tmr in tmrs] == refs[article.uid]
+            table = WeightTable({}, {}, 0.0, (0, 0, 0))
+            whole = pipeline.load_corpus_dir(corpus)
+            scored = pipeline.score_candidates(whole, resources, table, window, pattern)
+            assert [(row.uid, row.global_index) for row in scored] == sorted(candidates)
 
 
 class TestProvenance:
@@ -610,16 +630,21 @@ class TestSplitCorpus:
         assert str(raised.value) == "corpus part 2 of 2 exited with status 1 before it finished"
         assert no_child_left()
 
-    def test_only_an_unstarted_iterator_is_read_in_parts(self):
-        """Read in parts, it yields nothing more; started, it goes on in this process."""
+    def test_a_corpus_iterated_before_is_read_whole_again(self):
+        """A corpus is a value: each pass reads every file, whatever passes came before."""
         uid = lambda detection: detection.uid  # noqa: E731
-        articles = pipeline.load_corpus_dir(MINI_CORPUS)
-        with split_into(2):
-            assert len(pipeline.detect_by_uid(articles, 1, None, uid)) == 20
-        assert list(articles) == []
-        articles = pipeline.load_corpus_dir(MINI_CORPUS)
-        first = next(articles)
-        with split_into(2), mock.patch("os.fork", side_effect=AssertionError("forked")):
-            uids = pipeline.detect_by_uid(articles, 1, None, uid)
-        assert len(uids) == 19 and first.uid not in uids
-        assert no_child_left()
+        digests = {}
+        corpus = pipeline.load_corpus_dir(MINI_CORPUS, digests)
+        assert next(iter(corpus)).uid == "M001"
+        assert sorted(digests) == ["corpus/M001.conllu", "corpus/M001.json"]
+        uids = [f"M{i:03}" for i in range(1, 21)]
+        for parts in (1, 2):
+            digests.clear()
+            with split_into(parts):
+                assert pipeline.detect_by_uid(corpus, 1, None, uid) == uids
+            assert no_child_left()
+            assert digests == {
+                f"corpus/{name}": hashlib.sha256((MINI_CORPUS / name).read_bytes()).hexdigest()
+                for name in pipeline.corpus_files(MINI_CORPUS)
+            } and len(digests) == 40
+        assert [article.uid for article in corpus] == uids

@@ -302,6 +302,33 @@ class TestBuildTmr:
         assert all(k != CONCEPT or resources.graph.root_of(n) != "EVENT" for k, n, _ in got)
         assert "AGENT" not in names(tmr) and "THEME" not in names(tmr)
 
+    def test_non_attribute_slot_property_stands_alone(self):
+        """A subject whose sense is a case role is not completed as an attribute."""
+        graph = load_ontology(
+            "concept MEASURE is-a EVENT\nconcept SAMPLE is-a OBJECT\n"
+            "lex measure pos VERB -> concept MEASURE\n"
+            "lex agent pos NOUN -> property AGENT\n"
+            "lex sample pos NOUN -> concept SAMPLE\n"
+        )
+        rows = [
+            (1, "The", "the", "DET", 2, "det"),
+            (2, "agent", "agent", "NOUN", 3, "nsubj"),
+            (3, "measures", "measure", "VERB", 0, "root"),
+            (4, "Fig.", "fig.", "NOUN", 6, "compound"),
+            (5, "1", "1", "NUM", 4, "nummod"),
+            (6, "sample", "sample", "NOUN", 3, "obj"),
+            (7, ".", ".", "PUNCT", 3, "punct"),
+        ]
+        sent = parsed_sentence("The agent measures Fig. 1 sample.", rows)
+        tmr = build_sentence_tmr(sent, graph)
+        assert elements(tmr) == [
+            (CONCEPT, "MEASURE", 1),
+            (CONCEPT, "SAMPLE", 1),
+            (PROPERTY, "AGENT", 1),
+            (PROPERTY, "THEME", 1),
+        ]
+        assert tmr.edges == [("MEASURE", "THEME", "SAMPLE")]
+
     def test_unparsed_sentence_is_unmappable(self, resources):
         from .helpers import make_sentence
 
