@@ -2,7 +2,7 @@
 
 Verbs missing from the lexicon are rewritten to known lemmas by intersecting
 their synonym list with their nearest embedding neighbors; with no embedding
-entry at all, the synonym list alone is used in synset order.
+store or entry, the synonym list alone is used in synset order.
 
 numpy loads only with the first embedding store, so a run that uses none
 never imports it.
@@ -198,21 +198,21 @@ def load_embeddings(data: bytes | str) -> EmbeddingStore:
 
 def candidate_verb_lemmas(
     synsets: SynsetLexicon,
-    embeddings: EmbeddingStore,
+    embeddings: EmbeddingStore | None,
     verb: str,
     k: int = DEFAULT_TOP_K,
 ) -> list[str]:
     """Replacement lemmas for a verb with no lexicon entry.
 
     Intersects the verb's synonyms with its k most embedding-similar words,
-    ordered by embedding rank. A verb missing from the embedding vocabulary
-    falls back to its synonyms in synset order.
+    ordered by embedding rank. With no store, or a verb missing from its
+    vocabulary, the verb's synonyms come in synset order.
     """
     verb = verb.lower()
     syns = synsets.synonyms(verb)
     if not syns:
         return []  # nothing to intersect: the neighbor search cannot add a lemma
-    if verb not in embeddings:
+    if embeddings is None or verb not in embeddings:
         return synsets.ordered_synonyms(verb)
     ranked = embeddings.top_k(verb, k)
     return [w for w, _ in ranked if w in syns]

@@ -15,6 +15,8 @@ mirror of the same schema. Text format::
     property NAME kind KIND [values v1,v2,...] [domain C1,C2,...]
     lex LEMMA pos POS -> concept NAME
     lex LEMMA pos POS -> property NAME[=VALUE] [priority N]
+
+Any other token on a line, or an option given twice, is an error.
 """
 
 from __future__ import annotations
@@ -184,14 +186,26 @@ class OntologyGraph:
 
 # ---- loading ----
 
-def _check_name(name: str, what: str) -> str:
-    if not name or name in (UNKNOWN,):
-        raise IntegrityError(f"{what} name {name!r} is reserved or empty")
-    return name
+def _check_name(name: str, what: str, where: str) -> None:
+    if not name or name == UNKNOWN:
+        raise IntegrityError(f"{where}: {what} {name!r} is reserved or empty")
 
 
 def _split_csv(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+def _options(rest: list[str], keys: tuple[str, ...], where: str) -> dict[str, str]:
+    """The 'key value' pairs that end a declaration, each key at most once.
+
+    Any other token, a repeated key included, is an error.
+    """
+    found = {}
+    for i in range(0, len(rest), 2):
+        if rest[i] not in keys or rest[i] in found:
+            raise SchemaError(f"{where}: unexpected token {rest[i]!r}")
+        found[rest[i]] = rest[i + 1]  # a key without its value: IndexError
+    return found
 
 
 def _parse_text(text: str) -> tuple[list, list, list]:
@@ -201,68 +215,56 @@ def _parse_text(text: str) -> tuple[list, list, list]:
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split()
+        where = f"line {lineno}"
         try:
             if parts[0] == "concept":
                 if parts[2] != "is-a":
-                    raise SchemaError(f"line {lineno}: expected 'is-a'")
-                concepts.append((parts[1], _split_csv(parts[3]), lineno))
+                    raise SchemaError(f"{where}: expected 'is-a'")
+                _options(parts[4:], (), where)
+                concepts.append((parts[1], _split_csv(parts[3]), where))
             elif parts[0] == "property":
                 if parts[2] != "kind":
-                    raise SchemaError(f"line {lineno}: expected 'kind'")
-                name, kind = parts[1], parts[3].upper()
-                values: tuple[str, ...] = ()
-                domains: tuple[str, ...] = ()
-                rest = parts[4:]
-                while rest:
-                    key = rest.pop(0)
-                    if key == "values":
-                        values = _split_csv(rest.pop(0))
-                    elif key == "domain":
-                        domains = _split_csv(rest.pop(0))
-                    else:
-                        raise SchemaError(f"line {lineno}: unexpected token {key!r}")
-                properties.append((name, kind, values, domains, lineno))
+                    raise SchemaError(f"{where}: expected 'kind'")
+                options = _options(parts[4:], ("values", "domain"), where)
+                values = _split_csv(options.get("values", ""))
+                domains = _split_csv(options.get("domain", ""))
+                properties.append((parts[1], parts[3].upper(), values, domains, where))
             elif parts[0] == "lex":
                 if parts[2] != "pos" or parts[4] != "->":
-                    raise SchemaError(f"line {lineno}: bad lex syntax")
-                lemma, pos, target = parts[1], parts[3].upper(), parts[5]
-                priority = None
-                rest = parts[7:]
-                if rest and rest[0] == "priority":
-                    priority = int(rest[1])
-                elif rest:
-                    raise SchemaError(f"line {lineno}: unexpected token {rest[0]!r}")
-                if target == "concept":
+                    raise SchemaError(f"{where}: bad lex syntax")
+                options = _options(parts[7:], ("priority",), where)
+                priority = int(options["priority"]) if "priority" in options else None
+                if parts[5] == "concept":
                     sense: ConceptSense | PropertySense = ConceptSense(parts[6])
-                elif target == "property":
+                elif parts[5] == "property":
                     name, _, value = parts[6].partition("=")
                     sense = PropertySense(name, value or None)
                 else:
-                    raise SchemaError(f"line {lineno}: sense must be concept or property")
-                lexemes.append((lemma, pos, sense, priority, lineno))
+                    raise SchemaError(f"{where}: sense must be concept or property")
+                lexemes.append((parts[1], parts[3].upper(), sense, priority, where))
             else:
-                raise SchemaError(f"line {lineno}: unknown directive {parts[0]!r}")
+                raise SchemaError(f"{where}: unknown directive {parts[0]!r}")
         except IndexError as e:
-            raise SchemaError(f"line {lineno}: truncated declaration") from e
+            raise SchemaError(f"{where}: truncated declaration") from e
         except ValueError as e:
-            raise SchemaError(f"line {lineno}: {e}") from e
+            raise SchemaError(f"{where}: {e}") from e
     return concepts, properties, lexemes
 
 
 def _parse_json(text: str) -> tuple[list, list, list]:
     doc = load_json_object(text, "ontology")
 
-    def rows(key: str) -> list[tuple[int, str, dict]]:
+    def rows(key: str) -> list[tuple[str, dict]]:
         listed = json_field(doc, key, "ontology", "a list of objects", [])
-        return [(i, f"ontology.{key}[{i}]", row) for i, row in enumerate(listed)]
+        return [(f"ontology.{key}[{i}]", row) for i, row in enumerate(listed)]
 
     concepts = [
         (
             json_field(c, "name", w, "a string"),
             tuple(json_field(c, "parents", w, "a list of strings")),
-            i,
+            w,
         )
-        for i, w, c in rows("concepts")
+        for w, c in rows("concepts")
     ]
     properties = [
         (
@@ -270,24 +272,24 @@ def _parse_json(text: str) -> tuple[list, list, list]:
             json_field(p, "kind", w, "a string").upper(),
             tuple(json_field(p, "values", w, "a list of strings", [])),
             tuple(json_field(p, "domains", w, "a list of strings", [])),
-            i,
+            w,
         )
-        for i, w, p in rows("properties")
+        for w, p in rows("properties")
     ]
     lexemes = []
-    for i, w, row in rows("lexicon"):
+    for w, row in rows("lexicon"):
         lemma = json_field(row, "lemma", w, "a string")
         pos = json_field(row, "pos", w, "a string").upper()
         priority = json_field(row, "priority", w, "an integer or null", None)
         sense_doc = json_field(row, "sense", w, "an object")
-        w += ".sense"
-        name = json_field(sense_doc, "name", w, "a string")
-        if json_field(sense_doc, "type", w, "a string") == "concept":
+        sense_where = w + ".sense"
+        name = json_field(sense_doc, "name", sense_where, "a string")
+        if json_field(sense_doc, "type", sense_where, "a string") == "concept":
             sense: ConceptSense | PropertySense = ConceptSense(name)
         else:
-            value = json_field(sense_doc, "value", w, "a string or null", None)
+            value = json_field(sense_doc, "value", sense_where, "a string or null", None)
             sense = PropertySense(name, value)
-        lexemes.append((lemma, pos, sense, priority, i))
+        lexemes.append((lemma, pos, sense, priority, w))
     return concepts, properties, lexemes
 
 
@@ -319,10 +321,12 @@ def _resolve_roots(raw_concepts: dict[str, tuple[str, ...]]) -> dict[str, str]:
 def load_ontology(data: bytes | str) -> OntologyGraph:
     """Load and validate a graph from text or JSON bytes.
 
-    Validation failures name the offending entity: dangling parents, IS-A
-    cycles, attributes without a value domain, lexicon senses pointing at
-    undeclared entities, and duplicate (lemma, pos, sense) rows all reject
-    the input.
+    Validation failures name the offending entity, and the text line
+    ("line 3") or JSON entry ("ontology.concepts[1]") that declares it:
+    dangling parents, IS-A cycles, attributes without a value domain, the
+    reserved UNKNOWN or an empty string as a name or value, lexicon senses
+    pointing at undeclared entities, and duplicate (lemma, pos, sense) rows
+    all reject the input.
     """
     data = decode_utf8(data, "ontology")
     sniff = data.lstrip()
@@ -331,14 +335,14 @@ def load_ontology(data: bytes | str) -> OntologyGraph:
     )
 
     raw_concepts: dict[str, tuple[str, ...]] = {}
-    for name, parents, lineno in raw_c:
-        _check_name(name, "concept")
+    for name, parents, where in raw_c:
+        _check_name(name, "concept name", where)
         if name in ROOTS:
-            raise IntegrityError(f"line {lineno}: root {name} cannot be redeclared")
+            raise IntegrityError(f"{where}: root {name} cannot be redeclared")
         if name in raw_concepts:
-            raise IntegrityError(f"line {lineno}: duplicate concept {name}")
+            raise IntegrityError(f"{where}: duplicate concept {name}")
         if not parents:
-            raise IntegrityError(f"line {lineno}: concept {name} declares no parent")
+            raise IntegrityError(f"{where}: concept {name} declares no parent")
         raw_concepts[name] = parents
     for name, parents in raw_concepts.items():
         for parent in parents:
@@ -354,16 +358,16 @@ def load_ontology(data: bytes | str) -> OntologyGraph:
     properties = {
         name: PropertyDef(name, kind) for name, kind in BUILTIN_PROPERTIES
     }
-    for name, kind, values, domains, lineno in raw_p:
-        _check_name(name, "property")
+    for name, kind, values, domains, where in raw_p:
+        _check_name(name, "property name", where)
+        for value in values:
+            _check_name(value, "value", where)
         if name in properties:
-            raise IntegrityError(f"line {lineno}: property {name} already defined")
+            raise IntegrityError(f"{where}: property {name} already defined")
         if kind not in KINDS:
-            raise IntegrityError(f"line {lineno}: unknown property kind {kind}")
+            raise IntegrityError(f"{where}: unknown property kind {kind}")
         if kind == KIND_ATTRIBUTE and not values:
-            raise IntegrityError(
-                f"line {lineno}: attribute {name} needs a non-empty value list"
-            )
+            raise IntegrityError(f"{where}: attribute {name} needs a non-empty value list")
         for d in domains:
             if d not in concepts and d not in ROOTS:
                 raise IntegrityError(f"property {name}: unknown domain concept {d}")
@@ -371,29 +375,27 @@ def load_ontology(data: bytes | str) -> OntologyGraph:
 
     lexicon: dict[tuple[str, str], list[LexEntry]] = {}
     auto_priority: dict[tuple[str, str], int] = {}
-    for lemma, pos, sense, priority, lineno in raw_l:
+    for lemma, pos, sense, priority, where in raw_l:
         if pos not in POS_TAGS:
-            raise IntegrityError(f"line {lineno}: unknown pos {pos}")
+            raise IntegrityError(f"{where}: unknown pos {pos}")
         lemma = lemma.lower()
         if isinstance(sense, ConceptSense):
             if sense.concept not in concepts:
                 raise IntegrityError(
-                    f"line {lineno}: lexeme {lemma} points at unknown concept {sense.concept}"
+                    f"{where}: lexeme {lemma} points at unknown concept {sense.concept}"
                 )
         else:
             prop = properties.get(sense.prop)
             if prop is None:
                 raise IntegrityError(
-                    f"line {lineno}: lexeme {lemma} points at unknown property {sense.prop}"
+                    f"{where}: lexeme {lemma} points at unknown property {sense.prop}"
                 )
-            if (
-                sense.value is not None
-                and prop.kind == KIND_ATTRIBUTE
-                and sense.value not in prop.value_domain
-            ):
-                raise IntegrityError(
-                    f"line {lineno}: value {sense.value!r} outside domain of {prop.name}"
-                )
+            if sense.value is not None:
+                _check_name(sense.value, "value", where)
+                if prop.kind == KIND_ATTRIBUTE and sense.value not in prop.value_domain:
+                    raise IntegrityError(
+                        f"{where}: value {sense.value!r} outside domain of {prop.name}"
+                    )
         key = (lemma, pos)
         if priority is None:
             priority = auto_priority.get(key, 0)
@@ -401,9 +403,7 @@ def load_ontology(data: bytes | str) -> OntologyGraph:
         entry = LexEntry(lemma, pos, sense, priority)
         bucket = lexicon.setdefault(key, [])
         if any(e.sense == sense for e in bucket):
-            raise IntegrityError(
-                f"line {lineno}: duplicate sense for ({lemma}, {pos})"
-            )
+            raise IntegrityError(f"{where}: duplicate sense for ({lemma}, {pos})")
         bucket.append(entry)
 
     return OntologyGraph(concepts, properties, lexicon)

@@ -4,15 +4,19 @@ A sentence's representation is built from its subject-verb-object frames:
 every token that the lexicon can ground contributes either a concept (plus
 its IS-A ancestors, one distance step per link, stopping before the roots)
 or a property at distance 1. Case-role links tie subjects and objects to the
-verb's event concept; attributes whose bearer is unexpressed are completed
-with sentence-scoped UNKNOWN placeholders. Ambiguous tokens are resolved by
-searching sense combinations for the one that satisfies the most ontology
-relations.
+verb's event concept. One rule grounds every evoked property: its bearer
+takes an edge to the sense's value, or to UNKNOWN plus one UNKNOWN value
+placeholder when the sense names none. The bearer is the event for a verb's
+modifier, the concept for a subject's or object's, and for an attribute that
+has none expressed, a sentence-scoped UNKNOWN placeholder filling the event's
+role. Ambiguous tokens are resolved by searching sense combinations for the
+one that satisfies the most ontology relations.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -161,10 +165,6 @@ def extract_frames(
 
 # ---- sense resolution ----
 
-def _lex_pos(token: Token) -> str | None:
-    return _UPOS_TO_LEX.get(token.upos)
-
-
 def _sense_options(
     token: Token,
     frame: SvoFrame,
@@ -174,19 +174,14 @@ def _sense_options(
 ) -> list[LexEntry]:
     if token.index in frame.chemical_tokens and graph.has_concept(CHEMICAL_CONCEPT):
         return [LexEntry(token.lemma.lower(), "NOUN", ConceptSense(CHEMICAL_CONCEPT), 0)]
-    pos = _lex_pos(token)
+    pos = _UPOS_TO_LEX.get(token.upos)
     if pos is None:
         return []
     entries = graph.senses(token.lemma, pos)
     if entries or pos != "VERB" or synsets is None:
         return entries
-    # Unknown verb: try synonym/embedding replacements, first lemma that
-    # resolves wins. With no embedding store the synonym list alone is used.
-    if embeddings is not None:
-        candidates = candidate_verb_lemmas(synsets, embeddings, token.lemma)
-    else:
-        candidates = synsets.ordered_synonyms(token.lemma)
-    for lemma in candidates:
+    # Unknown verb: the first replacement lemma that resolves wins.
+    for lemma in candidate_verb_lemmas(synsets, embeddings, token.lemma):
         entries = graph.senses(lemma, "VERB")
         if entries:
             return entries
@@ -242,10 +237,7 @@ def _choose_assignment(
     """
     indices = sorted(options)
     pools = [options[i] for i in indices]
-    total = 1
-    for pool in pools:
-        total *= len(pool)
-    if total > _MAX_COMBINATIONS:
+    if math.prod(map(len, pools)) > _MAX_COMBINATIONS:
         pools = [pool[:3] for pool in pools]
     best: dict[int, LexEntry] | None = None
     best_key: tuple[int, int] | None = None
@@ -264,29 +256,37 @@ def _is_attribute(graph: OntologyGraph, prop_name: str) -> bool:
     return prop is not None and prop.kind == KIND_ATTRIBUTE
 
 
-def _emit_concept(tmr: Tmr, graph: OntologyGraph, concept: str, distance: int) -> None:
-    tmr.elements.append(TmrElement(CONCEPT, concept, distance))
-    for step, ancestor in enumerate(graph.ancestors(concept), start=distance + 1):
+def _emit_concept(tmr: Tmr, graph: OntologyGraph, concept: str) -> None:
+    tmr.elements.append(TmrElement(CONCEPT, concept, 1))
+    for step, ancestor in enumerate(graph.ancestors(concept), start=2):
         if ancestor in ROOTS:
             break
         tmr.elements.append(TmrElement(CONCEPT, ancestor, step))
 
 
+def _emit_attribute(tmr: Tmr, bearer: str, sense: PropertySense) -> None:
+    """Emit the property and its edge from the bearer to the sense's value.
+
+    A sense with no value points at UNKNOWN and adds one UNKNOWN placeholder.
+    """
+    tmr.elements.append(TmrElement(PROPERTY, sense.prop, 1))
+    tmr.edges.append((bearer, sense.prop, sense.value or UNKNOWN))
+    if sense.value is None:
+        tmr.elements.append(TmrElement(CONCEPT, UNKNOWN, 1))
+
+
 def _emit_completion(
-    tmr: Tmr,
-    graph: OntologyGraph,
-    event: str,
-    role: str,
-    sense: PropertySense,
+    tmr: Tmr, graph: OntologyGraph, event: str, role: str, sense: PropertySense
 ) -> None:
-    path = graph.complete_path(event, sense)
-    # path = [event, UNKNOWN, property, value-or-UNKNOWN]
+    """An UNKNOWN placeholder fills the event's role and bears the attribute.
+
+    Raises CompletionError, having emitted nothing, when the attribute
+    applies to no object concept.
+    """
+    graph.complete_path(event, sense)
     tmr.elements.append(TmrElement(CONCEPT, UNKNOWN, 1))
     tmr.edges.append((event, role, UNKNOWN))
-    value = path[3]
-    if value == UNKNOWN:
-        tmr.elements.append(TmrElement(CONCEPT, UNKNOWN, 1))
-    tmr.edges.append((UNKNOWN, sense.prop, value))
+    _emit_attribute(tmr, UNKNOWN, sense)
 
 
 def build_tmr(
@@ -305,11 +305,7 @@ def build_tmr(
     back empty and flagged unmappable.
     """
     tmr = Tmr(sentence_ref=sentence_ref)
-    tokens: list[Token] = [frame.verb]
-    if frame.subject is not None:
-        tokens.append(frame.subject)
-    if frame.obj is not None:
-        tokens.append(frame.obj)
+    tokens = [t for t in (frame.verb, frame.subject, frame.obj) if t is not None]
     tokens.extend(mod for mod, _ in frame.modifiers)
 
     options: dict[int, list[LexEntry]] = {}
@@ -322,75 +318,51 @@ def build_tmr(
         return tmr
 
     assignment = _choose_assignment(options, frame, graph)
+    concept_of = {
+        idx: entry.sense.concept
+        for idx, entry in assignment.items()
+        if isinstance(entry.sense, ConceptSense)
+    }
+    for concept in concept_of.values():
+        _emit_concept(tmr, graph, concept)
+    event = concept_of.get(frame.verb.index)
+    if event is not None and graph.root_of(event) != ROOT_EVENT:
+        event = None
 
-    event: str | None = None
-    verb_entry = assignment.get(frame.verb.index)
-    if verb_entry is not None and isinstance(verb_entry.sense, ConceptSense):
-        concept = verb_entry.sense.concept
-        _emit_concept(tmr, graph, concept, 1)
-        if graph.root_of(concept) == ROOT_EVENT:
-            event = concept
-
-    for slot, default_role in ((frame.subject, "AGENT"), (frame.obj, "THEME")):
+    # Each evoked property with its expressed bearer, the role an UNKNOWN
+    # bearer would fill, and whether that role is a slot's own (an element too).
+    evoked: list[tuple[PropertySense, str | None, str, bool]] = []
+    for slot, role in ((frame.subject, "AGENT"), (frame.obj, "THEME")):
         if slot is None or slot.index not in assignment:
             continue
-        entry = assignment[slot.index]
-        role = default_role
         if slot is frame.subject and frame.passive():
             role = "THEME"
-        if isinstance(entry.sense, ConceptSense):
-            concept = entry.sense.concept
-            _emit_concept(tmr, graph, concept, 1)
-            if event is not None:
-                if role == "THEME" and "INFORMATION-OBJECT" in (
-                    concept,
-                    *graph.ancestors(concept),
-                ):
-                    role = "THEME-INFORMATION"
-                tmr.elements.append(TmrElement(PROPERTY, role, 1))
-                tmr.edges.append((event, role, concept))
-        elif event is not None and _is_attribute(graph, entry.sense.prop):
-            try:
-                _emit_completion(tmr, graph, event, role, entry.sense)
-            except CompletionError:
-                continue  # that token alone stays ungrounded
-            tmr.elements.append(TmrElement(PROPERTY, entry.sense.prop, 1))
+        concept = concept_of.get(slot.index)
+        if concept is None:
+            evoked.append((assignment[slot.index].sense, None, role, True))
+        elif event is not None:
+            if role == "THEME" and "INFORMATION-OBJECT" in (concept, *graph.ancestors(concept)):
+                role = "THEME-INFORMATION"
             tmr.elements.append(TmrElement(PROPERTY, role, 1))
-        else:
-            # No event concept to anchor a completion, or a property that is
-            # no attribute: the evoked property stands on its own at distance 1.
-            tmr.elements.append(TmrElement(PROPERTY, entry.sense.prop, 1))
-
+            tmr.edges.append((event, role, concept))
     for mod, anchor in frame.modifiers:
-        if mod.index not in assignment:
-            continue
-        entry = assignment[mod.index]
-        if isinstance(entry.sense, ConceptSense):
-            _emit_concept(tmr, graph, entry.sense.concept, 1)
-            continue
-        sense = entry.sense
-        bearer: str | None = None
-        if anchor.index == frame.verb.index:
-            bearer = event
-        else:
-            anchor_entry = assignment.get(anchor.index)
-            if anchor_entry is not None and isinstance(anchor_entry.sense, ConceptSense):
-                bearer = anchor_entry.sense.concept
+        if mod.index in assignment and mod.index not in concept_of:
+            bearer = event if anchor.index == frame.verb.index else concept_of.get(anchor.index)
+            evoked.append((assignment[mod.index].sense, bearer, "THEME", False))
+
+    for sense, bearer, role, linked in evoked:
         if bearer is not None:
+            _emit_attribute(tmr, bearer, sense)
+        elif event is None or not _is_attribute(graph, sense.prop):
+            # Nothing to anchor a completion, or no attribute to complete.
             tmr.elements.append(TmrElement(PROPERTY, sense.prop, 1))
-            tmr.edges.append((bearer, sense.prop, sense.value or UNKNOWN))
-            if sense.value is None:
-                tmr.elements.append(TmrElement(CONCEPT, UNKNOWN, 1))
-            continue
-        if event is not None and _is_attribute(graph, sense.prop):
+        else:
             try:
-                _emit_completion(tmr, graph, event, "THEME", sense)
+                _emit_completion(tmr, graph, event, role, sense)
             except CompletionError:
                 continue  # that token alone stays ungrounded
-            tmr.elements.append(TmrElement(PROPERTY, sense.prop, 1))
-        else:
-            tmr.elements.append(TmrElement(PROPERTY, sense.prop, 1))
-
+            if linked:
+                tmr.elements.append(TmrElement(PROPERTY, role, 1))
     return tmr
 
 

@@ -288,6 +288,11 @@ class TestVerbExpansion:
             "climb",
         ]
 
+    def test_no_store_gives_synset_order(self):
+        lex = load_synsets(self.SYNS)
+        assert candidate_verb_lemmas(lex, None, "Escalate") == ["increase", "surge", "climb"]
+        assert candidate_verb_lemmas(lex, None, "mumble") == []
+
     def test_no_synonyms_yields_nothing(self):
         lex = load_synsets("{}")
         st = store([("mumble", 1, 0), ("talk", 0.9, 0.1)])

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from figdesc import cli
 from figdesc.errors import (
     ArticleParseError,
     CompletionError,
@@ -19,6 +20,8 @@ from figdesc.ontology import (
     PropertySense,
     load_ontology,
 )
+
+from .helpers import MINI_CORPUS
 
 SMALL = """\
 # toy taxonomy
@@ -220,6 +223,78 @@ class TestValidation:
         with pytest.raises(SchemaError, match="truncated"):
             load_ontology("concept A\n")
 
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            (
+                "property COLOR kind attribute values red,UNKNOWN\n",
+                "line 1: value 'UNKNOWN' is reserved or empty",
+            ),
+            (
+                "property COLOR kind attribute values red,UNKNOWN\n"
+                "lex weird pos ADJ -> property COLOR=UNKNOWN\n",
+                "line 1: value 'UNKNOWN' is reserved or empty",
+            ),
+            (
+                "property COLOR kind attribute values red\n"
+                "lex weird pos ADJ -> property COLOR=UNKNOWN\n",
+                "line 2: value 'UNKNOWN' is reserved or empty",
+            ),
+            # A sense value is checked whatever the property's kind.
+            (
+                "lex weird pos NOUN -> property AGENT=UNKNOWN\n",
+                "line 1: value 'UNKNOWN' is reserved or empty",
+            ),
+        ],
+    )
+    def test_unknown_is_no_value(self, src, message):
+        with pytest.raises(IntegrityError, match=f"^{message}$"):
+            load_ontology(src)
+
+    def test_empty_value_in_text_is_no_value_at_all(self):
+        g = load_ontology(
+            "property COLOR kind attribute values red,,blue\n"
+            "lex color pos NOUN -> property COLOR=\n"
+        )
+        assert g.properties["COLOR"].value_domain == ("red", "blue")
+        assert g.senses("color", "NOUN")[0].sense == PropertySense("COLOR")
+
+    @pytest.mark.parametrize(
+        "src, line",
+        [
+            ("concept X is-a OBJECT junk\n", 1),
+            (
+                "property COLOR kind attribute values red\n"
+                "lex red pos ADJ -> property COLOR=red priority 1 junk\n",
+                2,
+            ),
+            (
+                "concept THING is-a OBJECT\nconcept X is-a OBJECT\n"
+                "lex thing pos NOUN -> concept THING junk\n",
+                3,
+            ),
+            ("property COLOR kind attribute values red junk\n", 1),
+        ],
+    )
+    def test_trailing_token_is_an_error(self, src, line):
+        with pytest.raises(SchemaError, match=f"^line {line}: unexpected token 'junk'$"):
+            load_ontology(src)
+
+    @pytest.mark.parametrize(
+        "src, key",
+        [
+            ("property COLOR kind attribute values red values blue\n", "values"),
+            (
+                "property COLOR kind attribute values red\n"
+                "lex red pos ADJ -> property COLOR=red priority 1 priority 5\n",
+                "priority",
+            ),
+        ],
+    )
+    def test_repeated_option_is_an_error(self, src, key):
+        with pytest.raises(SchemaError, match=f"unexpected token '{key}'$"):
+            load_ontology(src)
+
 
 class TestJsonForm:
     def test_json_mirror_loads_identically(self, small):
@@ -332,6 +407,70 @@ class TestJsonForm:
     def test_missing_or_mistyped_field_names_it(self, doc, field):
         with pytest.raises(SchemaError, match=field):
             load_ontology(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"concepts": [{"name": "X", "parents": ["OBJECT"]}] * 2},
+                "ontology.concepts[1]: duplicate concept X",
+            ),
+            (
+                {"properties": [{"name": "P", "kind": "bogus"}]},
+                "ontology.properties[0]: unknown property kind BOGUS",
+            ),
+            (
+                {"concepts": [{"name": "UNKNOWN", "parents": ["OBJECT"]}]},
+                "ontology.concepts[0]: concept name 'UNKNOWN' is reserved or empty",
+            ),
+            (
+                {"properties": [{"name": "COLOR", "kind": "attribute", "values": ["red", ""]}]},
+                "ontology.properties[0]: value '' is reserved or empty",
+            ),
+            (
+                {"properties": [{"name": "HUE", "kind": "attribute", "values": ["UNKNOWN"]}]},
+                "ontology.properties[0]: value 'UNKNOWN' is reserved or empty",
+            ),
+        ],
+    )
+    def test_integrity_errors_name_the_entry(self, doc, message):
+        with pytest.raises(IntegrityError) as e:
+            load_ontology(json.dumps(doc))
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("value", ["", "UNKNOWN"])
+    def test_sense_value_that_is_no_value(self, value):
+        doc = {
+            "concepts": [{"name": "SHOW", "parents": ["EVENT"]}],
+            "properties": [{"name": "COLOR", "kind": "attribute", "values": ["red"]}],
+            "lexicon": [
+                {"lemma": "show", "pos": "verb", "sense": {"type": "concept", "name": "SHOW"}},
+                {
+                    "lemma": "weird",
+                    "pos": "adj",
+                    "sense": {"type": "property", "name": "COLOR", "value": value},
+                },
+            ],
+        }
+        with pytest.raises(IntegrityError) as e:
+            load_ontology(json.dumps(doc))
+        assert str(e.value) == f"ontology.lexicon[1]: value {value!r} is reserved or empty"
+
+    def test_reserved_value_is_a_data_error_on_the_command_line(self, tmp_path, capsys):
+        bad = tmp_path / "ontology.txt"
+        bad.write_text(
+            "property COLOR kind attribute values red\n"
+            "lex weird pos ADJ -> property COLOR=UNKNOWN\n"
+        )
+        out = tmp_path / "out"
+        code = cli.main(
+            ["calibrate", "--corpus", str(MINI_CORPUS), "--ontology", str(bad), "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 2: value 'UNKNOWN' is reserved or empty\n"
+        )
+        assert not out.exists()
 
     def test_malformed_json(self):
         with pytest.raises(ArticleParseError, match="^ontology: malformed JSON at offset 14"):

@@ -203,6 +203,34 @@ class TestBuildTmr:
         # verb-anchored adverb names the event as bearer
         assert ("DECREASE", "SPEED", "fast") in tmr.edges
 
+    def test_valueless_attribute_with_an_expressed_bearer(self, resources):
+        # "color" evokes COLOR with no value: its bearer points at UNKNOWN,
+        # with one placeholder for the value, whether the bearer is the event
+        # or the concept of the subject
+        as_verb_modifier = [
+            (1, "The", "the", "DET", 2, "det"),
+            (2, "peak", "peak", "NOUN", 3, "nsubj"),
+            (3, "decreases", "decrease", "VERB", 0, "root"),
+            (4, "color", "color", "NOUN", 3, "advmod"),
+            (5, ".", ".", "PUNCT", 3, "punct"),
+        ]
+        as_subject_modifier = [
+            (1, "The", "the", "DET", 3, "det"),
+            (2, "color", "color", "NOUN", 3, "amod"),
+            (3, "peak", "peak", "NOUN", 4, "nsubj"),
+            (4, "decreases", "decrease", "VERB", 0, "root"),
+            (5, ".", ".", "PUNCT", 4, "punct"),
+        ]
+        for rows, bearer in ((as_verb_modifier, "DECREASE"), (as_subject_modifier, "PEAK")):
+            text = " ".join(row[1] for row in rows)
+            tmr = build_sentence_tmr(parsed_sentence(text, rows), resources.graph)
+            assert (bearer, "COLOR", UNKNOWN) in tmr.edges
+            assert [edge for edge in tmr.edges if edge[1] == "COLOR"] == [
+                (bearer, "COLOR", UNKNOWN)
+            ]
+            assert names(tmr, CONCEPT).count(UNKNOWN) == 1
+            assert names(tmr, PROPERTY).count("COLOR") == 1
+
     def test_information_theme_promotion(self, resources):
         rows = [
             (1, "A", "a", "DET", 2, "det"),
@@ -236,6 +264,20 @@ class TestBuildTmr:
             sent, resources.graph, resources.gazetteer, resources.synsets, resources.embeddings
         )
         assert (CONCEPT, "SHOW-INFORMATION", 1) in elements(tmr)
+
+    def test_unknown_verb_resolved_through_synonyms_without_embeddings(self, resources):
+        rows = [
+            (1, "The", "the", "DET", 2, "det"),
+            (2, "graph", "graph", "NOUN", 3, "nsubj"),
+            (3, "indicates", "indicate", "VERB", 0, "root"),
+            (4, ".", ".", "PUNCT", 3, "punct"),
+        ]
+        sent = parsed_sentence("The graph indicates.", rows)
+        # "indicate" has no lexicon entry; its first synonym, "show", has one
+        assert resources.synsets.ordered_synonyms("indicate")[0] == "show"
+        tmr = build_sentence_tmr(sent, resources.graph, resources.gazetteer, resources.synsets)
+        assert (CONCEPT, "SHOW-INFORMATION", 1) in elements(tmr)
+        assert any(edge[:2] == ("SHOW-INFORMATION", "AGENT") for edge in tmr.edges)
 
     def test_unknown_verb_without_resources_stays_ungrounded(self, resources):
         rows = [
