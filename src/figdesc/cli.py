@@ -11,7 +11,6 @@ all before the command runs. Exit codes: 0 success, 1 usage/config error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -22,7 +21,7 @@ from itertools import chain
 from pathlib import Path
 
 from . import figref, pipeline, scoring
-from .corpus import Sentence, json_field, load_json_object
+from .corpus import Sentence, json_field, load_json_object, sha256
 from .errors import AlignmentError, ArticleParseError, ConfigError, FigdescError, SchemaError
 from .tmr import tmr_to_json
 
@@ -174,7 +173,9 @@ def _header(settings: dict, digests: dict[str, str]) -> dict:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_detect(settings: dict) -> int:
@@ -216,7 +217,7 @@ def cmd_calibrate(settings: dict) -> int:
     refs = pipeline.reference_tmrs(corpus, res, settings["pattern"])
     table = scoring.calibrate(refs)
     weights = scoring.save_weight_table(table).encode()
-    header = {**_header(settings, digests), "weights": hashlib.sha256(weights).hexdigest()}
+    header = {**_header(settings, digests), "weights": sha256(weights).hexdigest()}
     with _writing(out):
         (out / "weights.json").write_bytes(weights)
         _write_json(out / "weights.meta.json", header)

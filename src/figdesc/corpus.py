@@ -11,7 +11,6 @@ of a typed field in a JSON object.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import re
@@ -20,9 +19,19 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, NamedTuple
-from xml.etree import ElementTree
 
 from .errors import AlignmentError, ArticleParseError, SchemaError
+
+# The one binding of each hash the package takes. CPython's own SHA code adds
+# about 0.1 MiB to a process; hashlib maps OpenSSL's libcrypto, about 3.7 MiB.
+try:
+    from _sha1 import sha1
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+except ImportError:  # an interpreter built without them
+    from hashlib import sha1, sha256
 
 # Trailing-period abbreviations that must not end a sentence. Checked
 # case-insensitively against the text ending at a split candidate.
@@ -202,11 +211,14 @@ def decode_utf8(data: bytes | str, source: str) -> str:
 
 def load_json_object(data: bytes | str, source: str) -> dict:
     """The JSON object an input holds. Malformed JSON is an ArticleParseError
-    (at a character offset), any other value a SchemaError; each names source."""
+    (at a character offset), and so is JSON nested too deeply to decode; any
+    other value is a SchemaError. Each names source."""
     try:
         doc = json.loads(decode_utf8(data, source))
     except json.JSONDecodeError as e:
         raise ArticleParseError(f"{source}: malformed JSON at offset {e.pos}: {e.msg}") from e
+    except RecursionError as e:
+        raise ArticleParseError(f"{source}: JSON nested too deeply") from e
     if not isinstance(doc, dict):
         raise SchemaError(f"{source}: must be a JSON object")
     return doc
@@ -341,6 +353,8 @@ def load_article_xml(data: bytes) -> Article:
     The <article> element may carry a uid= attribute; absent that, a
     deterministic content-hash uid is assigned.
     """
+    from xml.etree import ElementTree  # only here, so a JSON corpus never loads it
+
     try:
         root = ElementTree.fromstring(data)
     except ElementTree.ParseError as e:
@@ -359,7 +373,7 @@ def load_article_xml(data: bytes) -> Article:
     uid = root.get("uid", "")
     if not uid:
         raw = data if isinstance(data, bytes) else data.encode("utf-8")
-        uid = "xml-" + hashlib.sha1(raw).hexdigest()[:12]
+        uid = "xml-" + sha1(raw).hexdigest()[:12]
     paras = body.findall("para")
     if not paras:
         raise SchemaError("body: needs at least one <para> element")
@@ -438,6 +452,18 @@ def _validate_parse(rows: list[list], global_index: int, text: str) -> ParsedSen
     if min(heads) < 0 or max(heads) > n:
         bad = next(h for h in heads if not 0 <= h <= n)
         raise AlignmentError(f"sentence {global_index}: head {bad} out of range 0..{n}")
+    # A tree: the walk up from each token reaches the root. walk[t] is the
+    # first walk to reach token t; a later walk stops there, so each token is
+    # stepped on once, and a walk that meets itself has found a cycle.
+    walk = [0] * (n + 1)
+    for start in range(1, n + 1):
+        t = start
+        while t and not walk[t]:
+            walk[t] = start
+            t = heads[t - 1]
+        if t and walk[t] == start:
+            cycle = f"token {t} heads itself" if heads[t - 1] == t else f"head cycle at token {t}"
+            raise AlignmentError(f"sentence {global_index}: {cycle}")
     return ParsedSentence._from_rows(rows)
 
 

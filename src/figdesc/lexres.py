@@ -10,7 +10,6 @@ never imports it.
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -21,7 +20,6 @@ from .errors import EmbeddingFormatError, OovError, SchemaError
 if TYPE_CHECKING:
     import numpy as np
 
-LOGGER = logging.getLogger(__name__)
 
 DEFAULT_TOP_K = 20
 
@@ -187,7 +185,11 @@ def load_embeddings(data: bytes | str) -> EmbeddingStore:
         except ValueError as e:
             raise EmbeddingFormatError(f"line {lineno}: non-numeric value") from e
         if word in vectors:
-            LOGGER.warning("duplicate embedding row for %r; keeping the last", word)
+            import logging  # only here, so no store without a repeated word loads it
+
+            logging.getLogger(__name__).warning(
+                "duplicate embedding row for %r; keeping the last", word
+            )
         vectors[word] = vec
         rows.append((lineno, vec))
     if len(rows) != count:

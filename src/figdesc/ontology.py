@@ -99,8 +99,9 @@ class OntologyGraph:
     concepts: dict[str, Concept]
     properties: dict[str, PropertyDef]
     lexicon: dict[tuple[str, str], tuple[LexEntry, ...]] = field(default_factory=dict)
-    # Ancestor chain per declared concept, computed once: the sense search
-    # asks for senses and ancestors many times per sentence.
+    # Ancestor chain per concept, computed when first asked for: the sense
+    # search asks for senses and ancestors many times per sentence, and the
+    # chains of every concept would take space quadratic in the depth.
     _chains: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -110,13 +111,6 @@ class OntologyGraph:
             for key, bucket in self.lexicon.items()
         }
         self._chains = {}
-        for name in self.concepts:
-            chain = []
-            current = name
-            while current not in ROOTS:
-                current = self.concepts[current].parents[0]
-                chain.append(current)
-            self._chains[name] = tuple(chain)
 
     def has_concept(self, name: str) -> bool:
         return name in self.concepts or name in ROOTS
@@ -136,7 +130,12 @@ class OntologyGraph:
             return []
         chain = self._chains.get(concept_name)
         if chain is None:
-            raise IntegrityError(f"unknown concept {concept_name}")
+            if concept_name not in self.concepts:
+                raise IntegrityError(f"unknown concept {concept_name}")
+            up = [concept_name]
+            while up[-1] not in ROOTS:
+                up.append(self.concepts[up[-1]].parents[0])
+            chain = self._chains[concept_name] = tuple(up[1:])
         return list(chain)
 
     def senses(self, lemma: str, pos: str) -> list[LexEntry]:
@@ -294,28 +293,35 @@ def _parse_json(text: str) -> tuple[list, list, list]:
 
 
 def _resolve_roots(raw_concepts: dict[str, tuple[str, ...]]) -> dict[str, str]:
-    """Root category per concept; rejects cycles and multi-root reachability."""
-    roots: dict[str, str] = {}
+    """Root category per concept; rejects cycles and multi-root reachability.
 
-    def all_roots(name: str, trail: tuple[str, ...]) -> set[str]:
-        if name in ROOTS:
-            return {name}
-        if name in trail:
-            cycle = trail[trail.index(name):] + (name,)
-            raise CycleError("is-a cycle: " + " -> ".join(cycle))
-        found: set[str] = set()
-        for parent in raw_concepts[name]:
-            found |= all_roots(parent, trail + (name,))
-        return found
-
+    A depth-first walk up the parent links, on a stack of its own, finds each
+    concept's roots once: the time is linear in concepts plus links, and no
+    chain is too deep. A link back into the walk's trail is a cycle.
+    """
+    found: dict[str, frozenset[str]] = {root: frozenset((root,)) for root in ROOTS}
     for name in raw_concepts:
-        reachable = all_roots(name, ())
-        if len(reachable) != 1:
+        trail = [(name, iter(raw_concepts[name]))]  # each is-a the one before, parents left
+        on_trail = {name}
+        while trail:
+            child, parents = trail[-1]
+            parent = next(parents, None)
+            if parent is None:
+                trail.pop()
+                on_trail.discard(child)
+                found[child] = frozenset().union(*(found[p] for p in raw_concepts[child]))
+            elif parent in on_trail:
+                names = [n for n, _ in trail]
+                cycle = names[names.index(parent):] + [parent]
+                raise CycleError("is-a cycle: " + " -> ".join(cycle))
+            elif parent not in found:
+                trail.append((parent, iter(raw_concepts[parent])))
+                on_trail.add(parent)
+        if len(found[name]) != 1:
             raise IntegrityError(
-                f"concept {name} reaches roots {sorted(reachable)}; expected exactly one"
+                f"concept {name} reaches roots {sorted(found[name])}; expected exactly one"
             )
-        roots[name] = next(iter(reachable))
-    return roots
+    return {name: next(iter(found[name])) for name in raw_concepts}
 
 
 def load_ontology(data: bytes | str) -> OntologyGraph:

@@ -14,7 +14,6 @@ of one pass over the files in name order.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from collections.abc import Callable, Iterable, Iterator
@@ -24,7 +23,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, BinaryIO, NoReturn, TypeVar
 
-from .corpus import Article, Sentence, attach_parses, parse_jsonl
+from .corpus import Article, Sentence, attach_parses, parse_jsonl, sha256
 from .corpus import load_article_json, load_article_xml
 from .errors import ConfigError, FigdescError, SchemaError
 from .figref import compile_pattern, neighbor_positions
@@ -133,7 +132,7 @@ def read_input(
         flag = f"--{key.split('/')[0]} " if key else ""
         raise ConfigError(f"cannot read {flag}file {path}: {e.strerror or e}") from e
     if digests is not None:
-        digests[key] = hashlib.sha256(data).hexdigest()
+        digests[key] = sha256(data).hexdigest()
     try:
         return parse(data)
     except FigdescError as e:
@@ -428,10 +427,12 @@ def encode_record(record: dict) -> str:
 def write_jsonl(path: Path, header: dict, lines: Iterable[str]) -> None:
     """JSONL: a first-line provenance record, then lines, each from encode_record.
 
-    Written a line at a time: the whole text is never held in memory.
+    Written a line at a time, and the header as the encoder makes it: neither
+    the whole text nor the header line is ever held in memory.
     """
     with open(path, "w") as fh:
-        fh.write(encode_record({"provenance": header}) + "\n")
+        json.dump({"provenance": header}, fh, sort_keys=True)
+        fh.write("\n")
         for line in lines:
             fh.write(line + "\n")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import signal
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
@@ -40,6 +41,30 @@ def split_into(parts: int) -> Iterator[None]:
     """
     with mock.patch.object(pipeline, "_part_count", lambda n_files: parts):
         yield
+
+
+@contextmanager
+def within(seconds: float) -> Iterator[None]:
+    """Fail when the block runs longer than seconds.
+
+    An alarm interrupts the block then, and again every seconds after, and
+    the block fails even if it caught the interruption (as main() does).
+    """
+    expired = []
+
+    def expire(signum, frame):
+        expired.append(signum)
+        raise AssertionError(f"ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    if expired:
+        raise AssertionError(f"ran longer than {seconds} s")
 
 
 def no_child_left() -> bool:

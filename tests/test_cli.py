@@ -1125,6 +1125,8 @@ class TestClassifyChecksCalibration:
 FILLER_CORRUPTIONS = {
     "form-mismatch": ("\ttreatment\ttreatment\t", "\ttreatmnt\ttreatment\t"),
     "two-roots": ("1\tNo\tno\tDET\t_\t_\t3\t", "1\tNo\tno\tDET\t_\t_\t0\t"),
+    "self-head": ("1\tNo\tno\tDET\t_\t_\t3\t", "1\tNo\tno\tDET\t_\t_\t1\t"),
+    "head-cycle": ("3\ttreatment\ttreatment\tNOUN\t_\t_\t5\t", "3\ttreatment\ttreatment\tNOUN\t_\t_\t1\t"),
 }
 
 
@@ -1513,6 +1515,44 @@ class TestMissingInputs:
         assert f"cannot read --weights file {tmp_path}: Is a directory" in err
 
 
+class TestDeepJson:
+    """JSON nested deeper than the decoder goes is bad data, never an internal error."""
+
+    LISTS = "[" * 100_000 + "]" * 100_000
+    OBJECTS = '{"a":' * 100_000 + "{}" + "}" * 100_000
+
+    @pytest.mark.parametrize("command", CORPUS_COMMANDS)
+    def test_article_nested_too_deeply_exits_2(self, capsys, tmp_path, outputs, command):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(MINI_CORPUS, corpus)
+        (corpus / "M007.json").write_text('{"uid": "M007", "body": ' + self.LISTS + "}")
+        out = tmp_path / "out"
+        for parts in (1, 2, 3):
+            with split_into(parts):
+                code, _, err = run(capsys, *corpus_argv(command, outputs, corpus, out))
+            assert (code, err) == (2, "error: M007.json: article: JSON nested too deeply\n"), parts
+            assert not out.exists()
+            assert no_child_left()
+
+    @pytest.mark.parametrize("command", ["detect", "classify", "baseline"])
+    def test_config_nested_too_deeply_exits_1(self, capsys, tmp_path, outputs, command):
+        config = tmp_path / "config.json"
+        config.write_text(self.OBJECTS)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *command_argv(command, outputs, out), "--config", str(config))
+        assert (code, err) == (1, f"error: config file {config}: JSON nested too deeply\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["weights", "scores", "gold"])
+    def test_evaluate_input_nested_too_deeply_exits_2(self, capsys, tmp_path, outputs, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_text(self.LISTS)
+        argv = replace_flag(command_argv("evaluate", outputs, tmp_path / "out"), flag, bad)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "JSON nested too deeply" in err
+
+
 class TestBaselineInputs:
     """Each bad baseline input is a usage error (1) or a data error (2)."""
 
@@ -1597,23 +1637,46 @@ class TestBaselineInputs:
 
 
 class TestImportBudget:
-    """detect and evaluate load neither numpy nor the baseline module."""
+    """detect and evaluate load neither numpy nor the baseline module, and no
+    command loads OpenSSL's hashing, or XML and logging where it reads none."""
 
     PROBE = (
-        "import sys\n"
+        "import json, sys\n"
         "import figdesc, figdesc.corpus, figdesc.cli\n"
         "code = figdesc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
         "print(code, *(name in sys.modules for name in ('numpy', 'figdesc.baseline')))\n"
     )
-
-    def loaded(self, argv: list[str]) -> str:
-        """'<exit code> <numpy loaded> <figdesc.baseline loaded>' of a fresh run of argv."""
+    def probe(self, argv: list[str]) -> tuple[str, set[str]]:
+        """The last probe line of a fresh run of argv, and the modules it loaded."""
         env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parent.parent)}
         done = subprocess.run(
             [sys.executable, "-c", self.PROBE, *argv], env=env, capture_output=True,
             text=True, check=True,
         )
-        return done.stdout.splitlines()[-1]
+        *_, modules, last = done.stdout.splitlines()
+        return last, set(json.loads(modules))
+
+    def loaded(self, argv: list[str]) -> str:
+        """'<exit code> <numpy loaded> <figdesc.baseline loaded>' of a fresh run of argv."""
+        return self.probe(argv)[0]
+
+    def test_importing_the_package_loads_no_hashlib_xml_or_logging(self):
+        _, modules = self.probe([])
+        assert {"hashlib", "_hashlib", "xml.etree", "logging"} & modules == set()
+
+    def test_detect_on_a_json_corpus(self, tmp_path, outputs):
+        last, modules = self.probe(command_argv("detect", outputs, tmp_path))
+        assert last == "0 False False"
+        assert {"_hashlib", "hashlib", "xml.etree.ElementTree", "logging"} & modules == set()
+
+    @pytest.mark.parametrize("command", ["calibrate", "classify"])
+    def test_numpy_commands_load_no_openssl_hashing(self, tmp_path, outputs, command):
+        argv = command_argv(command, outputs, tmp_path)
+        assert "--embeddings" in argv
+        last, modules = self.probe(argv)
+        assert last == "0 True False"
+        assert {"_hashlib", "hashlib", "logging"} & modules == set()
 
     def test_importing_the_package(self):
         assert self.loaded([]) == "0 False False"

@@ -1,9 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from figdesc import corpus
 from figdesc.corpus import (
     _SPLIT_RE,
     DEFAULT_ABBREVIATIONS,
@@ -193,6 +199,15 @@ class TestJsonLoader:
         with pytest.raises(ArticleParseError, match="offset"):
             load_article_json(b'{"uid": "X", ')
 
+    @pytest.mark.parametrize(
+        "nested",
+        ["[" * 100_000 + "]" * 100_000, '{"a":' * 100_000 + "{}" + "}" * 100_000],
+        ids=["lists", "objects"],
+    )
+    def test_json_nested_too_deeply_is_a_parse_error(self, nested):
+        with pytest.raises(ArticleParseError, match="^article: JSON nested too deeply$"):
+            load_article_json('{"uid": "X", "body": ' + nested + "}")
+
     def test_empty_sentence_rejected(self):
         doc = {"uid": "X", "body": [["ok.", "  "]]}
         with pytest.raises(SchemaError, match=r"body\[0\]\[1\]"):
@@ -265,6 +280,32 @@ class TestXmlLoader:
         # <p> is not a paragraph of this dialect: a body of them holds no <para>.
         with pytest.raises(SchemaError, match="^body: needs at least one <para>"):
             load_article_xml(b"<article><body><p>One here.</p></body></article>")
+
+
+class TestHashes:
+    @pytest.mark.parametrize("data", [b"", b"a", bytes(range(256)) * 4096], ids=["empty", "a", "1MiB"])
+    def test_same_digests_as_hashlib(self, data):
+        assert corpus.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+        assert corpus.sha1(data).hexdigest() == hashlib.sha1(data).hexdigest()
+
+    def test_built_in_sha_code_when_present_and_hashlib_without_it(self):
+        probe = (
+            "import sys\n"
+            "if sys.argv[1:]:\n"
+            "    sys.modules.update(dict.fromkeys(['_sha1', '_sha2', '_sha256']))\n"
+            "from figdesc import corpus\n"
+            "print(corpus.sha256(b'a').hexdigest()[:8], corpus.sha1(b'a').hexdigest()[:8],"
+            " 'hashlib' in sys.modules)\n"
+        )
+        src = str(Path(corpus.__file__).parent.parent)
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", probe, *argv], env={**os.environ, "PYTHONPATH": src},
+                capture_output=True, text=True, check=True,
+            ).stdout.split()
+            for argv in ([], ["without"])
+        ]
+        assert outputs == [["ca978112", "86f7e437", "False"], ["ca978112", "86f7e437", "True"]]
 
 
 CONLLU_OK = """\
@@ -343,6 +384,23 @@ class TestConllu:
         with pytest.raises(AlignmentError, match="head"):
             attach_parses(art, bad)
 
+    @pytest.mark.parametrize(
+        "heads, message",
+        [
+            ((2, 0, 3), "sentence 0: token 3 heads itself"),
+            ((3, 0, 1), "sentence 0: head cycle at token 1"),
+            ((0, 3, 2), "sentence 0: head cycle at token 2"),
+        ],
+    )
+    def test_parse_that_is_no_tree_rejected(self, heads, message):
+        rows = [
+            f"{i}\t{form}\t{form}\tX\t_\t_\t{head}\tdep\t_\t_"
+            for i, (form, head) in enumerate(zip(["Rain", "falls", "."], heads), start=1)
+        ]
+        art = load_article_json(json.dumps({"uid": "P6", "body": [["Rain falls."]]}))
+        with pytest.raises(AlignmentError, match=f"^{message}$"):
+            attach_parses(art, "\n".join(rows) + "\n")
+
 
 # ---- oracle: the eager CoNLL-U loader that built every token on load ----
 
@@ -393,6 +451,16 @@ def _oracle_validate_parse(tokens, global_index, text):
     if min(heads) < 0 or max(heads) > n:
         bad = next(h for h in heads if not 0 <= h <= n)
         raise AlignmentError(f"sentence {global_index}: head {bad} out of range 0..{n}")
+    # The first token whose n steps up do not reach the root, and the first
+    # token its path repeats.
+    for token in range(1, n + 1):
+        path = [token]
+        while path[-1] and len(path) <= n:
+            path.append(heads[path[-1] - 1])
+        if path[-1]:
+            t = next(t for i, t in enumerate(path) if t in path[:i])
+            cycle = f"token {t} heads itself" if heads[t - 1] == t else f"head cycle at token {t}"
+            raise AlignmentError(f"sentence {global_index}: {cycle}")
     return ParsedSentence(tuple(tokens))
 
 
@@ -469,6 +537,10 @@ def _break_row(cols, n, fault):
         cols[6] = str(n + 1)
     elif fault == "extra-root":
         cols[6] = "0"
+    elif fault == "self-head":
+        cols[6] = cols[0]
+    elif fault in ("head-first", "head-last"):  # a cycle when that token is below this one
+        cols[6] = "1" if fault == "head-first" else str(n)
     elif fault == "form":
         cols[1] = cols[1][:-1] + "z"  # same length, other text
 
@@ -477,6 +549,7 @@ def _break_row(cols, n, fault):
 _ROW_FAULTS = st.sampled_from(
     ["columns", "nine-column-multiword", "root", "1.5", "", "٠.١"]
     + ["negative-head", "head-too-big", "extra-root", "form"] * 3
+    + ["self-head", "head-first", "head-last"] * 2
 )
 
 
@@ -488,13 +561,17 @@ def _sidecar_cases(draw):
     token_lines = []  # (columns, token count of its block)
     for forms in sentences:
         n = len(forms)
-        root = draw(st.integers(1, n))
+        # A tree: each token after the first of this order is headed by one before it.
+        order = draw(st.permutations(range(1, n + 1)))
+        heads = {order[0]: 0}
+        for i, token in enumerate(order[1:], start=1):
+            heads[token] = order[draw(st.integers(0, i - 1))]
         lines = draw(st.lists(_COMMENTS, max_size=1))
         for position, form in enumerate(forms, start=1):
             if draw(st.integers(0, 3)) == 0:
                 line = draw(_SKIPPED_LINES)
                 lines.append(line.format(c=draw(_COMMENTS), i=position, j=position + 1))
-            head = 0 if position == root else draw(st.integers(1, n))
+            head = heads[position]
             spell = draw(_NUMBER_SPELLINGS) if draw(st.integers(0, 3)) == 0 else str
             cols = [spell(position), form, form.lower(), "X", "_", "_", spell(head), "dep", "_", "_"]
             lines.append(cols)

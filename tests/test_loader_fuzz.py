@@ -4,11 +4,14 @@ Each loader gets a valid input of its kind, mutated by hypothesis: truncated,
 bytes flipped, bytes that are not UTF-8 inserted, JSON values swapped for
 values of other types or deleted, CoNLL-U lines broken against the rules at
 https://universaldependencies.org/format.html, and lines dropped or
-repeated. A loader may accept the result or raise a FigdescError subclass;
-any other exception is a bug. The same mutations, written to the file
-behind each command-line flag, must never make main() return 3, and a
-corpus command must give the same exit code, output and bytes whether it
-reads the corpus in one, two or three parts.
+repeated. Structure is fuzzed too: JSON values nested up to 100,000 deep,
+CoNLL-U heads that make a token head itself or a cycle, and IS-A chains up to
+2,000 deep or diamonds of up to 100 levels. A loader may accept the result or
+raise a FigdescError subclass, within a time bound; any other exception is a
+bug. The same mutations, written to the file behind each command-line flag,
+must never make main() return 3 or run past the bound, and a corpus command
+must give the same exit code, output and bytes whether it reads the corpus in
+one, two or three parts.
 """
 
 import contextlib
@@ -17,7 +20,6 @@ import io
 import json
 import re
 import shutil
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ from figdesc.ontology import load_ontology
 from figdesc.scoring import WeightTable, load_weight_table, save_weight_table
 from figdesc.tmr import load_gazetteer
 
-from .helpers import LABELED_PATH, MINI_CORPUS, no_child_left, split_into
+from .helpers import LABELED_PATH, MINI_CORPUS, no_child_left, split_into, within
 
 BAD_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80"]
 ODD_VALUES = [
@@ -93,22 +95,58 @@ def _retype(draw, doc):
     return doc
 
 
-def json_types(draw, data: bytes) -> bytes:
-    """Retype a value of the JSON document, or of one line of a JSON lines file."""
+def _edit_json(draw, data: bytes, edit) -> bytes:
+    """edit(draw, doc) applied to the JSON document, or to one line of a JSON lines file.
+
+    A document nested too deeply for json, or for edit, is left as it is.
+    """
     try:
-        return json.dumps(_retype(draw, json.loads(data))).encode()
-    except ValueError:
+        return json.dumps(edit(draw, json.loads(data))).encode()
+    except (ValueError, RecursionError):
         pass
     lines = data.split(b"\n")
     docs = []
     for i, line in enumerate(lines):
-        with contextlib.suppress(ValueError):
+        with contextlib.suppress(ValueError, RecursionError):
             docs.append((i, json.loads(line)))
     if not docs:
         return data
     i, doc = draw(st.sampled_from(docs))
-    lines[i] = json.dumps(_retype(draw, doc)).encode()
+    with contextlib.suppress(RecursionError):
+        lines[i] = json.dumps(edit(draw, doc)).encode()
     return b"\n".join(lines)
+
+
+def json_types(draw, data: bytes) -> bytes:
+    """Retype a value of the JSON document, or of one line of a JSON lines file."""
+    return _edit_json(draw, data, _retype)
+
+
+DEEP = "\x00deep\x00"
+
+
+def _deepen(draw, doc):
+    """doc with one value, or the whole, replaced by the placeholder DEEP."""
+    slots = _slots(doc, [])
+    if not slots or draw(st.integers(0, 9)) == 0:
+        return DEEP
+    node, key = draw(st.sampled_from(slots))
+    node[key] = DEEP
+    return doc
+
+
+def nest_deeply(draw, data: bytes) -> bytes:
+    """A value of the JSON document, or of one JSON line, nested up to 100,000 deep.
+
+    The value is lists or objects nested around an empty one, at a depth that
+    json may decode, may not, or that no recursion limit allows.
+    """
+    depth = draw(st.one_of(st.integers(1, 1_200), st.sampled_from([5_000, 100_000])))
+    if draw(st.booleans()):
+        nested = "[" * depth + "]" * depth
+    else:
+        nested = '{"a":' * depth + "{}" + "}" * depth
+    return _edit_json(draw, data, _deepen).replace(json.dumps(DEEP).encode(), nested.encode())
 
 
 MULTIWORD = "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_"
@@ -158,9 +196,62 @@ def break_conllu(draw, data: bytes) -> bytes:
     return "\n".join(lines).encode("utf-8", "surrogateescape")
 
 
+def rehead(draw, data: bytes) -> bytes:
+    """One CoNLL-U block's heads redrawn: a token that heads itself, a head cycle,
+    or any heads at all."""
+    blocks = data.decode("utf-8", "surrogateescape").split("\n\n")
+    b = draw(st.integers(0, len(blocks) - 1))
+    rows = [line.split("\t") for line in blocks[b].split("\n")]
+    tokens = [cols for cols in rows if len(cols) == 10 and cols[0].isdecimal()]
+    if not tokens:
+        return data
+    shape = draw(st.sampled_from(["self", "cycle", "any"] if len(tokens) > 1 else ["self", "any"]))
+    if shape == "any":
+        for cols in tokens:
+            cols[6] = str(draw(st.integers(0, len(tokens))))
+    else:
+        size = 1 if shape == "self" else draw(st.integers(2, len(tokens)))
+        ring = draw(st.lists(st.sampled_from(tokens), min_size=size, max_size=size, unique_by=id))
+        for cols, head in zip(ring, ring[1:] + ring[:1]):
+            cols[6] = head[0]
+    blocks[b] = "\n".join("\t".join(cols) for cols in rows)
+    return "\n\n".join(blocks).encode("utf-8", "surrogateescape")
+
+
+def grow_isa(draw, data: bytes) -> bytes:
+    """Text-form concepts appended: an IS-A chain up to 2,000 deep, or a diamond
+    of up to 100 levels, each maybe closed into a cycle or led to both roots,
+    and a lemma that the mini corpus holds made a sense of the topmost one."""
+    root = draw(st.sampled_from(["OBJECT", "EVENT"]))
+    if draw(st.booleans()):
+        depth = draw(st.integers(1, 2_000))
+        lines = [f"concept ISA0 is-a {root}"]
+        lines += [f"concept ISA{i} is-a ISA{i - 1}" for i in range(1, depth)]
+        top = f"ISA{depth - 1}"
+    else:
+        levels = draw(st.integers(1, 100))
+        lines = [f"concept ISA0{x} is-a {root}" for x in "ab"]
+        lines += [f"concept ISA{i}{x} is-a ISA{i - 1}a,ISA{i - 1}b" for i in range(1, levels) for x in "ab"]
+        top = f"ISA{levels - 1}a"
+    fault = draw(st.sampled_from([None, None, "cycle", "self", "both-roots"]))
+    if fault == "cycle":
+        lines[0] += f",{top}"
+    elif fault == "self":
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] += "," + lines[i].split()[1]
+    elif fault == "both-roots":
+        lines[0] += ",EVENT" if root == "OBJECT" else ",OBJECT"
+    if draw(st.booleans()):
+        lines.reverse()
+    lex = "spectrum pos noun" if root == "OBJECT" else "show pos verb"
+    lines.append(f"lex {lex} -> concept {top}")
+    return data + b"\n" + "\n".join(lines).encode() + b"\n"
+
+
 BYTES = [truncate, flip_byte, insert_non_utf8, drop_or_repeat_line]
-JSON = [*BYTES, json_types]
-CONLLU = [*BYTES, break_conllu]
+JSON = [*BYTES, json_types, nest_deeply]
+CONLLU = [*BYTES, break_conllu, rehead]
+ONTOLOGY = [*BYTES, grow_isa]
 
 
 @st.composite
@@ -212,6 +303,18 @@ ARTICLE_XML = (
 GOLD = (MINI_CORPUS / "gold.jsonl").read_bytes()
 
 
+def _attach_trees(data: bytes):
+    """attach_parses of M001.json; every parse it accepts must be a tree."""
+    article = attach_parses(load_article_json(M001_JSON), data)
+    for sentence in article.sentences():
+        heads = [0] + [token.head for token in sentence.parse.tokens]
+        for token in range(1, len(heads)):
+            for _ in heads:
+                token = heads[token]
+            assert token == 0, f"sentence {sentence.global_index} is no tree: {heads[1:]}"
+    return article
+
+
 def _gold_rows(path):
     return pipeline.read_jsonl(path, lambda doc, where: cli._row(doc, where, "label", "0 or 1"))
 
@@ -219,7 +322,7 @@ def _gold_rows(path):
 # name: (loader, a valid input, the mutations that apply). A loader of bytes
 # is read through pipeline.read_input, read_jsonl from the file itself.
 LOADERS = {
-    "ontology-text": (load_ontology, _data("ontology.txt"), BYTES),
+    "ontology-text": (load_ontology, _data("ontology.txt"), ONTOLOGY),
     "ontology-json": (load_ontology, SMALL_ONTOLOGY_JSON, JSON),
     "synsets": (load_synsets, _data("synsets.json"), JSON),
     "embeddings": (load_embeddings, SMALL_EMBEDDINGS, BYTES),
@@ -229,9 +332,15 @@ LOADERS = {
     "concept-metrics": (cli._concept_metrics, b'{"metrics": {"f1": 0.5}}', JSON),
     "article-json": (load_article_json, M001_JSON, JSON),
     "article-xml": (load_article_xml, ARTICLE_XML, BYTES),
-    "conllu": (partial(attach_parses, load_article_json(M001_JSON)), M001_CONLLU, CONLLU),
+    "conllu": (_attach_trees, M001_CONLLU, CONLLU),
     "gold-jsonl": (_gold_rows, GOLD, JSON),
 }
+
+
+# Seconds an example may take: one load, or a command run in up to three
+# part counts. Far above what any example takes, far below an exponential walk.
+LOAD_SECONDS = 10
+COMMAND_SECONDS = 30
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +354,7 @@ def input_path(tmp_path_factory):
 def test_only_figdesc_errors_escape_a_loader(input_path, name, data):
     load, seed, mutators = LOADERS[name]
     input_path.write_bytes(data.draw(mutated(seed, mutators), label="input"))
-    with contextlib.suppress(FigdescError):
+    with within(LOAD_SECONDS), contextlib.suppress(FigdescError):
         if load is _gold_rows:
             load(input_path)
         else:
@@ -343,7 +452,7 @@ FLAGS = {
     ("detect", "corpus/M001.json"): JSON,
     ("detect", "corpus/M001.conllu"): CONLLU,
     ("detect", "config"): JSON,
-    ("calibrate", "ontology"): BYTES,
+    ("calibrate", "ontology"): ONTOLOGY,
     ("calibrate", "synsets"): JSON,
     ("calibrate", "embeddings"): BYTES,
     ("calibrate", "gazetteer"): BYTES,
@@ -375,7 +484,9 @@ def test_main_never_returns_3_on_a_mutated_input(workspace, command, flag, data)
         argv[i] = str(target)
     bad = data.draw(mutated(target.read_bytes(), FLAGS[command, flag]), label="file")
     target.write_bytes(bad)
-    assert _main_in_parts(argv, workspace / "out") in (0, 1, 2)
+    with within(COMMAND_SECONDS):
+        code = _main_in_parts(argv, workspace / "out")
+    assert code in (0, 1, 2)
 
 
 # Words of the one-article corpus, and regex shapes that compile with a group

@@ -21,7 +21,7 @@ from figdesc.ontology import (
     load_ontology,
 )
 
-from .helpers import MINI_CORPUS
+from .helpers import MINI_CORPUS, within
 
 SMALL = """\
 # toy taxonomy
@@ -164,6 +164,30 @@ class TestValidation:
         src = "concept A is-a B\nconcept B is-a A\n"
         with pytest.raises(CycleError, match="A -> B -> A"):
             load_ontology(src)
+
+    @pytest.mark.parametrize("bottom_up", [True, False])
+    def test_chain_of_5000_loads(self, bottom_up):
+        lines = [f"concept C{i} is-a C{i - 1}" for i in range(1, 5000)]
+        lines.insert(0, "concept C0 is-a EVENT")
+        graph = load_ontology("\n".join(lines if bottom_up else lines[::-1]))
+        assert graph.root_of("C4999") == ROOT_EVENT
+        assert graph.ancestors("C4999")[-2:] == ["C0", ROOT_EVENT]
+        assert len(graph.ancestors("C4999")) == 5000
+
+    def test_diamond_of_200_loads_in_well_under_a_second(self):
+        # Two concepts a level, each is-a both of the level below: 2**100 paths.
+        lines = ["concept L0a is-a OBJECT", "concept L0b is-a OBJECT"]
+        lines += [f"concept L{i}{x} is-a L{i - 1}a,L{i - 1}b" for i in range(1, 100) for x in "ab"]
+        with within(0.5):
+            graph = load_ontology("\n".join(lines))
+        assert graph.root_of("L99b") == ROOT_OBJECT
+        assert len(graph.ancestors("L99b")) == 100
+
+    def test_cycle_above_a_deep_chain_reports_it(self):
+        lines = [f"concept C{i} is-a C{i - 1}" for i in range(1, 3000)]
+        lines.insert(0, "concept C0 is-a C2")
+        with pytest.raises(CycleError, match="^is-a cycle: C2 -> C1 -> C0 -> C2$"):
+            load_ontology("\n".join(lines[::-1]))
 
     def test_concept_reaching_both_roots(self):
         src = (
