@@ -40,16 +40,18 @@ print()
 # ---- property path completion ----
 
 # an adjective sense names an attribute and a value; when its bearer is
-# unexpressed, an UNKNOWN placeholder stands in for the described object
+# unexpressed, an UNKNOWN placeholder stands in for the described object,
+# and check_completion says whether the attribute may take one
 from figdesc.errors import CompletionError
 from figdesc.ontology import PropertySense
 
 direction = PropertySense("DIRECTIONALITY", "horizontal")
-print(graph.complete_path("SHOW-INFORMATION", direction))
+graph.check_completion("SHOW-INFORMATION", direction)
+print("DIRECTIONALITY may take an UNKNOWN bearer under SHOW-INFORMATION")
 
 # an attribute whose domain holds no object concept cannot take an
 # inferred bearer, so the unexpressed case is refused outright
 try:
-    graph.complete_path("SHOW-INFORMATION", PropertySense("SPEED", "fast"))
+    graph.check_completion("SHOW-INFORMATION", PropertySense("SPEED", "fast"))
 except CompletionError as err:
     print("rejected:", err)

@@ -8,6 +8,7 @@ sentence's weight is its elements' weights, distance-damped again. The
 decision threshold is a multiple of the mean reference weight.
 """
 
+import json
 from pathlib import Path
 
 from figdesc import fixtures, pipeline
@@ -34,7 +35,8 @@ WINDOW = 2  # neighbors on each side, as the CLI's --window
 
 # ---- calibration ----
 
-# each pass over the corpus reads it anew, one article at a time
+# each pass over the corpus reads it anew, one article at a time, and keeps
+# only the sorted (kind, name, distance) elements of each reference sentence
 corpus = pipeline.load_corpus_dir(MINI)
 refs = pipeline.reference_tmrs(corpus, res)
 table = calibrate(refs)
@@ -49,22 +51,24 @@ print()
 
 # ---- scoring candidates ----
 
-scored = pipeline.score_candidates(corpus, res, table, WINDOW)
+# each row carries its weight, its decision and the scores.jsonl record
+# that figdesc classify writes for it, representation included
 threshold = compute_threshold(table.mean_ref_weight, LAMBDA)
+scored = pipeline.score_candidates(corpus, res, table, threshold, WINDOW)
 print(len(scored), "candidates, threshold", round(threshold, 6))
 
 one = max(scored, key=lambda r: r.weight)
-print(f"\nhighest candidate: {one.uid}[{one.global_index}] {one.text!r}")
+record = json.loads(one.line)
+print(f"\nhighest candidate: {one.uid}[{one.global_index}] {record['text']!r}")
 print("per-element contributions:")
-for (kind, name, dist), part in element_contributions(one.tmr, table):
+elements = [(e["kind"], e["name"], e["distance"]) for e in record["tmr"]["elements"]]
+for (kind, name, dist), part in element_contributions(elements, table):
     print(f"  {kind:8} {name:25} d={dist}  {part:.4f}")
 print("weight:", round(one.weight, 4), "->",
-      "descriptive" if classify(one.weight, threshold) else "not descriptive")
+      "descriptive" if one.is_descriptive else "not descriptive")
 print()
 
 # ---- evaluation against the bundled labels ----
-
-import json
 
 gold = {}
 for line in (MINI / "gold.jsonl").read_text().splitlines():

@@ -23,7 +23,6 @@ from pathlib import Path
 from . import figref, pipeline, scoring
 from .corpus import Sentence, json_field, load_json_object, sha256
 from .errors import AlignmentError, ArticleParseError, ConfigError, FigdescError, SchemaError
-from .tmr import tmr_to_json
 
 ENV_PREFIX = "FIGDESC_"
 
@@ -271,25 +270,12 @@ def cmd_classify(settings: dict) -> int:
     corpus = pipeline.load_corpus_dir(settings["corpus"], digests)
     threshold = scoring.compute_threshold(table.mean_ref_weight, settings["lambda"])
     scored = pipeline.score_candidates(
-        corpus, res, table, settings["window"], settings["pattern"]
-    )
-    descriptive = [scoring.classify(row.weight, threshold) for row in scored]
-    records = (
-        {
-            "uid": row.uid,
-            "global_index": row.global_index,
-            "text": row.text,
-            "weight": row.weight,
-            "threshold": threshold,
-            "is_descriptive": is_descriptive,
-            "tmr": tmr_to_json(row.tmr),
-        }
-        for row, is_descriptive in zip(scored, descriptive)
+        corpus, res, table, threshold, settings["window"], settings["pattern"]
     )
     header = _header(settings, digests)
     with _writing(out):
-        pipeline.write_jsonl(out / "scores.jsonl", header, map(pipeline.encode_record, records))
-    n_pos = sum(descriptive)
+        pipeline.write_jsonl(out / "scores.jsonl", header, (row.line for row in scored))
+    n_pos = sum(row.is_descriptive for row in scored)
     print(
         f"classify: {len(scored)} candidates, {n_pos} descriptive at "
         f"lambda={settings['lambda']:g} (threshold {threshold:.6f}) -> {out / 'scores.jsonl'}"

@@ -30,24 +30,12 @@ class SynsetLexicon:
 
     entries: dict[str, tuple[tuple[str, ...], ...]]
 
-    def synonyms(self, verb: str) -> set[str]:
-        """Union of the verb's synsets, the verb itself removed."""
-        verb = verb.lower()
-        out: set[str] = set()
-        for synset in self.entries.get(verb, ()):
-            out.update(synset)
-        out.discard(verb)
-        return out
-
     def ordered_synonyms(self, verb: str) -> list[str]:
         """Synonyms in synset order, first occurrence wins, verb removed."""
         verb = verb.lower()
-        seen: list[str] = []
-        for synset in self.entries.get(verb, ()):
-            for lemma in synset:
-                if lemma != verb and lemma not in seen:
-                    seen.append(lemma)
-        return seen
+        seen = dict.fromkeys(lemma for synset in self.entries.get(verb, ()) for lemma in synset)
+        seen.pop(verb, None)
+        return list(seen)
 
 
 def load_synsets(data: bytes | str) -> SynsetLexicon:
@@ -211,10 +199,8 @@ def candidate_verb_lemmas(
     vocabulary, the verb's synonyms come in synset order.
     """
     verb = verb.lower()
-    syns = synsets.synonyms(verb)
-    if not syns:
-        return []  # nothing to intersect: the neighbor search cannot add a lemma
-    if embeddings is None or verb not in embeddings:
-        return synsets.ordered_synonyms(verb)
-    ranked = embeddings.top_k(verb, k)
-    return [w for w, _ in ranked if w in syns]
+    ordered = synsets.ordered_synonyms(verb)
+    if not ordered or embeddings is None or verb not in embeddings:
+        return ordered  # with none, the neighbor search cannot add a lemma
+    syns = set(ordered)
+    return [w for w, _ in embeddings.top_k(verb, k) if w in syns]

@@ -154,13 +154,13 @@ class OntologyGraph:
         lineage = {bearer_concept, *self.ancestors(bearer_concept)}
         return bool(lineage & set(prop.applicable_domains))
 
-    def complete_path(self, event_concept: str, sense: PropertySense) -> list[str]:
-        """Path linking an event to an attribute whose bearer is unexpressed.
+    def check_completion(self, event_concept: str, sense: PropertySense) -> None:
+        """Check that an UNKNOWN placeholder filling a role of the event may
+        bear the sense's attribute, its bearer being unexpressed.
 
-        An UNKNOWN placeholder stands in for the described object and, when
-        the sense carries no value, a second UNKNOWN stands in for the
-        attribute value: [event, UNKNOWN, property, value|UNKNOWN].
-        Placeholders are sentence-scoped; the graph is never modified.
+        Raises IntegrityError for an unknown event or property,
+        PreconditionError for a property that is no ATTRIBUTE, and
+        CompletionError when the attribute applies to no object concept.
         """
         if not self.has_concept(event_concept):
             raise IntegrityError(f"unknown concept {event_concept}")
@@ -171,7 +171,6 @@ class OntologyGraph:
             raise PreconditionError(
                 f"{sense.prop} is {prop.kind}, path completion needs an ATTRIBUTE"
             )
-        value = sense.value if sense.value is not None else UNKNOWN
         if prop.applicable_domains and not any(
             d == ROOT_OBJECT or self.root_of(d) == ROOT_OBJECT
             for d in prop.applicable_domains
@@ -180,7 +179,6 @@ class OntologyGraph:
             raise CompletionError(
                 f"{prop.name} applies to no object concept; cannot infer a bearer"
             )
-        return [event_concept, UNKNOWN, prop.name, value]
 
 
 # ---- loading ----

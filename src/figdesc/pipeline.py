@@ -5,11 +5,12 @@ optional <stem>.conllu parse sidecar next to each. load_corpus_dir returns
 a Corpus, a value each pass over which reads the articles anew, one at a
 time. detect_article alone decides which sentences of an article refer to a
 figure and which of their neighbors are candidates; detect_by_uid runs it for
-detect, calibrate and classify alike, keeping only each article's small
-results and ordering them by uid. It reads the corpus in one part per CPU:
-the first in this process, and each other in a forked child that pickles its
-results back through its own pipe. The results, digests and errors are those
-of one pass over the files in name order.
+detect, calibrate and classify alike, keeping of each article only the plain
+data its command writes or weighs (detect's and classify's encoded records,
+calibrate's reference elements), ordered by uid. It reads the corpus in one
+part per CPU: the first in this process, and each other in a forked child
+that pickles its results back through its own pipe. The results, digests and
+errors are those of one pass over the files in name order.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .figref import compile_pattern, neighbor_positions
 from .figref import detect_figure_refs, is_figure_referring, select_neighbors  # noqa: F401
 from .lexres import EmbeddingStore, SynsetLexicon, load_embeddings, load_synsets
 from .ontology import OntologyGraph, load_ontology
-from .scoring import WeightTable, sentence_weight
-from .tmr import Tmr, build_sentence_tmr, load_gazetteer
+from .scoring import Element, WeightTable, classify, sentence_weight
+from .tmr import Tmr, build_sentence_tmr, load_gazetteer, tmr_to_json
 
 T = TypeVar("T")
 
@@ -368,44 +369,65 @@ def _read_part(
 class ScoredSentence:
     uid: str
     global_index: int
-    text: str
-    tmr: Tmr
     weight: float
+    is_descriptive: bool
+    line: str  # the sentence's scores.jsonl record, as encode_record writes it
 
 
 def reference_tmrs(
     corpus: Corpus,
     resources: Resources,
     pattern: str | None = None,
-) -> list[Tmr]:
-    """Representations of every figure-referring sentence, ordered by (uid, index).
+) -> list[tuple[Element, ...]]:
+    """The sorted (kind, name, distance) elements of each figure-referring
+    sentence's representation, ordered by (uid, index): what calibrate weighs.
 
     The references do not depend on the window, so none is taken.
     """
 
-    def tmrs(detection: ArticleDetection) -> list[Tmr]:
-        return [resources.tmr(sentence) for sentence, _ in detection.refs]
+    def elements(detection: ArticleDetection) -> list[tuple[Element, ...]]:
+        return [
+            tuple(sorted(map(tuple, resources.tmr(sentence).elements)))
+            for sentence, _ in detection.refs
+        ]
 
-    return list(chain.from_iterable(detect_by_uid(corpus, 0, pattern, tmrs)))
+    return list(chain.from_iterable(detect_by_uid(corpus, 0, pattern, elements)))
 
 
 def score_candidates(
     corpus: Corpus,
     resources: Resources,
     table: WeightTable,
+    threshold: float,
     window: int,
     pattern: str | None = None,
 ) -> list[ScoredSentence]:
-    """Weight every distinct candidate sentence, ordered by (uid, index)."""
+    """Weigh and classify every distinct candidate sentence, ordered by (uid, index).
 
-    def rows(detection: ArticleDetection) -> list[ScoredSentence]:
-        uid, sentences = detection.uid, detection.candidates
-        return [
-            ScoredSentence(uid, s.global_index, s.text, tmr, sentence_weight(tmr, table))
-            for s, tmr in zip(sentences, map(resources.tmr, sentences))
-        ]
+    Each row carries the record classify writes for its sentence, built in
+    the pass that reads the sentence, so no representation leaves the pass.
+    """
 
-    return list(chain.from_iterable(detect_by_uid(corpus, window, pattern, rows)))
+    def row(uid: str, sentence: Sentence) -> tuple[str, int, float, bool, str]:
+        tmr = resources.tmr(sentence)
+        weight = sentence_weight(tmr.elements, table)
+        is_descriptive = classify(weight, threshold)
+        record = {
+            "uid": uid,
+            "global_index": sentence.global_index,
+            "text": sentence.text,
+            "weight": weight,
+            "threshold": threshold,
+            "is_descriptive": is_descriptive,
+            "tmr": tmr_to_json(tmr),
+        }
+        return uid, sentence.global_index, weight, is_descriptive, encode_record(record)
+
+    def rows(detection: ArticleDetection) -> list[tuple[str, int, float, bool, str]]:
+        return [row(detection.uid, sentence) for sentence in detection.candidates]
+
+    passes = detect_by_uid(corpus, window, pattern, rows)
+    return [ScoredSentence(*row) for row in chain.from_iterable(passes)]
 
 
 # ---- provenance ----

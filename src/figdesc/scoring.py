@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .corpus import json_field, load_json_object
@@ -27,12 +28,14 @@ from .errors import (
     DegenerateTableError,
 )
 from .ontology import ROOT_EVENT, ROOT_OBJECT, UNKNOWN
-from .tmr import CONCEPT, PROPERTY, Tmr
+from .tmr import CONCEPT, PROPERTY
 
 DEFAULT_EXCLUDED_CONCEPTS = frozenset({ROOT_EVENT, ROOT_OBJECT})
 DEFAULT_EXCLUDED_PROPERTIES = frozenset(
     {"AGENT", "THEME", "THEME-INFORMATION", "INSTRUMENT", "CAUSED-BY", "IS-A"}
 )
+
+Element = tuple[str, str, int]  # (kind, name, distance), as a TmrElement unpacks
 
 
 @dataclass
@@ -53,25 +56,26 @@ def _included(kind: str, name: str) -> bool:
     return name not in DEFAULT_EXCLUDED_PROPERTIES
 
 
-def calibrate(ref_tmrs: list[Tmr]) -> WeightTable:
-    """Build a weight table from reference-sentence representations.
+def calibrate(refs: list[Sequence[Element]]) -> WeightTable:
+    """Build a weight table from the (kind, name, distance) elements of each
+    reference sentence's representation.
 
     Raises CalibrationError on an empty corpus and DegenerateTableError when
-    no representation holds an element or exclusions leave nothing to weigh.
+    no reference holds an element or exclusions leave nothing to weigh.
     Exactly permutation-invariant: a shuffled input list produces an
     identical table.
     """
-    if not ref_tmrs:
+    if not refs:
         raise CalibrationError("no reference representations to calibrate on")
     # element -> distance -> occurrence count; integer histograms make the
     # raw sums independent of input order before fsum even enters.
     histo: dict[tuple[str, str], dict[int, int]] = {}
-    for tmr in ref_tmrs:
-        for el in tmr.elements:
-            if not _included(el.kind, el.name):
+    for elements in refs:
+        for kind, name, distance in elements:
+            if not _included(kind, name):
                 continue
-            by_dist = histo.setdefault((el.kind, el.name), {})
-            by_dist[el.distance] = by_dist.get(el.distance, 0) + 1
+            by_dist = histo.setdefault((kind, name), {})
+            by_dist[distance] = by_dist.get(distance, 0) + 1
     raw = {
         key: math.fsum(
             count / d**2 for d, count in sorted(by_dist.items())
@@ -79,9 +83,9 @@ def calibrate(ref_tmrs: list[Tmr]) -> WeightTable:
         for key, by_dist in histo.items()
     }
     if not raw:
-        if not any(tmr.elements for tmr in ref_tmrs):
+        if not any(refs):
             raise DegenerateTableError(
-                f"none of the {len(ref_tmrs)} reference representations holds an element"
+                f"none of the {len(refs)} reference representations holds an element"
                 " (do the reference sentences have parses?)"
             )
         raise DegenerateTableError("exclusions removed every element")
@@ -101,10 +105,10 @@ def calibrate(ref_tmrs: list[Tmr]) -> WeightTable:
         calibration_counts=(0, 0, 0),
     )
     # Second pass: the mean reference weight uses the final normalized table.
-    weights = sorted(sentence_weight(t, table) for t in ref_tmrs)
+    weights = sorted(sentence_weight(elements, table) for elements in refs)
     table.mean_ref_weight = math.fsum(weights) / len(weights)
     table.calibration_counts = (
-        len(ref_tmrs),
+        len(refs),
         len(table.concept_weights),
         len(table.property_weights),
     )
@@ -117,24 +121,26 @@ def _weight_of(kind: str, name: str, table: WeightTable) -> float:
 
 
 def element_contributions(
-    tmr: Tmr, table: WeightTable
-) -> list[tuple[tuple[str, str, int], float]]:
-    """Per-occurrence contributions weight/distance^2, in canonical order."""
+    elements: Iterable[Element], table: WeightTable
+) -> list[tuple[Element, float]]:
+    """Per-occurrence contributions weight/distance^2 of a representation's
+    (kind, name, distance) elements, in canonical order."""
     rows = []
-    for el in sorted(tmr.elements):
-        if not _included(el.kind, el.name):
+    for kind, name, distance in sorted(elements):
+        if not _included(kind, name):
             continue
-        w = _weight_of(el.kind, el.name, table)
-        rows.append(((el.kind, el.name, el.distance), w / el.distance**2))
+        w = _weight_of(kind, name, table)
+        rows.append(((kind, name, distance), w / distance**2))
     return rows
 
 
-def sentence_weight(tmr: Tmr, table: WeightTable) -> float:
-    """Sum of calibrated weights over the representation, inverse-square damped.
+def sentence_weight(elements: Iterable[Element], table: WeightTable) -> float:
+    """Sum of calibrated weights over a representation's elements, inverse-square
+    damped. calibrate and score_candidates both weigh a sentence with it.
 
     Elements the calibration never saw contribute zero.
     """
-    return math.fsum(c for _, c in element_contributions(tmr, table))
+    return math.fsum(c for _, c in element_contributions(elements, table))
 
 
 def compute_threshold(mean_ref_weight: float, lambda_: float) -> float:

@@ -230,15 +230,19 @@ def _choose_assignment(
     frame: SvoFrame,
     graph: OntologyGraph,
 ) -> dict[int, LexEntry]:
-    """Exhaustively pick the combination with the most satisfied relations.
+    """Exhaustively pick the combination with the most satisfied relations,
+    among at most _MAX_COMBINATIONS of them.
 
     Ties prefer the lowest summed priority, then the earliest combination in
     enumeration order (token order, senses by priority).
     """
     indices = sorted(options)
     pools = [options[i] for i in indices]
-    if math.prod(map(len, pools)) > _MAX_COMBINATIONS:
-        pools = [pool[:3] for pool in pools]
+    # Past the cap, the longest pool (the earliest of equals) drops its worst
+    # sense until the product is within it.
+    while math.prod(map(len, pools)) > _MAX_COMBINATIONS:
+        longest = max(range(len(pools)), key=lambda k: len(pools[k]))
+        pools[longest] = pools[longest][:-1]
     best: dict[int, LexEntry] | None = None
     best_key: tuple[int, int] | None = None
     for combo in itertools.product(*pools):
@@ -283,7 +287,7 @@ def _emit_completion(
     Raises CompletionError, having emitted nothing, when the attribute
     applies to no object concept.
     """
-    graph.complete_path(event, sense)
+    graph.check_completion(event, sense)
     tmr.elements.append(TmrElement(CONCEPT, UNKNOWN, 1))
     tmr.edges.append((event, role, UNKNOWN))
     _emit_attribute(tmr, UNKNOWN, sense)
@@ -366,16 +370,6 @@ def build_tmr(
     return tmr
 
 
-def merge_tmrs(tmrs: list[Tmr], sentence_ref: int) -> Tmr:
-    """Union of several frames' representations for one sentence."""
-    merged = Tmr(sentence_ref=sentence_ref)
-    for t in tmrs:
-        merged.elements.extend(t.elements)
-        merged.edges.extend(t.edges)
-    merged.unmappable = not merged.elements
-    return merged
-
-
 def build_sentence_tmr(
     sentence,
     graph: OntologyGraph,
@@ -383,15 +377,17 @@ def build_sentence_tmr(
     synsets: SynsetLexicon | None = None,
     embeddings: EmbeddingStore | None = None,
 ) -> Tmr:
-    """Representation of a whole sentence: merged frames, or empty if unparsed."""
+    """Representation of a whole sentence: the union of its frames', unmappable
+    when none holds an element, and empty if unparsed."""
+    tmr = Tmr(sentence_ref=sentence.global_index, unmappable=True)
     if sentence.parse is None:
-        return Tmr(sentence_ref=sentence.global_index, unmappable=True)
-    frames = extract_frames(sentence.parse, gazetteer)
-    parts = [
-        build_tmr(f, graph, synsets, embeddings, sentence.global_index)
-        for f in frames
-    ]
-    return merge_tmrs(parts, sentence.global_index)
+        return tmr
+    for frame in extract_frames(sentence.parse, gazetteer):
+        part = build_tmr(frame, graph, synsets, embeddings, sentence.global_index)
+        tmr.elements += part.elements
+        tmr.edges += part.edges
+    tmr.unmappable = not tmr.elements
+    return tmr
 
 
 def tmr_to_json(tmr: Tmr) -> dict:

@@ -96,11 +96,11 @@ def test_01_worked_example_weights(resources):
             resources.synsets,
             resources.embeddings,
         )
-        rows = dict(element_contributions(tmr, table))
+        rows = dict(element_contributions(tmr.elements, table))
         assert len(rows) == len(GOLDEN_CONTRIBUTIONS)
         for key, expected in GOLDEN_CONTRIBUTIONS.items():
             assert rows[key] == pytest.approx(expected, abs=1e-4), key
-        weight = sentence_weight(tmr, table)
+        weight = sentence_weight(tmr.elements, table)
         assert weight == pytest.approx(GOLDEN_SENTENCE_WEIGHT, abs=1e-4)
 
 
@@ -158,7 +158,7 @@ def test_03_calibration_normalization():
             )
             if not includable:
                 continue
-            table = calibrate(corpus)
+            table = calibrate([t.elements for t in corpus])
             for pool in (table.concept_weights, table.property_weights):
                 if pool:
                     assert abs(math.fsum(pool.values()) - 1.0) <= 1e-9
@@ -373,7 +373,7 @@ def test_07_end_to_end_f1(mini_articles, resources, gold_labels):
         refs = pipeline.reference_tmrs(corpus, resources)
         table = calibrate(refs)
         threshold = compute_threshold(table.mean_ref_weight, 0.5)
-        scored = pipeline.score_candidates(corpus, resources, table, 2)
+        scored = pipeline.score_candidates(corpus, resources, table, threshold, 2)
 
         keys = sorted(gold_labels)
         by_id = {(r.uid, r.global_index): r for r in scored}

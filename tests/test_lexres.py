@@ -21,9 +21,9 @@ EMBEDDINGS = fixtures.fixture_path("embeddings.txt")
 def searching_candidate_verb_lemmas(synsets, embeddings, verb, k):
     """Reference expansion that searches the neighbors of every embedded verb."""
     verb = verb.lower()
-    syns = synsets.synonyms(verb)
+    syns = synsets.ordered_synonyms(verb)
     if verb not in embeddings:
-        return synsets.ordered_synonyms(verb)
+        return syns
     return [w for w, _ in embeddings.top_k(verb, k) if w in syns]
 
 
@@ -31,8 +31,8 @@ class TestSynsets:
     SRC = '{"depict": [["show", "depict"], ["illustrate", "depict", "render"]]}'
 
     def test_synonyms_union_drops_self(self):
-        lex = load_synsets(self.SRC)
-        assert lex.synonyms("depict") == {"show", "illustrate", "render"}
+        lex = load_synsets('{"depict": [["show", "depict", "render"], ["render", "depict", "x"]]}')
+        assert lex.ordered_synonyms("depict") == ["show", "render", "x"]
 
     def test_ordered_synonyms(self):
         lex = load_synsets(self.SRC)
@@ -40,11 +40,10 @@ class TestSynsets:
 
     def test_lookup_case_folds(self):
         lex = load_synsets(self.SRC)
-        assert lex.synonyms("Depict") == lex.synonyms("depict")
+        assert lex.ordered_synonyms("Depict") == lex.ordered_synonyms("depict")
 
     def test_missing_lemma_is_empty(self):
         lex = load_synsets(self.SRC)
-        assert lex.synonyms("vanish") == set()
         assert lex.ordered_synonyms("vanish") == []
 
     def test_uppercase_key_rejected(self):
@@ -311,7 +310,7 @@ class TestVerbExpansion:
         words = {line.split()[0] for line in EMBEDDINGS.read_text().splitlines()[1:]}
         synsets = resources.synsets.entries
         words |= set(synsets) | {lemma for sets in synsets.values() for s in sets for lemma in s}
-        with_synonyms = {w for w in words if resources.synsets.synonyms(w)}
+        with_synonyms = {w for w in words if resources.synsets.ordered_synonyms(w)}
         assert with_synonyms and words - with_synonyms
         for verb in sorted(words):
             for k in (1, DEFAULT_TOP_K):

@@ -4,14 +4,14 @@ Each loader gets a valid input of its kind, mutated by hypothesis: truncated,
 bytes flipped, bytes that are not UTF-8 inserted, JSON values swapped for
 values of other types or deleted, CoNLL-U lines broken against the rules at
 https://universaldependencies.org/format.html, and lines dropped or
-repeated. Structure is fuzzed too: JSON values nested up to 100,000 deep,
-CoNLL-U heads that make a token head itself or a cycle, and IS-A chains up to
-2,000 deep or diamonds of up to 100 levels. A loader may accept the result or
-raise a FigdescError subclass, within a time bound; any other exception is a
-bug. The same mutations, written to the file behind each command-line flag,
-must never make main() return 3 or run past the bound, and a corpus command
-must give the same exit code, output and bytes whether it reads the corpus in
-one, two or three parts.
+repeated. Structure is fuzzed too: JSON values nested up to 100,000 deep, XML
+elements nested up to 50,000 deep, CoNLL-U heads that make a token head itself
+or a cycle, and IS-A chains up to 2,000 deep or diamonds of up to 100 levels.
+A loader may accept the result or raise a FigdescError subclass, within a
+time bound; any other exception is a bug. The same mutations, written to the
+file behind each command-line flag, must never make main() return 3 or run
+past the bound, and a corpus command must give the same exit code, output and
+bytes whether it reads the corpus in one, two or three parts.
 """
 
 import contextlib
@@ -149,6 +149,20 @@ def nest_deeply(draw, data: bytes) -> bytes:
     return _edit_json(draw, data, _deepen).replace(json.dumps(DEEP).encode(), nested.encode())
 
 
+def nest_xml(draw, data: bytes) -> bytes:
+    """Elements nested up to 50,000 deep, just inside an opening tag of the XML
+    article (or at its start, if none is left), holding text at the bottom.
+
+    The tag is one the loader reads (para, body, title) or one it skips.
+    """
+    depth = draw(st.one_of(st.integers(1, 1_200), st.sampled_from([5_000, 50_000])))
+    tag = draw(st.sampled_from(["para", "body", "title", "x"]))
+    nested = (f"<{tag}>" * depth + "Fig. 1 deep." + f"</{tag}>" * depth).encode()
+    opening = [m.end() for m in re.finditer(rb"<[a-z]+[^>]*>", data)]
+    at = draw(st.sampled_from(opening)) if opening else 0
+    return data[:at] + nested + data[at:]
+
+
 MULTIWORD = "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_"
 EMPTY_NODE = "1.1\tx\tx\tX\t_\t_\t_\t_\t0:root\t_"
 COLUMN_VALUES = {
@@ -252,6 +266,7 @@ BYTES = [truncate, flip_byte, insert_non_utf8, drop_or_repeat_line]
 JSON = [*BYTES, json_types, nest_deeply]
 CONLLU = [*BYTES, break_conllu, rehead]
 ONTOLOGY = [*BYTES, grow_isa]
+XML = [*BYTES, nest_xml]
 
 
 @st.composite
@@ -331,7 +346,7 @@ LOADERS = {
     "labeled": (load_labeled_jsonl, LABELED, JSON),
     "concept-metrics": (cli._concept_metrics, b'{"metrics": {"f1": 0.5}}', JSON),
     "article-json": (load_article_json, M001_JSON, JSON),
-    "article-xml": (load_article_xml, ARTICLE_XML, BYTES),
+    "article-xml": (load_article_xml, ARTICLE_XML, XML),
     "conllu": (_attach_trees, M001_CONLLU, CONLLU),
     "gold-jsonl": (_gold_rows, GOLD, JSON),
 }

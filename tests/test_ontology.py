@@ -20,8 +20,9 @@ from figdesc.ontology import (
     PropertySense,
     load_ontology,
 )
+from figdesc.tmr import build_tmr, extract_frames
 
-from .helpers import MINI_CORPUS, within
+from .helpers import MINI_CORPUS, parse_rows, within
 
 SMALL = """\
 # toy taxonomy
@@ -126,29 +127,45 @@ class TestAttributeDomains:
 
 
 class TestPathCompletion:
-    def test_without_bearer_inserts_placeholder(self, small):
-        path = small.complete_path("MOTION", PropertySense("SIZE", "small"))
-        assert path == ["MOTION", UNKNOWN, "SIZE", "small"]
+    """An attribute whose bearer is unexpressed completes through an UNKNOWN
+    placeholder filling the event's role; check_completion says whether it may."""
 
-    def test_missing_value_becomes_placeholder(self, small):
-        path = small.complete_path("MOTION", PropertySense("SIZE"))
-        assert path == ["MOTION", UNKNOWN, "SIZE", UNKNOWN]
+    def completed(self, graph, lemma):
+        rows = [(1, lemma, lemma, "ADJ", 2, "nsubj"), (2, "moves", "move", "VERB", 0, "root")]
+        (frame,) = extract_frames(parse_rows(rows))
+        return build_tmr(frame, graph)
+
+    def test_without_bearer_inserts_placeholder(self, small):
+        assert small.check_completion("MOTION", PropertySense("SIZE", "small")) is None
+        tmr = self.completed(small, "small")
+        assert tmr.edges == [("MOTION", "AGENT", UNKNOWN), (UNKNOWN, "SIZE", "small")]
+        assert sorted(tmr.elements) == [
+            ("CONCEPT", "MOTION", 1), ("CONCEPT", UNKNOWN, 1),
+            ("PROPERTY", "AGENT", 1), ("PROPERTY", "SIZE", 1),
+        ]
+
+    def test_missing_value_becomes_placeholder(self):
+        graph = load_ontology(SMALL + "lex big pos adj -> property SIZE\n")
+        assert graph.check_completion("MOTION", PropertySense("SIZE")) is None
+        tmr = self.completed(graph, "big")
+        assert tmr.edges == [("MOTION", "AGENT", UNKNOWN), (UNKNOWN, "SIZE", UNKNOWN)]
+        assert [e.name for e in tmr.elements].count(UNKNOWN) == 2
 
     def test_event_only_domain_cannot_infer_bearer(self, small):
         with pytest.raises(CompletionError, match="SPEED"):
-            small.complete_path("MOTION", PropertySense("SPEED", "fast"))
+            small.check_completion("MOTION", PropertySense("SPEED", "fast"))
 
     def test_non_attribute_rejected(self, small):
         with pytest.raises(PreconditionError, match="AGENT"):
-            small.complete_path("MOTION", PropertySense("AGENT"))
+            small.check_completion("MOTION", PropertySense("AGENT"))
 
     def test_unknown_property_rejected(self, small):
         with pytest.raises(IntegrityError, match="WAT"):
-            small.complete_path("MOTION", PropertySense("WAT"))
+            small.check_completion("MOTION", PropertySense("WAT"))
 
     def test_unknown_event_rejected(self, small):
         with pytest.raises(IntegrityError, match="NOPE"):
-            small.complete_path("NOPE", PropertySense("SIZE"))
+            small.check_completion("NOPE", PropertySense("SIZE"))
 
 
 class TestValidation:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import pickle
 import re
 import shutil
 import signal
@@ -20,9 +21,10 @@ from figdesc.cli import main
 from figdesc.corpus import load_article_json
 from figdesc.errors import AlignmentError, ArticleParseError, ConfigError, SchemaError
 from figdesc.figref import detect_figure_refs, neighbor_positions, select_neighbors
-from figdesc.scoring import WeightTable, calibrate
+from figdesc.scoring import WeightTable, calibrate, compute_threshold
+from figdesc.tmr import CONCEPT, Tmr
 
-from .helpers import MINI_CORPUS, no_child_left, split_into
+from .helpers import MINI_CORPUS, no_child_left, resource_args, split_into
 
 
 class TestCorpusDir:
@@ -321,33 +323,84 @@ def table(resources):
     return calibrate(refs)
 
 
+@pytest.fixture(scope="module")
+def threshold(table):
+    return compute_threshold(table.mean_ref_weight, 0.5)
+
+
 class TestScoreCandidates:
-    def test_rows_sorted_and_complete(self, resources, table):
-        rows = pipeline.score_candidates(pipeline.load_corpus_dir(MINI_CORPUS), resources, table, 2)
+    def test_rows_sorted_and_complete(self, resources, table, threshold):
+        mini = pipeline.load_corpus_dir(MINI_CORPUS)
+        rows = pipeline.score_candidates(mini, resources, table, threshold, 2)
         keys = [(r.uid, r.global_index) for r in rows]
         assert keys == sorted(keys)
         assert len(rows) == 40  # two candidates per article
+        assert 0 < sum(r.is_descriptive for r in rows) < 40
         for r in rows:
+            record = json.loads(r.line)
+            assert r.line == pipeline.encode_record(record)
+            assert (record["uid"], record["global_index"]) == (r.uid, r.global_index)
             assert r.global_index in (4, 6)
-            assert r.weight >= 0.0
-            assert r.text
-            assert r.tmr.sentence_ref == r.global_index
+            assert record["weight"] == r.weight >= 0.0
+            assert record["threshold"] == threshold
+            assert record["is_descriptive"] is r.is_descriptive is (r.weight > threshold)
+            assert record["text"]
+            assert record["tmr"]["sentence"] == r.global_index
 
-    def test_uid_order_whatever_the_input_order(self, resources, table, reversed_mini):
+    def test_uid_order_whatever_the_input_order(self, resources, table, threshold, reversed_mini):
         mini = pipeline.load_corpus_dir(MINI_CORPUS)
-        in_order = pipeline.score_candidates(mini, resources, table, 2)
+        in_order = pipeline.score_candidates(mini, resources, table, threshold, 2)
         reverse = pipeline.load_corpus_dir(reversed_mini)
-        assert pipeline.score_candidates(reverse, resources, table, 2) == in_order
+        assert pipeline.score_candidates(reverse, resources, table, threshold, 2) == in_order
 
     def test_unknown_elements_score_zero(self, resources):
         empty = WeightTable({}, {}, 0.0, (0, 0, 0))
-        rows = pipeline.score_candidates(pipeline.load_corpus_dir(MINI_CORPUS), resources, empty, 2)
-        assert all(r.weight == 0.0 for r in rows)
+        mini = pipeline.load_corpus_dir(MINI_CORPUS)
+        rows = pipeline.score_candidates(mini, resources, empty, 0.0, 2)
+        assert all(r.weight == 0.0 and not r.is_descriptive for r in rows)
+
+
+class TestWhatAPassSends:
+    """A corpus pass read in parts sends back plain data only: no article,
+    sentence or meaning representation crosses a pipe."""
+
+    PLAIN = (str, int, float, bool)
+
+    def plain(self, value) -> bool:
+        if type(value) in (list, tuple):
+            return all(self.plain(item) for item in value)
+        return type(value) in self.PLAIN
+
+    def test_every_corpus_command_sends_plain_data(self, tmp_path):
+        sent = []
+        load = pickle.load
+
+        def recording(pipe):
+            sent.append(load(pipe))
+            return sent[-1]
+
+        res = resource_args()
+        commands = {
+            "detect": [],
+            "calibrate": res,
+            "classify": [*res, "--weights", str(tmp_path / "weights.json")],
+        }
+        with split_into(2), mock.patch.object(pickle, "load", recording):
+            for command, flags in commands.items():
+                argv = [command, "--corpus", str(MINI_CORPUS), "--out", str(tmp_path), *flags]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+                assert len(sent) == 1, command
+                pairs, _, _, error = sent.pop()
+                assert error is None and pairs, command
+                assert self.plain(pairs), command
 
 
 class TestOneDefinitionOfAReference:
     """calibrate and classify read the references and candidates that detect writes,
-    and each of detect's rows holds the labels and spans of its sentence's matches."""
+    in its order, and each of detect's rows holds the labels and spans of its
+    sentence's matches. A stand-in representation that names its sentence shows
+    which sentence each of reference_tmrs' element tuples comes from."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -366,30 +419,37 @@ class TestOneDefinitionOfAReference:
             for i, body in enumerate(bodies):  # file-name order is the reverse of uid order
                 doc = {"uid": f"U{i}", "body": body}
                 (corpus / f"{len(bodies) - i}.json").write_text(json.dumps(doc))
-                (Path(tmp) / f"U{i}").mkdir()  # a corpus of this article alone
-                (Path(tmp) / f"U{i}" / "a.json").write_text(json.dumps(doc))
             argv = ["detect", "--corpus", str(corpus), "--window", str(window), "--out", str(out)]
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main([*argv, *(["--pattern", pattern] if pattern else [])]) == 0
             _, rows = pipeline.read_jsonl(out / "detect.jsonl")
             articles = list(pipeline.load_corpus_dir(corpus))
-            refs = {article.uid: [] for article in articles}
             candidates = set()
             sentences = {(a.uid, s.global_index): s for a in articles for s in a.sentences()}
             for row in rows:
                 matches = detect_figure_refs(sentences[row["uid"], row["global_index"]], pattern)
                 assert row["labels"] == sorted({label for m in matches for label in m.labels})
                 assert row["spans"] == [list(m.span) for m in matches]
-                refs[row["uid"]].append(row["global_index"])
                 candidates.update((row["uid"], gidx) for gidx in row["neighbors"])
-            for article in articles:
-                alone = pipeline.load_corpus_dir(Path(tmp) / article.uid)
-                tmrs = pipeline.reference_tmrs(alone, resources, pattern)
-                assert [tmr.sentence_ref for tmr in tmrs] == refs[article.uid]
+            with mock.patch.object(pipeline, "build_sentence_tmr", _naming_tmr):
+                elements = pipeline.reference_tmrs(
+                    pipeline.load_corpus_dir(corpus), resources, pattern
+                )
+            assert elements == [
+                tuple(_naming_tmr(sentences[row["uid"], row["global_index"]]).elements)
+                for row in rows
+            ]
             table = WeightTable({}, {}, 0.0, (0, 0, 0))
             whole = pipeline.load_corpus_dir(corpus)
-            scored = pipeline.score_candidates(whole, resources, table, window, pattern)
+            scored = pipeline.score_candidates(whole, resources, table, 0.0, window, pattern)
             assert [(row.uid, row.global_index) for row in scored] == sorted(candidates)
+            texts = [json.loads(row.line)["text"] for row in scored]
+            assert texts == [sentences[key].text for key in sorted(candidates)]
+
+
+def _naming_tmr(sentence, *resources):
+    """A stand-in representation whose one element names its sentence."""
+    return Tmr(sentence.global_index, [(CONCEPT, sentence.text, sentence.global_index + 1)])
 
 
 class TestProvenance:

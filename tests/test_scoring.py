@@ -30,7 +30,7 @@ from figdesc.scoring import (
     sentence_weight,
     sweep_to_tsv,
 )
-from figdesc.tmr import CONCEPT, PROPERTY, Tmr, TmrElement, build_sentence_tmr
+from figdesc.tmr import CONCEPT, PROPERTY, build_sentence_tmr
 
 from .helpers import (
     GOLDEN_CONCEPT_WEIGHTS,
@@ -41,12 +41,6 @@ from .helpers import (
     REF_TEXT,
     parsed_sentence,
 )
-
-
-def make_tmr(rows, ref=0):
-    t = Tmr(sentence_ref=ref)
-    t.elements = [TmrElement(kind, name, d) for kind, name, d in rows]
-    return t
 
 
 def golden_table():
@@ -60,7 +54,7 @@ def golden_table():
 
 class TestWorkedExample:
     @pytest.fixture()
-    def tmr(self, resources):
+    def elements(self, resources):
         sent = parsed_sentence(REF_TEXT, REF_PARSE_ROWS)
         return build_sentence_tmr(
             sent,
@@ -68,26 +62,26 @@ class TestWorkedExample:
             resources.gazetteer,
             resources.synsets,
             resources.embeddings,
-        )
+        ).elements
 
-    def test_contributions(self, tmr):
-        rows = element_contributions(tmr, golden_table())
+    def test_contributions(self, elements):
+        rows = element_contributions(elements, golden_table())
         assert dict(rows) == pytest.approx(GOLDEN_CONTRIBUTIONS, abs=1e-4)
         assert len(rows) == len(GOLDEN_CONTRIBUTIONS)
 
-    def test_sentence_weight(self, tmr):
-        w = sentence_weight(tmr, golden_table())
+    def test_sentence_weight(self, elements):
+        w = sentence_weight(elements, golden_table())
         assert w == pytest.approx(GOLDEN_SENTENCE_WEIGHT, abs=1e-4)
 
-    def test_case_roles_never_contribute(self, tmr):
-        keys = [k for k, _ in element_contributions(tmr, golden_table())]
+    def test_case_roles_never_contribute(self, elements):
+        keys = [k for k, _ in element_contributions(elements, golden_table())]
         assert all(name not in DEFAULT_EXCLUDED_PROPERTIES for _, name, _ in keys)
 
 
 class TestCalibration:
     def test_hand_computed_table(self):
-        t1 = make_tmr([(CONCEPT, "A", 1), (CONCEPT, "B", 2)])
-        t2 = make_tmr([(CONCEPT, "A", 2), (PROPERTY, "P", 1)])
+        t1 = [(CONCEPT, "A", 1), (CONCEPT, "B", 2)]
+        t2 = [(CONCEPT, "A", 2), (PROPERTY, "P", 1)]
         table = calibrate([t1, t2])
         # raw: A = 1 + 1/4, B = 1/4; P = 1
         assert table.concept_weights["A"] == pytest.approx(5 / 6)
@@ -102,30 +96,28 @@ class TestCalibration:
             calibrate([])
 
     def test_all_excluded_is_degenerate(self):
-        t = make_tmr([(CONCEPT, "EVENT", 1), (PROPERTY, "AGENT", 1)])
+        t = [(CONCEPT, "EVENT", 1), (PROPERTY, "AGENT", 1)]
         with pytest.raises(DegenerateTableError, match="^exclusions removed every element$"):
-            calibrate([t, make_tmr([])])
+            calibrate([t, []])
 
     def test_no_elements_at_all_is_degenerate(self):
         with pytest.raises(DegenerateTableError, match="^none of the 2 reference repr"):
-            calibrate([make_tmr([]), make_tmr([])])
+            calibrate([[], []])
 
     def test_excluded_names_never_keyed(self):
-        t = make_tmr(
-            [
-                (CONCEPT, "A", 1),
-                (CONCEPT, "EVENT", 2),
-                (CONCEPT, "OBJECT", 3),
-                (PROPERTY, "AGENT", 1),
-                (PROPERTY, "P", 1),
-            ]
-        )
+        t = [
+            (CONCEPT, "A", 1),
+            (CONCEPT, "EVENT", 2),
+            (CONCEPT, "OBJECT", 3),
+            (PROPERTY, "AGENT", 1),
+            (PROPERTY, "P", 1),
+        ]
         table = calibrate([t])
         assert set(table.concept_weights) == {"A"}
         assert set(table.property_weights) == {"P"}
 
     def test_unknown_placeholders_never_keyed(self):
-        t = make_tmr([(CONCEPT, "A", 1), (CONCEPT, "UNKNOWN", 1), (PROPERTY, "UNKNOWN", 1)])
+        t = [(CONCEPT, "A", 1), (CONCEPT, "UNKNOWN", 1), (PROPERTY, "UNKNOWN", 1)]
         # No exclusion set names UNKNOWN: the placeholder is dropped on its own.
         assert UNKNOWN not in DEFAULT_EXCLUDED_CONCEPTS | DEFAULT_EXCLUDED_PROPERTIES
         table = calibrate([t])
@@ -133,7 +125,7 @@ class TestCalibration:
         assert table.property_weights == {}
 
     def test_single_category_corpus(self):
-        t = make_tmr([(PROPERTY, "P", 1), (PROPERTY, "Q", 3)])
+        t = [(PROPERTY, "P", 1), (PROPERTY, "Q", 3)]
         table = calibrate([t])
         assert table.concept_weights == {}
         assert math.fsum(table.property_weights.values()) == pytest.approx(1.0, abs=1e-12)
@@ -164,7 +156,7 @@ def has_includable(corpus):
 class TestCalibrationProperties:
     @given(corpus_strategy.filter(has_includable))
     def test_each_category_sums_to_one(self, corpus):
-        table = calibrate([make_tmr(rows, i) for i, rows in enumerate(corpus)])
+        table = calibrate(corpus)
         for pool in (table.concept_weights, table.property_weights):
             if pool:
                 assert abs(math.fsum(pool.values()) - 1.0) <= 1e-9
@@ -173,10 +165,9 @@ class TestCalibrationProperties:
 
     @given(corpus_strategy.filter(has_includable), st.integers(0, 2**32 - 1))
     def test_input_order_is_irrelevant(self, corpus, seed):
-        tmrs = [make_tmr(rows, i) for i, rows in enumerate(corpus)]
-        shuffled = list(tmrs)
+        shuffled = list(corpus)
         random.Random(seed).shuffle(shuffled)
-        a = calibrate(tmrs)
+        a = calibrate(corpus)
         b = calibrate(shuffled)
         assert a.concept_weights == b.concept_weights
         assert a.property_weights == b.property_weights
@@ -184,36 +175,35 @@ class TestCalibrationProperties:
 
     @given(corpus_strategy.filter(has_includable))
     def test_mean_matches_rescoring_the_references(self, corpus):
-        tmrs = [make_tmr(rows, i) for i, rows in enumerate(corpus)]
-        table = calibrate(tmrs)
-        weights = sorted(sentence_weight(t, table) for t in tmrs)
+        table = calibrate(corpus)
+        weights = sorted(sentence_weight(rows, table) for rows in corpus)
         assert table.mean_ref_weight == math.fsum(weights) / len(weights)
 
 
 class TestScoring:
     def test_unseen_elements_contribute_zero(self):
-        table = calibrate([make_tmr([(CONCEPT, "A", 1)])])
-        t = make_tmr([(CONCEPT, "A", 1), (CONCEPT, "NEVER-SEEN", 1)])
+        table = calibrate([[(CONCEPT, "A", 1)]])
+        t = [(CONCEPT, "A", 1), (CONCEPT, "NEVER-SEEN", 1)]
         assert sentence_weight(t, table) == pytest.approx(1.0)
 
     def test_distance_damping(self):
         table = WeightTable({"A": 1.0}, {}, 0.0, (1, 1, 0))
         for d in (1, 2, 3, 4):
-            t = make_tmr([(CONCEPT, "A", d)])
+            t = [(CONCEPT, "A", d)]
             assert sentence_weight(t, table) == pytest.approx(1.0 / d**2)
 
     def test_repeated_occurrences_accumulate(self):
         table = WeightTable({"A": 0.5}, {}, 0.0, (1, 1, 0))
-        t = make_tmr([(CONCEPT, "A", 1), (CONCEPT, "A", 2)])
+        t = [(CONCEPT, "A", 1), (CONCEPT, "A", 2)]
         assert sentence_weight(t, table) == pytest.approx(0.5 + 0.125)
 
     def test_empty_tmr_scores_zero(self):
         table = WeightTable({"A": 1.0}, {}, 0.0, (1, 1, 0))
-        assert sentence_weight(make_tmr([]), table) == 0.0
+        assert sentence_weight([], table) == 0.0
 
     def test_contributions_canonical_order(self):
         table = WeightTable({"B": 0.5, "A": 0.5}, {"P": 1.0}, 0.0, (1, 2, 1))
-        t = make_tmr([(PROPERTY, "P", 1), (CONCEPT, "B", 2), (CONCEPT, "A", 1)])
+        t = [(PROPERTY, "P", 1), (CONCEPT, "B", 2), (CONCEPT, "A", 1)]
         keys = [k for k, _ in element_contributions(t, table)]
         assert keys == [(CONCEPT, "A", 1), (CONCEPT, "B", 2), (PROPERTY, "P", 1)]
 
@@ -285,8 +275,8 @@ class TestSweep:
 
 class TestPersistence:
     def test_roundtrip(self):
-        t1 = make_tmr([(CONCEPT, "A", 1), (CONCEPT, "B", 2), (PROPERTY, "P", 1)])
-        t2 = make_tmr([(CONCEPT, "A", 3), (PROPERTY, "Q", 1)])
+        t1 = [(CONCEPT, "A", 1), (CONCEPT, "B", 2), (PROPERTY, "P", 1)]
+        t2 = [(CONCEPT, "A", 3), (PROPERTY, "Q", 1)]
         table = calibrate([t1, t2])
         loaded = load_weight_table(save_weight_table(table))
         assert loaded.calibration_counts == table.calibration_counts

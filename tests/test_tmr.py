@@ -1,5 +1,6 @@
 import pytest
 
+from figdesc import tmr as tmr_module
 from figdesc.ontology import UNKNOWN, ConceptSense, LexEntry, load_ontology
 from figdesc.scoring import (
     DEFAULT_EXCLUDED_CONCEPTS,
@@ -10,18 +11,16 @@ from figdesc.scoring import (
 from figdesc.tmr import (
     CONCEPT,
     PROPERTY,
-    TmrElement,
     _choose_assignment,
     build_sentence_tmr,
     build_tmr,
     extract_frames,
     is_chemical_token,
     load_gazetteer,
-    merge_tmrs,
     tmr_to_json,
 )
 
-from .helpers import REF_PARSE_ROWS, REF_TEXT, parse_rows, parsed_sentence
+from .helpers import REF_PARSE_ROWS, REF_TEXT, make_sentence, parse_rows, parsed_sentence
 
 
 def names(tmr, kind=None):
@@ -170,7 +169,7 @@ class TestGoldenSentence:
         # No exclusion set names UNKNOWN: the placeholder is dropped on its own.
         excluded = {CONCEPT: DEFAULT_EXCLUDED_CONCEPTS, PROPERTY: DEFAULT_EXCLUDED_PROPERTIES}
         assert all(UNKNOWN not in pool for pool in excluded.values())
-        scored = element_contributions(tmr, table)
+        scored = element_contributions(tmr.elements, table)
         included = [e for e in elements(tmr) if e[1] not in excluded[e[0]]]
         assert any(e[1] == UNKNOWN for e in included)
         assert [key for key, _ in scored] == [e for e in included if e[1] != UNKNOWN]
@@ -424,15 +423,15 @@ lex ragged pos adj -> property GAIT=ragged
         (frame,) = extract_frames(parse_rows(rows))
         noun_pool = [LexEntry("w", "NOUN", ConceptSense("THING"), p) for p in range(11)]
         verb_pool = [LexEntry("go", "VERB", ConceptSense("THING"), p) for p in range(11)]
-        verb_pool[5] = LexEntry("go", "VERB", ConceptSense("RUN"), 5)
+        verb_pool[10] = LexEntry("go", "VERB", ConceptSense("RUN"), 10)
 
         # 121 combinations: the full search finds the event sense buried at
-        # priority 5 because it satisfies the subject case role
+        # priority 10 because it satisfies the subject case role
         small = _choose_assignment({1: noun_pool, 2: verb_pool}, frame, graph)
         assert small[2].sense == ConceptSense("RUN")
 
-        # 11^5 combinations exceeds the search budget; pools are cut to
-        # their three best-priority senses and the event sense is gone
+        # 11^5 combinations exceed the search budget; each pool loses its
+        # worst-priority sense, 10^5 fit, and the event sense is gone
         options = {
             1: noun_pool,
             2: verb_pool,
@@ -444,22 +443,66 @@ lex ragged pos adj -> property GAIT=ragged
         assert big[2].sense == ConceptSense("THING")
         assert all(big[i].priority == 0 for i in (1, 3, 4, 5))
 
+    @staticmethod
+    def many_smalls(n):
+        """"curve shows small ... small peak": n modifiers of two senses each."""
+        rows = [(1, "curve", "curve", "NOUN", 2, "nsubj"), (2, "shows", "show", "VERB", 0, "root")]
+        rows += [(3 + i, "small", "small", "ADJ", 2, "advmod") for i in range(n)]
+        rows.append((3 + n, "peak", "peak", "NOUN", 2, "obj"))
+        return parsed_sentence(" ".join(row[1] for row in rows), rows)
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """One entry per combination the sense search scores."""
+        calls = []
+        score = tmr_module._combination_score
+        monkeypatch.setattr(
+            tmr_module, "_combination_score", lambda *args: calls.append(1) or score(*args)
+        )
+        return calls
+
+    def test_the_cap_bounds_the_search(self, resources, monkeypatch, calls):
+        for cap, n in ((1, 3), (10, 6), (64, 12), (1000, 30)):
+            monkeypatch.setattr(tmr_module, "_MAX_COMBINATIONS", cap)
+            calls.clear()
+            tmr = build_sentence_tmr(self.many_smalls(n), resources.graph)
+            assert 0 < len(calls) <= cap, (cap, n)
+            assert (CONCEPT, "SHOW-INFORMATION", 1) in elements(tmr)
+
+    def test_frames_within_the_cap_are_searched_whole(self, resources, monkeypatch, calls):
+        sentence = self.many_smalls(6)  # 2^6 combinations
+        whole = build_sentence_tmr(sentence, resources.graph)
+        calls.clear()
+        monkeypatch.setattr(tmr_module, "_MAX_COMBINATIONS", 2**6)
+        assert build_sentence_tmr(sentence, resources.graph) == whole
+        assert len(calls) == 2**6
+
 
 class TestMergeAndSerialize:
-    def test_merge_unions_elements_and_edges(self):
-        a = merge_tmrs([], sentence_ref=3)
-        assert a.unmappable
+    def test_merge_unions_elements_and_edges(self, resources):
+        unparsed = make_sentence("No parse here.", 3)
+        assert build_sentence_tmr(unparsed, resources.graph).unmappable
 
-        t1 = merge_tmrs([], 0)
-        t1.elements = [TmrElement(CONCEPT, "A", 1)]
-        t1.edges = [("A", "IS-A", "B")]
-        t2 = merge_tmrs([], 0)
-        t2.elements = [TmrElement(PROPERTY, "P", 1)]
-        merged = merge_tmrs([t1, t2], sentence_ref=9)
+        # two verbs, two frames: the sentence holds the union of both
+        rows = [
+            (1, "peak", "peak", "NOUN", 2, "nsubj"),
+            (2, "decreases", "decrease", "VERB", 0, "root"),
+            (3, "curve", "curve", "NOUN", 4, "nsubj"),
+            (4, "shows", "show", "VERB", 2, "conj"),
+        ]
+        sentence = parsed_sentence("peak decreases curve shows", rows, global_index=9)
+        frames = extract_frames(sentence.parse)
+        parts = [build_tmr(frame, resources.graph) for frame in frames]
+        merged = build_sentence_tmr(sentence, resources.graph)
+        assert len(parts) == 2 and all(part.elements for part in parts)
         assert merged.sentence_ref == 9
         assert not merged.unmappable
-        assert len(merged.elements) == 2
-        assert merged.edges == [("A", "IS-A", "B")]
+        assert merged.elements == parts[0].elements + parts[1].elements
+        assert merged.edges == parts[0].edges + parts[1].edges
+
+        # a parse whose frames ground nothing is unmappable
+        nothing = parsed_sentence("zorp", [(1, "zorp", "zorp", "VERB", 0, "root")])
+        assert build_sentence_tmr(nothing, resources.graph).unmappable
 
     def test_json_form_is_sorted(self, resources):
         sent = parsed_sentence(REF_TEXT, REF_PARSE_ROWS, global_index=4)
