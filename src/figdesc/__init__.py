@@ -9,9 +9,9 @@ sentences, and classify candidates against a scaled mean-weight threshold.
 import importlib
 import os
 
-# BLAS runs on one thread unless the caller sets otherwise. The package's
-# matrices are small (the baseline's is a few thousand rows by a few hundred
-# columns), and a second BLAS thread spins between products: on a 2-core
+# BLAS runs on one thread unless the caller sets otherwise. Only the baseline
+# computes with numpy, and its matrix is small (thousands of rows by hundreds
+# of columns), so a second BLAS thread spins between products: on a 2-core
 # host with one other busy process, k-fold training went from 0.5 s to
 # 1.1-1.8 s on two threads and stayed at 0.6 s on one. OpenBLAS and MKL read
 # these variables when numpy first loads them, so this precedes every import.
@@ -21,7 +21,7 @@ del _var
 
 # The public names by the module that defines each. They load on first use
 # (PEP 562), so importing the package loads no module a command does not use,
-# and detect and evaluate never load numpy.
+# and no command but baseline loads numpy.
 _HOMES = {
     "corpus": (
         "Article", "Paragraph", "ParsedSentence", "Sentence", "Token", "attach_parses",

@@ -4,21 +4,20 @@ Verbs missing from the lexicon are rewritten to known lemmas by intersecting
 their synonym list with their nearest embedding neighbors; with no embedding
 store or entry, the synonym list alone is used in synset order.
 
-numpy loads only with the first embedding store, so a run that uses none
-never imports it.
+The store is plain Python, so no command but baseline imports numpy; with
+the bundled store that saves each calibrate and classify process about 0.1 s
+and 10 MiB of peak memory. EmbeddingStore states what a large store costs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
+import operator
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .corpus import decode_utf8, json_entries, load_json_object
 from .errors import EmbeddingFormatError, OovError, SchemaError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 DEFAULT_TOP_K = 20
@@ -55,83 +54,75 @@ def load_synsets(data: bytes | str) -> SynsetLexicon:
     return SynsetLexicon(entries)
 
 
-def _squared_norms(rows: np.ndarray, name: Callable[[int], str]) -> np.ndarray:
-    """Each row's sum of squares, summed as np.linalg.norm sums it.
+def _unit_vector(values: Sequence[float], dim: int, where: Callable[[], str]) -> list[float]:
+    """values divided by their norm; a vector of zeros stays 0.
 
-    The store divides each row by its root, so the first row that holds a
-    non-finite value, or whose sum is infinite, or 0 though the row is not,
-    raises EmbeddingFormatError named by name(row index).
+    The sum of squares is Python's sequential sum. Values that are not dim
+    in number, or a non-finite value, or a sum that is infinite, or 0 though
+    a value is not, raise EmbeddingFormatError named by where().
     """
-    import numpy as np
-
-    with np.errstate(over="ignore"):  # an overflow is raised below, not warned
-        squares = np.add.reduce(rows * rows, axis=1)
-    # A non-finite value makes its row's sum non-finite too.
-    bad = np.flatnonzero(~np.isfinite(squares) | ((squares == 0.0) & rows.any(axis=1)))
-    if bad.size:
-        i = bad[0]
+    if len(values) != dim:
+        raise EmbeddingFormatError(f"{where()}: expected {dim} values, got {len(values)}")
+    squares = sum(map(operator.mul, values, values))
+    if not math.isfinite(squares) or (squares == 0.0 and any(values)):
         why = (
-            "non-finite value" if not np.isfinite(rows[i]).all()
-            else "vector norm overflows" if squares[i] == np.inf
+            "non-finite value" if not all(map(math.isfinite, values))
+            else "vector norm overflows" if squares == math.inf
             else "vector norm underflows to 0"
         )
-        raise EmbeddingFormatError(f"{name(i)}: {why}")
-    return squares
+        raise EmbeddingFormatError(f"{where()}: {why}")
+    norm = math.sqrt(squares) or 1.0  # zero vectors get similarity 0 everywhere
+    return [x / norm for x in values]
 
 
 class EmbeddingStore:
-    """Dense word vectors with cosine nearest-neighbor lookup."""
+    """Word vectors with cosine nearest-neighbor lookup, in plain Python.
 
-    def __init__(self, dim: int, vectors: dict[str, np.ndarray]):
-        import numpy as np
+    Each word's unit vector is an array('d'), and top_k scans them all once
+    per distinct (word, k). A scan of the bundled 1,000 x 50 store takes
+    about 3 ms. A large store is slower than a numpy matrix would be: on a
+    generated 20,000 x 100 store, a distinct query takes 0.1-0.15 s against
+    1 ms, and loading 0.7-0.9 s against 0.6-0.9 s, though the process peaks
+    at 73 MiB against 123.
+    """
+
+    def __init__(self, dim: int, vectors: Mapping[str, Sequence[float]]):
+        # array and heapq load only where they run, since every command imports lexres
+        from array import array
 
         self.dim = dim
-        self._words = list(vectors)
-        self._index = {w: i for i, w in enumerate(self._words)}
-        self._matrix = (
-            np.stack([vectors[w] for w in self._words])
-            if vectors
-            else np.zeros((0, dim))
-        )
-        norms = np.sqrt(_squared_norms(self._matrix, lambda i: f"word {self._words[i]!r}"))
-        norms[norms == 0.0] = 1.0  # zero vectors get similarity 0 everywhere
-        self._unit = self._matrix / norms[:, None]
-        # Each word's position in lexicographic order: the top_k tie-break key.
-        by_word = sorted(range(len(self._words)), key=self._words.__getitem__)
-        self._rank = np.empty(len(by_word), dtype=np.intp)
-        self._rank[by_word] = np.arange(len(by_word))
+        self._unit = {
+            word: array("d", _unit_vector(vec, dim, lambda: f"word {word!r}"))
+            for word, vec in vectors.items()
+        }
+        self._top: dict[tuple[str, int], list[tuple[str, float]]] = {}
 
     def __contains__(self, word: str) -> bool:
-        return word in self._index
+        return word in self._unit
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self._unit)
 
     def top_k(self, word: str, k: int) -> list[tuple[str, float]]:
         """k nearest words by cosine, descending; ties broken lexicographically.
 
         The query word itself is excluded, and a k below 0 counts as 0.
+        Each (word, k) is ranked once per store; every call returns a new list.
         Raises OovError for unknown words.
         """
-        if word not in self._index:
+        q = self._unit.get(word)
+        if q is None:
             raise OovError(f"word {word!r} not in embedding vocabulary")
-        import numpy as np
+        k = min(max(k, 0), len(self._unit) - 1)
+        top = self._top.get((word, k))
+        if top is None:
+            import heapq
 
-        qi = self._index[word]
-        q = self._matrix[qi]
-        qn = float(np.linalg.norm(q))
-        neg = -(self._unit @ (q / qn if qn else q))
-        neg[qi] = np.inf
-        k = min(max(k, 0), len(neg) - 1)
-        # Only words at least as similar as the k-th best can rank in the top
-        # k, ties at the k-th place included. The query word sorts last, so
-        # at k = 0 the bound takes every word and the slice keeps none.
-        kth = np.partition(neg, k - 1)[k - 1]
-        order = np.flatnonzero(neg <= kth)
-        # lexsort's last key is the primary one: similarity descending, then
-        # lexicographic rank among equal similarities.
-        order = order[np.lexsort((self._rank[order], neg[order]))][:k]
-        return list(zip(map(self._words.__getitem__, order.tolist()), (-neg[order]).tolist()))
+            scored = (
+                (-sum(map(operator.mul, u, q)), w) for w, u in self._unit.items() if w != word
+            )
+            top = self._top[word, k] = [(w, -neg) for neg, w in heapq.nsmallest(k, scored)]
+        return list(top)
 
 
 def load_embeddings(data: bytes | str) -> EmbeddingStore:
@@ -143,7 +134,7 @@ def load_embeddings(data: bytes | str) -> EmbeddingStore:
     those of the values and the norm once every row has parsed.
     A repeated word keeps its last vector and logs a warning.
     """
-    import numpy as np
+    from array import array
 
     lines = decode_utf8(data, "embeddings").splitlines()
     if not lines:
@@ -157,8 +148,9 @@ def load_embeddings(data: bytes | str) -> EmbeddingStore:
         raise EmbeddingFormatError("line 1: header must hold two integers") from e
     if dim <= 0:
         raise EmbeddingFormatError("line 1: dimension must be positive")
-    vectors: dict[str, np.ndarray] = {}
-    rows: list[tuple[int, np.ndarray]] = []  # (line number, vector), repeated words too
+    unit: dict[str, Sequence[float]] = {}
+    rows = 0
+    bad: EmbeddingFormatError | None = None  # the first bad vector's; raised once every row parses
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -169,21 +161,28 @@ def load_embeddings(data: bytes | str) -> EmbeddingStore:
             )
         word = cols[0]
         try:
-            vec = np.array([float(x) for x in cols[1:]], dtype=np.float64)
+            values = list(map(float, cols[1:]))
         except ValueError as e:
             raise EmbeddingFormatError(f"line {lineno}: non-numeric value") from e
-        if word in vectors:
+        if word in unit:
             import logging  # only here, so no store without a repeated word loads it
 
             logging.getLogger(__name__).warning(
                 "duplicate embedding row for %r; keeping the last", word
             )
-        vectors[word] = vec
-        rows.append((lineno, vec))
-    if len(rows) != count:
-        raise EmbeddingFormatError(f"line 1: header counts {count} rows, but {len(rows)} follow")
-    _squared_norms(np.array([v for _, v in rows]).reshape(-1, dim), lambda i: f"line {rows[i][0]}")
-    return EmbeddingStore(dim, vectors)
+        try:
+            unit[word] = array("d", _unit_vector(values, dim, lambda: f"line {lineno}"))
+        except EmbeddingFormatError as e:
+            bad = bad or e
+            unit[word] = values  # kept only to warn of a repeat
+        rows += 1
+    if rows != count:
+        raise EmbeddingFormatError(f"line 1: header counts {count} rows, but {rows} follow")
+    if bad:
+        raise bad
+    store = EmbeddingStore(dim, {})
+    store._unit = unit  # unit vectors already, checked in line order
+    return store
 
 
 def candidate_verb_lemmas(

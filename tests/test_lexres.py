@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -132,6 +133,40 @@ class TestEmbeddings:
         assert again is not st.top_k("q", 2)
         assert st.top_k("q", 1) == again[:1]
 
+    def test_a_repeated_query_scans_once(self, monkeypatch):
+        st = store([("q", 1, 0), ("near", 0.9, 0.1), ("far", -1, 0), ("mid", 1, 1)])
+        scans = []
+        nsmallest = heapq.nsmallest
+        monkeypatch.setattr(heapq, "nsmallest", lambda *a: scans.append(a[0]) or nsmallest(*a))
+        first = st.top_k("q", 2)
+        assert st.top_k("q", 2) == first and st.top_k("q", 2) is not first
+        assert scans == [2]
+        st.top_k("q", 1)
+        st.top_k("near", 2)
+        assert scans == [2, 1, 2]
+
+    def test_the_memo_holds_at_most_k_pairs_per_key(self):
+        st = store([("q", 1, 0), ("near", 0.9, 0.1), ("far", -1, 0), ("mid", 1, 1)])
+        for word in ("q", "far"):
+            for k in (-2, 0, 1, 2, 3, 9):
+                st.top_k(word, k)
+        assert st._top and all(len(top) <= k for (_, k), top in st._top.items())
+        assert {k for _, k in st._top} == {0, 1, 2, 3}  # k is clamped to 0 .. len - 1
+
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [
+            ({"a": [1, 2, 3], "b": [1, 0, 1]}, "word 'a': expected 2 values, got 3"),
+            ({"a": [1, 0], "b": [1, 0, 1]}, "word 'b': expected 2 values, got 3"),
+            ({"a": [1, 0], "b": [1]}, "word 'b': expected 2 values, got 1"),
+        ],
+        ids=["all-too-long", "mixed-lengths", "too-short"],
+    )
+    def test_wrong_length_names_word_when_built_directly(self, vectors, message):
+        with pytest.raises(EmbeddingFormatError) as e:
+            EmbeddingStore(2, vectors)
+        assert str(e.value) == message
+
     def test_bad_header(self):
         with pytest.raises(EmbeddingFormatError, match="line 1"):
             load_embeddings("just-one-token\n")
@@ -193,6 +228,41 @@ class TestEmbeddings:
         st = load_embeddings("3 2\nsmall 1e-150 0\nbig 0 1e150\nzero 0 0\n")
         assert st.top_k("small", 2) == [("big", 0.0), ("zero", 0.0)]
         assert st.top_k("big", 1) == [("small", 0.0)]
+
+
+def numpy_rankings(words, matrix):
+    """Each word's full ranking as a numpy matrix store ranks it: unit rows
+    times the unit query, then lexsort by similarity descending and word."""
+    norms = np.sqrt(np.add.reduce(matrix * matrix, axis=1))
+    norms[norms == 0.0] = 1.0
+    unit = matrix / norms[:, None]
+    by_word = sorted(range(len(words)), key=words.__getitem__)
+    rank = np.empty(len(words), dtype=np.intp)
+    rank[by_word] = np.arange(len(words))
+    for qi, word in enumerate(words):
+        q = matrix[qi]
+        qn = float(np.linalg.norm(q))
+        neg = -(unit @ (q / qn if qn else q))
+        neg[qi] = np.inf
+        order = np.lexsort((rank, neg))[:-1]
+        yield word, [(words[i], -neg[i]) for i in order.tolist()]
+
+
+class TestBundledStoreAgainstNumpy:
+    @pytest.fixture(scope="class")
+    def rankings(self):
+        rows = [line.split() for line in EMBEDDINGS.read_text().splitlines()[1:]]
+        matrix = np.array([[float(x) for x in row[1:]] for row in rows])
+        return dict(numpy_rankings([row[0] for row in rows], matrix))
+
+    @pytest.mark.parametrize("k", [1, DEFAULT_TOP_K, 999])  # 999: every other word
+    def test_every_word_ranks_as_with_numpy(self, rankings, k):
+        emb = load_embeddings(EMBEDDINGS.read_bytes())
+        assert len(emb) == len(rankings) == 1_000
+        for word, ranking in rankings.items():
+            got = emb.top_k(word, k)
+            assert [w for w, _ in got] == [w for w, _ in ranking[:k]], word
+            assert max(abs(a - b) for (_, a), (_, b) in zip(got, ranking)) < 1e-12
 
 
 def brute_force_top_k(pairs, k):

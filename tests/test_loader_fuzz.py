@@ -6,7 +6,9 @@ values of other types or deleted, CoNLL-U lines broken against the rules at
 https://universaldependencies.org/format.html, and lines dropped or
 repeated. Structure is fuzzed too: JSON values nested up to 100,000 deep, XML
 elements nested up to 50,000 deep, CoNLL-U heads that make a token head itself
-or a cycle, and IS-A chains up to 2,000 deep or diamonds of up to 100 levels.
+or a cycle, IS-A chains up to 2,000 deep or diamonds of up to 100 levels,
+and embedding values at the edges of a double's range, which the loader must
+judge as a numpy check does.
 A loader may accept the result or raise a FigdescError subclass, within a
 time bound; any other exception is a bug. The same mutations, written to the
 file behind each command-line flag, must never make main() return 3 or run
@@ -21,6 +23,7 @@ import json
 import re
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +31,7 @@ from hypothesis import strategies as st
 from figdesc import cli, fixtures, pipeline
 from figdesc.baseline import load_labeled_jsonl
 from figdesc.corpus import attach_parses, load_article_json, load_article_xml
-from figdesc.errors import FigdescError
+from figdesc.errors import EmbeddingFormatError, FigdescError
 from figdesc.figref import DEFAULT_PATTERN
 from figdesc.lexres import load_embeddings, load_synsets
 from figdesc.ontology import load_ontology
@@ -262,9 +265,42 @@ def grow_isa(draw, data: bytes) -> bytes:
     return data + b"\n" + "\n".join(lines).encode() + b"\n"
 
 
+# Embedding values at the edges of a double's range: one square near 1e308,
+# two that overflow together, one that overflows alone, squares that fall to
+# a subnormal or to 0, subnormals, and non-finite values. No sum of these
+# squares lies near the largest double, so the order of summation cannot
+# change a verdict.
+EDGE_VALUES = [
+    "1e154", "-1.2e154", "1e155", "1e-154", "1e-160", "-1e-162", "1e-310", "5e-324",
+    "nan", "-inf", "inf",
+]
+TINY_VALUES = ["0", "-0.0", "1e-160", "1e-162", "1e-200", "2.2e-308", "1e-310", "5e-324"]
+
+
+def edge_values(draw, data: bytes) -> bytes:
+    """A row of the later half of an embedding file with one to three values
+    set to edge values, or with every value made tiny or 0, from one to three
+    of the tiny values."""
+    lines = data.split(b"\n")
+    rows = [i for i, line in enumerate(lines) if i and len(line.split()) > 1]
+    if not rows:
+        return data
+    i = draw(st.sampled_from(rows[len(rows) // 2 :]))
+    cols = lines[i].decode("utf-8", "surrogateescape").split()
+    if draw(st.booleans()):
+        tiny = draw(st.lists(st.sampled_from(TINY_VALUES), min_size=1, max_size=3, unique=True))
+        cols[1:] = [draw(st.sampled_from(tiny)) for _ in cols[1:]]
+    else:
+        for _ in range(draw(st.integers(1, 3))):
+            cols[draw(st.integers(1, len(cols) - 1))] = draw(st.sampled_from(EDGE_VALUES))
+    lines[i] = " ".join(cols).encode("utf-8", "surrogateescape")
+    return b"\n".join(lines)
+
+
 BYTES = [truncate, flip_byte, insert_non_utf8, drop_or_repeat_line]
 JSON = [*BYTES, json_types, nest_deeply]
 CONLLU = [*BYTES, break_conllu, rehead]
+EMBEDDINGS = [*BYTES, edge_values]
 ONTOLOGY = [*BYTES, grow_isa]
 XML = [*BYTES, nest_xml]
 
@@ -340,7 +376,7 @@ LOADERS = {
     "ontology-text": (load_ontology, _data("ontology.txt"), ONTOLOGY),
     "ontology-json": (load_ontology, SMALL_ONTOLOGY_JSON, JSON),
     "synsets": (load_synsets, _data("synsets.json"), JSON),
-    "embeddings": (load_embeddings, SMALL_EMBEDDINGS, BYTES),
+    "embeddings": (load_embeddings, SMALL_EMBEDDINGS, EMBEDDINGS),
     "gazetteer": (load_gazetteer, _data("gazetteer.txt"), BYTES),
     "weights": (load_weight_table, WEIGHTS, JSON),
     "labeled": (load_labeled_jsonl, LABELED, JSON),
@@ -374,6 +410,39 @@ def test_only_figdesc_errors_escape_a_loader(input_path, name, data):
             load(input_path)
         else:
             pipeline.read_input(input_path, name, None, load)
+
+
+def numpy_verdict(data: bytes) -> str | None:
+    """The error a numpy check of an embedding file's well-formed rows gives:
+    each row's sum of squares by np.add.reduce (a pairwise sum), and the
+    first row, in line order, that holds a non-finite value, or whose sum is
+    infinite, or 0 though a value is not. None if every row passes."""
+    for lineno, line in enumerate(data.decode().splitlines()[1:], start=2):
+        if not line.strip():
+            continue
+        row = np.array([float(x) for x in line.split()[1:]])
+        with np.errstate(over="ignore"):
+            squares = np.add.reduce(row * row)
+        if not np.isfinite(row).all():
+            return f"line {lineno}: non-finite value"
+        if squares == np.inf:
+            return f"line {lineno}: vector norm overflows"
+        if squares == 0.0 and row.any():
+            return f"line {lineno}: vector norm underflows to 0"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_edge_values_are_judged_as_numpy_judges_them(data):
+    bad = data.draw(mutated(SMALL_EMBEDDINGS, [edge_values]), label="input")
+    expected = numpy_verdict(bad)
+    if expected is None:
+        assert len(load_embeddings(bad)) == 8
+    else:
+        with pytest.raises(EmbeddingFormatError) as e:
+            load_embeddings(bad)
+        assert str(e.value) == expected
 
 
 # ---- the command line ----
@@ -469,7 +538,7 @@ FLAGS = {
     ("detect", "config"): JSON,
     ("calibrate", "ontology"): ONTOLOGY,
     ("calibrate", "synsets"): JSON,
-    ("calibrate", "embeddings"): BYTES,
+    ("calibrate", "embeddings"): EMBEDDINGS,
     ("calibrate", "gazetteer"): BYTES,
     ("classify", "weights"): JSON,
     ("classify", "config"): JSON,
@@ -502,6 +571,39 @@ def test_main_never_returns_3_on_a_mutated_input(workspace, command, flag, data)
     with within(COMMAND_SECONDS):
         code = _main_in_parts(argv, workspace / "out")
     assert code in (0, 1, 2)
+
+
+TINY_ROW = ["1e-162", "-1e-200", "0"] * 16 + ["1e-310", "5e-324"]
+
+
+@pytest.mark.parametrize(
+    "row, values, problem",
+    [
+        (8, ["1e154", "-1.2e154"], "vector norm overflows"),
+        (7, ["3", "1e155"], "vector norm overflows"),
+        (8, TINY_ROW, "vector norm underflows to 0"),
+        (6, ["5e-324"] * 50, "vector norm underflows to 0"),
+        (7, ["1", "nan"], "non-finite value"),
+        (8, ["-inf"], "non-finite value"),
+    ],
+    ids=["overflow-together", "overflow-alone", "tiny", "subnormal", "nan", "inf"],
+)
+def test_calibrate_names_a_late_edge_row_and_exits_2(workspace, row, values, problem):
+    """A late row with edge values fails calibrate with exit 2 and the line's message."""
+    lines = SMALL_EMBEDDINGS.decode().split("\n")
+    cols = lines[row].split()
+    cols[1 : 1 + len(values)] = values
+    assert len(cols) == 51
+    lines[row] = " ".join(cols)
+    target = workspace / "bad" / "edge-embeddings.txt"
+    target.parent.mkdir(exist_ok=True)
+    target.write_text("\n".join(lines))
+    (argv,) = [a for a in _chain(workspace) if a[0] == "calibrate"]
+    argv[argv.index("--embeddings") + 1] = str(target)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--out", str(workspace / "out")])
+    assert (code, err.getvalue()) == (2, f"error: {target}: line {row + 1}: {problem}\n")
 
 
 # Words of the one-article corpus, and regex shapes that compile with a group
