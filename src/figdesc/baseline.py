@@ -15,7 +15,7 @@ own vocabulary and matrices, up to rounding.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,21 +53,19 @@ def to_matrix(features: list[dict[int, int]], vocab_size: int) -> np.ndarray:
     return X
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(NamedTuple):
     learning_rate: float = 0.5
     epochs: int = 300
     l2: float = 0.0
 
 
-@dataclass
-class LogRegModel:
+class LogRegModel(NamedTuple):
     """One model (weights (V,), float bias) or k models side by side
     (weights (V, k), bias (k,)); predictions then have one column per model."""
 
     weights: np.ndarray
     bias: float | np.ndarray
-    losses: list = field(default_factory=list)
+    losses: list
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(X @ self.weights + self.bias)

@@ -16,7 +16,6 @@ import json
 import re
 import sys
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, NamedTuple
 
@@ -127,14 +126,60 @@ class Sentence(NamedTuple):
     parse: ParsedSentence | None = None
 
 
-@dataclass(frozen=True)
-class Paragraph:
-    index: int
+class Paragraph(NamedTuple):
+    index: int  # shadows tuple.index, as Token's does
     sentences: tuple[Sentence, ...]
 
 
-@dataclass(frozen=True)
-class Article:
+class Record:
+    """Base of the package's slotted records: those that are mutated, weakly
+    referenced or no tuple. Every other record is a NamedTuple, which costs
+    nothing at import. A record equals another of its class whose _fields
+    are equal, and prints as Name(field=value, ...), as a dataclass would."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record built positionally from its _fields, which are then read-only;
+    it hashes by them."""
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{self.__class__.__name__} takes {len(self._fields)} fields")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class Article(FrozenRecord):
+    """One article; weakly referenceable, so a test can see it freed."""
+
+    _fields = ("uid", "title", "abstract", "paragraphs", "metadata")
+    __slots__ = (*_fields, "__weakref__")
     uid: str
     title: str
     abstract: str
@@ -149,9 +194,14 @@ class Article:
 def _is_protected(text: str, end: int, abbrs: tuple[str, ...], longest: int) -> bool:
     # Each character lowercases on its own to one or more, so the lowered tail
     # of longest + 1 characters ends like the lowered prefix text[:end]. Only
-    # capital sigma looks at what precedes it, so with one the whole prefix counts.
-    tail = text[max(end - longest - 1, 0):end]
-    lowered = (text[:end] if "Σ" in tail else tail).lower()
+    # capital sigma looks at what precedes it, back to the first character that
+    # is not case-ignorable. Whitespace is neither case-ignorable nor cased, so
+    # with a sigma the text from the last whitespace before the tail counts.
+    start = max(end - longest - 1, 0)
+    if "Σ" in text[start:end]:
+        while start and not text[start].isspace():
+            start -= 1
+    lowered = text[start:end].lower()
     if not lowered.endswith(abbrs):
         return False
     for abbr in abbrs:

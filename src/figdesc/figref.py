@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .corpus import Paragraph, Sentence
 from .errors import ConfigError, PreconditionError
@@ -22,8 +22,7 @@ DEFAULT_PATTERN = r"\b(?:figures|figure|figs|fig)\.?\s*(S?\d+(?:\s*[-–,]\s*\d+
 DEFAULT_WINDOW = 2
 
 
-@dataclass(frozen=True)
-class FigRefMatch:
+class FigRefMatch(NamedTuple):
     """One regex hit: the sentence's global index, parsed labels, char span."""
 
     global_index: int
@@ -31,8 +30,7 @@ class FigRefMatch:
     span: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(NamedTuple):
     """Non-referring neighbors of one reference sentence, in document order."""
 
     ref_global_index: int

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import decode_utf8, json_entries, load_json_object
 from .errors import EmbeddingFormatError, OovError, SchemaError
@@ -23,8 +23,7 @@ from .errors import EmbeddingFormatError, OovError, SchemaError
 DEFAULT_TOP_K = 20
 
 
-@dataclass(frozen=True)
-class SynsetLexicon:
+class SynsetLexicon(NamedTuple):
     """lemma -> ordered synonym sets, each a tuple of lowercase lemmas."""
 
     entries: dict[str, tuple[tuple[str, ...], ...]]

@@ -21,9 +21,9 @@ Any other token on a line, or an option given twice, is an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .corpus import decode_utf8, json_field, load_json_object
+from .corpus import Record, decode_utf8, json_field, load_json_object
 from .errors import (
     CompletionError,
     CycleError,
@@ -60,57 +60,56 @@ BUILTIN_PROPERTIES = (
 )
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(NamedTuple):
     name: str
     parents: tuple[str, ...]
     root_category: str  # ROOT_EVENT or ROOT_OBJECT
 
 
-@dataclass(frozen=True)
-class PropertyDef:
+class PropertyDef(NamedTuple):
     name: str
     kind: str
     value_domain: tuple[str, ...] = ()
     applicable_domains: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ConceptSense:
+class ConceptSense(NamedTuple):
     concept: str
 
 
-@dataclass(frozen=True)
-class PropertySense:
+class PropertySense(NamedTuple):
     prop: str
     value: str | None = None
 
 
-@dataclass(frozen=True)
-class LexEntry:
+class LexEntry(NamedTuple):
     lemma: str
     pos: str
     sense: ConceptSense | PropertySense
     priority: int
 
 
-@dataclass
-class OntologyGraph:
-    concepts: dict[str, Concept]
-    properties: dict[str, PropertyDef]
-    lexicon: dict[tuple[str, str], tuple[LexEntry, ...]] = field(default_factory=dict)
-    # Ancestor chain per concept, computed when first asked for: the sense
-    # search asks for senses and ancestors many times per sentence, and the
-    # chains of every concept would take space quadratic in the depth.
-    _chains: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+class OntologyGraph(Record):
+    _fields = ("concepts", "properties", "lexicon")
+    __slots__ = (*_fields, "_chains")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        concepts: dict[str, Concept],
+        properties: dict[str, PropertyDef],
+        lexicon: dict[tuple[str, str], tuple[LexEntry, ...]] | None = None,
+    ) -> None:
+        self.concepts = concepts
+        self.properties = properties
         # Stable sort: equal priorities keep their declaration order.
         self.lexicon = {
             key: tuple(sorted(bucket, key=lambda e: e.priority))
-            for key, bucket in self.lexicon.items()
+            for key, bucket in (lexicon or {}).items()
         }
-        self._chains = {}
+        # Ancestor chain per concept, computed when first asked for: the sense
+        # search asks for senses and ancestors many times per sentence, and the
+        # chains of every concept would take space quadratic in the depth.
+        self._chains: dict[str, tuple[str, ...]] = {}
 
     def has_concept(self, name: str) -> bool:
         return name in self.concepts or name in ROOTS

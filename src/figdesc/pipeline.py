@@ -18,14 +18,13 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Any, BinaryIO, NoReturn, TypeVar
+from typing import Any, BinaryIO, NamedTuple, NoReturn, TypeVar
 
 from .corpus import Article, Sentence, attach_parses, parse_jsonl, sha256
-from .corpus import load_article_json, load_article_xml
+from .corpus import FrozenRecord, load_article_json, load_article_xml
 from .errors import ConfigError, FigdescError, SchemaError
 from .figref import compile_pattern, neighbor_positions
 # bench/tracing.py patches these here; no code of this module calls them.
@@ -38,8 +37,7 @@ from .tmr import Tmr, build_sentence_tmr, load_gazetteer, tmr_to_json
 T = TypeVar("T")
 
 
-@dataclass
-class Resources:
+class Resources(NamedTuple):
     graph: OntologyGraph
     synsets: SynsetLexicon | None = None
     embeddings: EmbeddingStore | None = None
@@ -140,10 +138,10 @@ def read_input(
         raise type(e)(f"{label or path}: {e}") from e
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(FrozenRecord):
     """A corpus directory and the digests its reads go to; see load_corpus_dir."""
 
+    __slots__ = _fields = ("path", "digests")
     path: str | Path
     digests: dict[str, str] | None
 
@@ -204,8 +202,11 @@ def _load_files(
         del article  # hold no article while the next one loads
 
 
-@dataclass
-class ArticleDetection:
+class ArticleDetection(FrozenRecord):
+    """One article's detection; weakly referenceable, so a test can see it freed."""
+
+    _fields = ("uid", "refs", "candidates")
+    __slots__ = (*_fields, "__weakref__")
     uid: str
     refs: list[tuple[Sentence, list[int]]]  # each reference, its neighbors' global indices
     candidates: list[Sentence]  # distinct, in ascending global index
@@ -365,8 +366,7 @@ def _read_part(
         os._exit(code)
 
 
-@dataclass
-class ScoredSentence:
+class ScoredSentence(NamedTuple):
     uid: str
     global_index: int
     weight: float

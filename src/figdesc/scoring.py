@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import json_field, load_json_object
 from .errors import (
@@ -38,8 +38,7 @@ DEFAULT_EXCLUDED_PROPERTIES = frozenset(
 Element = tuple[str, str, int]  # (kind, name, distance), as a TmrElement unpacks
 
 
-@dataclass
-class WeightTable:
+class WeightTable(NamedTuple):
     """Calibrated per-element weights plus the corpus mean reference weight."""
 
     concept_weights: dict[str, float]
@@ -98,21 +97,12 @@ def calibrate(refs: list[Sequence[Element]]) -> WeightTable:
         alpha = 1.0 / total
         return {name: raw[(kind, name)] * alpha for name in names}
 
-    table = WeightTable(
-        concept_weights=normalize(CONCEPT),
-        property_weights=normalize(PROPERTY),
-        mean_ref_weight=0.0,
-        calibration_counts=(0, 0, 0),
-    )
+    concepts, properties = normalize(CONCEPT), normalize(PROPERTY)
     # Second pass: the mean reference weight uses the final normalized table.
+    table = WeightTable(concepts, properties, 0.0, (0, 0, 0))
     weights = sorted(sentence_weight(elements, table) for elements in refs)
-    table.mean_ref_weight = math.fsum(weights) / len(weights)
-    table.calibration_counts = (
-        len(refs),
-        len(table.concept_weights),
-        len(table.property_weights),
-    )
-    return table
+    counts = (len(refs), len(concepts), len(properties))
+    return WeightTable(concepts, properties, math.fsum(weights) / len(weights), counts)
 
 
 def _weight_of(kind: str, name: str, table: WeightTable) -> float:

@@ -18,10 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .corpus import ParsedSentence, Token, decode_utf8
+from .corpus import ParsedSentence, Record, Token, decode_utf8
 from .errors import CompletionError, SchemaError
 from .lexres import EmbeddingStore, SynsetLexicon, candidate_verb_lemmas
 from .ontology import (
@@ -72,15 +71,22 @@ class TmrElement(NamedTuple):
     distance: int
 
 
-@dataclass
-class SvoFrame:
+class SvoFrame(Record):
     """One verb's slice of a parsed sentence."""
 
-    verb: Token
-    subject: Token | None = None
-    obj: Token | None = None
-    modifiers: list[tuple[Token, Token]] = field(default_factory=list)
-    chemical_tokens: frozenset[int] = frozenset()
+    __slots__ = _fields = ("verb", "subject", "obj", "modifiers", "chemical_tokens")
+
+    def __init__(
+        self,
+        verb: Token,
+        subject: Token | None = None,
+        obj: Token | None = None,
+        modifiers: list[tuple[Token, Token]] | None = None,
+        chemical_tokens: frozenset[int] = frozenset(),
+    ) -> None:
+        self.verb, self.subject, self.obj = verb, subject, obj
+        self.modifiers = [] if modifiers is None else modifiers
+        self.chemical_tokens = chemical_tokens
 
     def passive(self) -> bool:
         return (
@@ -89,14 +95,22 @@ class SvoFrame:
         )
 
 
-@dataclass
-class Tmr:
+class Tmr(Record):
     """Element multiset plus relation edges for one sentence."""
 
-    sentence_ref: int
-    elements: list[TmrElement] = field(default_factory=list)
-    edges: list[tuple[str, str, str]] = field(default_factory=list)
-    unmappable: bool = False
+    __slots__ = _fields = ("sentence_ref", "elements", "edges", "unmappable")
+
+    def __init__(
+        self,
+        sentence_ref: int,
+        elements: list[TmrElement] | None = None,
+        edges: list[tuple[str, str, str]] | None = None,
+        unmappable: bool = False,
+    ) -> None:
+        self.sentence_ref = sentence_ref
+        self.elements = [] if elements is None else elements
+        self.edges = [] if edges is None else edges
+        self.unmappable = unmappable
 
 
 def load_gazetteer(data: bytes | str) -> frozenset[str]:

@@ -1697,6 +1697,18 @@ class TestImportBudget:
     def test_commands_that_need_numpy(self, tmp_path, outputs, command, loaded):
         assert self.loaded(command_argv(command, outputs, tmp_path)) == loaded
 
+    @pytest.mark.parametrize("command", [None, *CORPUS_COMMANDS, "evaluate", "baseline"])
+    def test_no_command_loads_dataclasses_or_inspect(self, tmp_path, outputs, command):
+        """The records are NamedTuples and slotted classes, which load nothing.
+        numpy itself loads inspect, ast and dis, so baseline is held to dataclasses."""
+        argv = command_argv(command, outputs, tmp_path) if command else []
+        last, modules = self.probe(argv)
+        assert last.startswith("0 ")
+        banned = {"dataclasses"}
+        if command != "baseline":
+            banned |= {"inspect", "ast", "dis"}
+        assert banned & modules == set()
+
 
 class TestReadmeFlagTable:
     def test_readme_lists_the_flags_each_command_takes(self):

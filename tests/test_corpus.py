@@ -27,6 +27,8 @@ from figdesc.corpus import (
 )
 from figdesc.errors import AlignmentError, ArticleParseError, FigdescError, SchemaError
 
+from .helpers import within
+
 
 # Reference segmenter: lowercases the whole prefix at every split candidate.
 def _oracle_is_protected(text_upto_punct, abbreviations):
@@ -77,9 +79,11 @@ _WORDS = st.one_of(
 _CUSTOM_ABBREVIATIONS = st.lists(
     st.sampled_from(["σ.", "ς.", "i̇.", "k.", "fig.", ""]), max_size=3
 )
-_TEXTS = st.lists(
-    st.tuples(_WORDS, st.sampled_from(["", " ", "  "])), max_size=14
-).map(lambda parts: "".join(w + sep for w, sep in parts))
+# Separators: whitespace of several kinds, where a sigma's lowercase context ends.
+_SPACES = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\u3000", "\x1c"])
+_TEXTS = st.lists(st.tuples(_WORDS, _SPACES), max_size=14).map(
+    lambda parts: "".join(w + sep for w, sep in parts)
+)
 
 
 class TestSegmentation:
@@ -157,6 +161,20 @@ class TestSegmentation:
         # "AΣ." lowercases to "aς." in context but "σ." alone: the tail alone
         # would wrongly protect the period as the abbreviation "σ.".
         assert segment_sentences("xA.Σ. Next", ("σ.",)) == ["xA.Σ.", "Next"]
+
+    def test_whitespace_is_neither_cased_nor_case_ignorable(self):
+        # Sigma is final after a cased letter, past any case-ignorable ones. So
+        # with a whitespace character between them it is not, and segmentation
+        # may lowercase a sigma's context from the last whitespace back.
+        assert "A\u00adΣ".lower() == "a\u00adς"  # a soft hyphen is case-ignorable
+        spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+        assert [c for c in spaces if ("A" + c + "Σ").lower() != "a" + c + "σ"] == []
+
+    def test_capital_sigmas_segment_in_linear_time(self):
+        # Each split's tail holds a sigma; lowercasing the whole prefix for each
+        # took minutes at this size.
+        with within(5):
+            assert len(segment_sentences("AΣ. " * 100_000)) == 100_000
 
 
 class TestJsonLoader:
