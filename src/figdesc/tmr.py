@@ -9,14 +9,12 @@ takes an edge to the sense's value, or to UNKNOWN plus one UNKNOWN value
 placeholder when the sense names none. The bearer is the event for a verb's
 modifier, the concept for a subject's or object's, and for an attribute that
 has none expressed, a sentence-scoped UNKNOWN placeholder filling the event's
-role. Ambiguous tokens are resolved by searching sense combinations for the
-one that satisfies the most ontology relations.
+role. Ambiguous tokens take the sense combination that satisfies the most
+ontology relations, found exactly by a search along the frame's tree.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import re
 from typing import NamedTuple
 
@@ -58,9 +56,6 @@ ELEMENT_SYMBOLS = frozenset(
 
 _FORMULA_RE = re.compile(r"(?:[A-Z][a-z]?\d*)+$")
 _FORMULA_UNIT_RE = re.compile(r"([A-Z][a-z]?)(\d*)")
-
-# Guard against exploding sense products on pathological lexicons.
-_MAX_COMBINATIONS = 100_000
 
 
 class TmrElement(NamedTuple):
@@ -163,6 +158,8 @@ def extract_frames(
             continue
         frame = SvoFrame(verb=t, chemical_tokens=chemicals)
         for child in children.get(t.index, ()):
+            if child.index == t.index:
+                continue  # a head cycle among token ids
             if child.deprel in SUBJECT_DEPRELS and frame.subject is None:
                 frame.subject = child
             elif child.deprel in OBJECT_DEPRELS and frame.obj is None:
@@ -171,7 +168,7 @@ def extract_frames(
             if anchor is None:
                 continue
             for child in children.get(anchor.index, ()):
-                if child.deprel in MODIFIER_DEPRELS:
+                if child.deprel in MODIFIER_DEPRELS and child.index != t.index:
                     frame.modifiers.append((child, anchor))
         frames.append(frame)
     return frames
@@ -202,41 +199,25 @@ def _sense_options(
     return []
 
 
-def _combination_score(
-    assignment: dict[int, LexEntry],
-    frame: SvoFrame,
-    graph: OntologyGraph,
-) -> int:
-    """Count of ontology relations the assignment satisfies.
+def _concept(entry: LexEntry | None) -> str | None:
+    """The concept an entry grounds as; None for a property sense or no entry."""
+    sense = None if entry is None else entry.sense
+    return sense.concept if isinstance(sense, ConceptSense) else None
 
-    One point per case-role slot filled (subject or object grounded as a
-    concept under an event verb) and per attribute whose bearer is a
-    grounded, domain-compatible concept.
-    """
-    score = 0
-    verb_entry = assignment.get(frame.verb.index)
-    event = None
-    if verb_entry is not None and isinstance(verb_entry.sense, ConceptSense):
-        if graph.root_of(verb_entry.sense.concept) == ROOT_EVENT:
-            event = verb_entry.sense.concept
-    concept_of: dict[int, str] = {}
-    for idx, entry in assignment.items():
-        if isinstance(entry.sense, ConceptSense):
-            concept_of[idx] = entry.sense.concept
-    if event is not None:
-        for slot in (frame.subject, frame.obj):
-            if slot is not None and slot.index in concept_of:
-                score += 1
-    for mod, anchor in frame.modifiers:
-        entry = assignment.get(mod.index)
-        if entry is None or not isinstance(entry.sense, PropertySense):
-            continue
-        if not _is_attribute(graph, entry.sense.prop):
-            continue
-        bearer = concept_of.get(anchor.index)
-        if bearer is not None and graph.attribute_applies(entry.sense.prop, bearer):
-            score += 1
-    return score
+
+def _event(graph: OntologyGraph, concept: str | None) -> str | None:
+    """The verb's concept if it is an event, whose case roles slots fill."""
+    return concept if concept is not None and graph.root_of(concept) == ROOT_EVENT else None
+
+
+def _describes(graph: OntologyGraph, entry: LexEntry, bearer: str | None) -> bool:
+    """Whether a modifier's sense is an attribute that applies to its anchor's concept."""
+    return (
+        bearer is not None
+        and isinstance(entry.sense, PropertySense)
+        and _is_attribute(graph, entry.sense.prop)
+        and graph.attribute_applies(entry.sense.prop, bearer)
+    )
 
 
 def _choose_assignment(
@@ -244,28 +225,53 @@ def _choose_assignment(
     frame: SvoFrame,
     graph: OntologyGraph,
 ) -> dict[int, LexEntry]:
-    """Exhaustively pick the combination with the most satisfied relations,
-    among at most _MAX_COMBINATIONS of them.
-
-    Ties prefer the lowest summed priority, then the earliest combination in
-    enumeration order (token order, senses by priority).
+    """Pick the combination of senses with the most relations, a relation
+    being a slot grounded as a concept under an event verb or a modifier that
+    _describes its anchor. Ties prefer the lowest summed priority, then the
+    earliest combination in token order, senses in pool order. A relation
+    ties a token only to the one it hangs from, so the search follows the
+    frame's tree: each sense of an anchor takes each modifier's best sense,
+    each slot's best is found once per kind of verb sense (event or not),
+    and the verb comes last.
     """
-    indices = sorted(options)
-    pools = [options[i] for i in indices]
-    # Past the cap, the longest pool (the earliest of equals) drops its worst
-    # sense until the product is within it.
-    while math.prod(map(len, pools)) > _MAX_COMBINATIONS:
-        longest = max(range(len(pools)), key=lambda k: len(pools[k]))
-        pools[longest] = pools[longest][:-1]
-    best: dict[int, LexEntry] | None = None
-    best_key: tuple[int, int] | None = None
-    for combo in itertools.product(*pools):
-        assignment = dict(zip(indices, combo))
-        score = _combination_score(assignment, frame, graph)
-        key = (-score, sum(e.priority for e in combo))
-        if best_key is None or key < best_key:
-            best, best_key = assignment, key
-    return best or {}
+    mods: dict[int, list[int]] = {}
+    for mod, anchor in frame.modifiers:
+        if mod.index in options:
+            mods.setdefault(anchor.index, []).append(mod.index)
+
+    # A choice: (relations, priority sum, {token index: position in its pool}).
+    def rank(choice):
+        return -choice[0], choice[1], sorted(choice[2].items())
+
+    def grounded(token: Token):
+        """Each sense's concept and choice, the token's modifiers at their
+        best; one sense of None if the token has no pool."""
+        for k, entry in enumerate(options.get(token.index) or [None]):
+            concept, score = _concept(entry), 0
+            psum, picks = (0, {}) if entry is None else (entry.priority, {token.index: k})
+            for m in mods.get(token.index, ()):
+                miss, priority, picks[m] = min(
+                    (not _describes(graph, e, concept), e.priority, j)
+                    for j, e in enumerate(options[m])
+                )
+                score, psum = score + (not miss), psum + priority
+            yield concept, (score, psum, picks)
+
+    slots = [list(grounded(slot)) for slot in (frame.subject, frame.obj) if slot is not None]
+    slot_best: dict[bool, list] = {}
+    choices = []
+    for concept, (score, psum, picks) in grounded(frame.verb):
+        event = _event(graph, concept) is not None
+        if event not in slot_best:
+            slot_best[event] = [
+                min(((s + (event and c is not None), p, pk) for c, (s, p, pk) in slot), key=rank)
+                for slot in slots
+            ]
+        for s, p, pk in slot_best[event]:
+            score, psum, picks = score + s, psum + p, {**picks, **pk}
+        choices.append((score, psum, picks))
+    picks = min(choices, key=rank)[2]
+    return {idx: options[idx][picks[idx]] for idx in sorted(picks)}
 
 
 def _is_attribute(graph: OntologyGraph, prop_name: str) -> bool:
@@ -336,16 +342,10 @@ def build_tmr(
         return tmr
 
     assignment = _choose_assignment(options, frame, graph)
-    concept_of = {
-        idx: entry.sense.concept
-        for idx, entry in assignment.items()
-        if isinstance(entry.sense, ConceptSense)
-    }
+    concept_of = {i: c for i, entry in assignment.items() if (c := _concept(entry)) is not None}
     for concept in concept_of.values():
         _emit_concept(tmr, graph, concept)
-    event = concept_of.get(frame.verb.index)
-    if event is not None and graph.root_of(event) != ROOT_EVENT:
-        event = None
+    event = _event(graph, concept_of.get(frame.verb.index))
 
     # Each evoked property with its expressed bearer, the role an UNKNOWN
     # bearer would fill, and whether that role is a slot's own (an element too).

@@ -636,3 +636,47 @@ def test_main_never_returns_3_on_an_unusual_pattern(workspace, command, pattern,
     (argv,) = [a for a in _chain(workspace) if a[0] == command]
     argv += ["--pattern", pattern, "--window", str(window)]
     assert _main_in_parts(argv, workspace / "out") == 0
+
+
+def test_sentences_of_many_ambiguous_modifiers_run_in_time(workspace, tmp_path):
+    """A reference and its neighbour, each with 30 two-sense modifiers (2^30
+    sense combinations apiece): calibrate and classify exit 0 in time."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    tail = [
+        ("shows", "show", "VERB", 0, "root"),
+        *[("small", "small", "ADJ", 3, "advmod")] * 30,
+        ("peak", "peak", "NOUN", 3, "obj"),
+        (".", ".", "PUNCT", 3, "punct"),
+    ]
+    sentences = [
+        [("Figure", "figure", "NOUN", 3, "nsubj"), ("1", "1", "NUM", 1, "nummod"), *tail],
+        [("The", "the", "DET", 2, "det"), ("curve", "curve", "NOUN", 3, "nsubj"), *tail],
+    ]
+    article = {
+        "uid": "S001",
+        "title": "Many modifiers",
+        "abstract": "",
+        "body": [[" ".join(row[0] for row in rows) for rows in sentences]],
+        "metadata": {},
+    }
+    (corpus / "S001.json").write_text(json.dumps(article))
+    (corpus / "S001.conllu").write_text(
+        "".join(
+            "".join(
+                f"{i}\t{form}\t{lemma}\t{upos}\t_\t_\t{head}\t{deprel}\t_\t_\n"
+                for i, (form, lemma, upos, head, deprel) in enumerate(rows, start=1)
+            ) + "\n"
+            for rows in sentences
+        )
+    )
+    chain = {argv[0]: argv for argv in _chain(workspace)}
+    for command, out in (("calibrate", tmp_path / "weights"), ("classify", tmp_path / "scores")):
+        argv = chain[command]
+        argv[argv.index("--corpus") + 1] = str(corpus)
+        if command == "classify":
+            argv[argv.index("--weights") + 1] = str(tmp_path / "weights" / "weights.json")
+        with within(COMMAND_SECONDS):
+            assert _main_in_parts(argv, out) == 0, command
+    _, *rows = (tmp_path / "scores" / "scores.jsonl").read_text().splitlines()
+    assert [json.loads(row)["uid"] for row in rows] == ["S001"]

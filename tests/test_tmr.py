@@ -1,7 +1,17 @@
+import json
+import random
+
 import pytest
 
-from figdesc import tmr as tmr_module
-from figdesc.ontology import UNKNOWN, ConceptSense, LexEntry, load_ontology
+from figdesc.corpus import ParsedSentence, Token, attach_parses, load_article_json
+from figdesc.ontology import (
+    UNKNOWN,
+    ConceptSense,
+    LexEntry,
+    OntologyGraph,
+    PropertySense,
+    load_ontology,
+)
 from figdesc.scoring import (
     DEFAULT_EXCLUDED_CONCEPTS,
     DEFAULT_EXCLUDED_PROPERTIES,
@@ -11,6 +21,7 @@ from figdesc.scoring import (
 from figdesc.tmr import (
     CONCEPT,
     PROPERTY,
+    SvoFrame,
     _choose_assignment,
     build_sentence_tmr,
     build_tmr,
@@ -21,6 +32,7 @@ from figdesc.tmr import (
 )
 
 from .helpers import REF_PARSE_ROWS, REF_TEXT, make_sentence, parse_rows, parsed_sentence
+from .test_acceptance import _oracle_choose
 
 
 def names(tmr, kind=None):
@@ -116,6 +128,28 @@ class TestFrameExtraction:
         ]
         (frame,) = extract_frames(parse_rows(rows))
         assert frame.chemical_tokens == frozenset({1})
+
+    def test_the_verb_is_never_its_own_dependent(self):
+        # a head cycle among token ids, built by hand or read from a sidecar
+        # whose ids are out of order (the tree check follows row positions)
+        graph = load_ontology(
+            "concept E is-a EVENT\nproperty SIZE kind attribute values big domain E\n"
+            "lex v pos verb -> concept E\nlex v pos verb -> property SIZE=big\n"
+        )
+        for deprel in ("nsubj", "obj", "amod"):
+            parse = ParsedSentence((Token(1, "v", "v", "VERB", 1, deprel),))
+            (frame,) = extract_frames(parse)
+            assert (frame.subject, frame.obj, frame.modifiers) == (None, None, [])
+            assert elements(build_tmr(frame, graph)) == [(CONCEPT, "E", 1)]
+        # a two-token cycle: the verb hangs from its own subject
+        parse = parse_rows([(1, "v", "v", "VERB", 2, "amod"), (2, "s", "s", "NOUN", 1, "nsubj")])
+        (frame,) = extract_frames(parse)
+        assert frame.subject.form == "s" and frame.modifiers == []
+        article = load_article_json(json.dumps({"uid": "X", "title": "", "body": [["a v"]]}))
+        sidecar = "2\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\n1\tv\tv\tVERB\t_\t_\t1\tamod\t_\t_\n"
+        (sentence,) = attach_parses(article, sidecar).paragraphs[0].sentences
+        (frame,) = extract_frames(sentence.parse)
+        assert frame.verb.form == "v" and frame.modifiers == []
 
 
 class TestGoldenSentence:
@@ -413,35 +447,34 @@ lex ragged pos adj -> property GAIT=ragged
         )
         assert chosen[1].sense == ConceptSense("DRAWING")
 
-    def test_oversized_product_truncates_sense_pools(self):
+    def test_an_event_sense_deep_in_a_large_product_is_found(self):
         graph = load_ontology("concept THING is-a OBJECT\nconcept RUN is-a EVENT\n")
         rows = [
             (1, "a", "a", "NOUN", 2, "nsubj"),
             (2, "go", "go", "VERB", 0, "root"),
             (3, "b", "b", "NOUN", 2, "obj"),
+            (4, "c", "c", "ADJ", 1, "amod"),
+            (5, "d", "d", "ADJ", 3, "amod"),
         ]
         (frame,) = extract_frames(parse_rows(rows))
         noun_pool = [LexEntry("w", "NOUN", ConceptSense("THING"), p) for p in range(11)]
         verb_pool = [LexEntry("go", "VERB", ConceptSense("THING"), p) for p in range(11)]
         verb_pool[10] = LexEntry("go", "VERB", ConceptSense("RUN"), 10)
+        # 11^5 combinations: the event sense at priority 10 wins, since it
+        # alone lets the subject and object fill case roles
+        options = {1: noun_pool, 2: verb_pool, 3: noun_pool, 4: noun_pool, 5: noun_pool}
+        chosen = _choose_assignment(options, frame, graph)
+        assert chosen[2].sense == ConceptSense("RUN")
+        assert all(chosen[i].priority == 0 for i in (1, 3, 4, 5))
 
-        # 121 combinations: the full search finds the event sense buried at
-        # priority 10 because it satisfies the subject case role
-        small = _choose_assignment({1: noun_pool, 2: verb_pool}, frame, graph)
-        assert small[2].sense == ConceptSense("RUN")
-
-        # 11^5 combinations exceed the search budget; each pool loses its
-        # worst-priority sense, 10^5 fit, and the event sense is gone
-        options = {
-            1: noun_pool,
-            2: verb_pool,
-            3: list(noun_pool),
-            4: list(noun_pool),
-            5: list(noun_pool),
-        }
-        big = _choose_assignment(options, frame, graph)
-        assert big[2].sense == ConceptSense("THING")
-        assert all(big[i].priority == 0 for i in (1, 3, 4, 5))
+    def test_interleaved_frames_match_full_enumeration(self, resources):
+        """Modifiers before their anchors, anchors without senses, tied
+        priorities, non-event verbs and non-attribute properties."""
+        rng = random.Random(25)
+        for i in range(3000):
+            frame, options = interleaved_frame(rng)
+            want = _oracle_choose(options, frame, resources.graph)
+            assert _choose_assignment(options, frame, resources.graph) == want, i
 
     @staticmethod
     def many_smalls(n):
@@ -452,30 +485,94 @@ lex ragged pos adj -> property GAIT=ragged
         return parsed_sentence(" ".join(row[1] for row in rows), rows)
 
     @pytest.fixture()
-    def calls(self, monkeypatch):
-        """One entry per combination the sense search scores."""
+    def applies(self, monkeypatch):
+        """One entry per domain check the sense search makes; more than
+        10,000 in one frame fail the test at once."""
         calls = []
-        score = tmr_module._combination_score
-        monkeypatch.setattr(
-            tmr_module, "_combination_score", lambda *args: calls.append(1) or score(*args)
-        )
+        applies = OntologyGraph.attribute_applies
+
+        def counted(graph, prop, bearer):
+            calls.append(1)
+            assert len(calls) <= 10_000, "the sense search is not linear"
+            return applies(graph, prop, bearer)
+
+        monkeypatch.setattr(OntologyGraph, "attribute_applies", counted)
         return calls
 
-    def test_the_cap_bounds_the_search(self, resources, monkeypatch, calls):
-        for cap, n in ((1, 3), (10, 6), (64, 12), (1000, 30)):
-            monkeypatch.setattr(tmr_module, "_MAX_COMBINATIONS", cap)
-            calls.clear()
+    def test_work_grows_linearly_with_the_modifiers(self, resources, applies):
+        counts = []
+        for n in (100, 200):
+            applies.clear()
             tmr = build_sentence_tmr(self.many_smalls(n), resources.graph)
-            assert 0 < len(calls) <= cap, (cap, n)
             assert (CONCEPT, "SHOW-INFORMATION", 1) in elements(tmr)
+            counts.append(len(applies))
+        assert 0 < 2 * counts[0] == counts[1]
 
-    def test_frames_within_the_cap_are_searched_whole(self, resources, monkeypatch, calls):
-        sentence = self.many_smalls(6)  # 2^6 combinations
-        whole = build_sentence_tmr(sentence, resources.graph)
-        calls.clear()
-        monkeypatch.setattr(tmr_module, "_MAX_COMBINATIONS", 2**6)
-        assert build_sentence_tmr(sentence, resources.graph) == whole
-        assert len(calls) == 2**6
+    def test_work_grows_linearly_with_the_senses(self, applies):
+        graph = load_ontology(
+            "concept THING is-a OBJECT\nconcept RUN is-a EVENT\n"
+            "property SIZE kind attribute values big domain THING\n"
+        )
+        rows = [
+            (1, "a", "a", "NOUN", 2, "nsubj"),
+            (2, "go", "go", "VERB", 0, "root"),
+            (3, "b", "b", "NOUN", 2, "obj"),
+            (4, "c", "c", "ADJ", 1, "amod"),
+            (5, "d", "d", "ADV", 2, "advmod"),
+            (6, "e", "e", "ADJ", 3, "amod"),
+        ]
+        (frame,) = extract_frames(parse_rows(rows))
+        size = [LexEntry("big", "ADJ", PropertySense("SIZE", "big"), p) for p in range(2)]
+        counts = []
+        for n in (60, 300):
+            nouns = [LexEntry("w", "NOUN", ConceptSense("THING"), p) for p in range(n)]
+            verbs = [LexEntry("go", "VERB", ConceptSense(("THING", "RUN")[p % 2]), p) for p in range(n)]
+            applies.clear()
+            chosen = _choose_assignment(
+                {1: nouns, 2: verbs, 3: nouns, 4: size, 5: size, 6: size}, frame, graph
+            )
+            assert [chosen[i].priority for i in range(1, 7)] == [0, 1, 0, 0, 0, 0]
+            counts.append(len(applies))
+        assert 0 < 5 * counts[0] == counts[1]
+
+
+def interleaved_frame(rng):
+    """A frame of up to seven tokens in random sentence order, and pools of
+    two or three senses; a token has no pool one time in five. Anchors lean
+    to concepts and modifiers to properties, and in half the frames every
+    priority ties, so tied choices often differ in a modifier's pick."""
+    concepts = ["SHOW-INFORMATION", "INCREASE", "CURVE", "PEAK", "NUMBER", "PERSON"]
+    properties = ["SIZE", "QUANTITY", "SPEED", "AGENT", "CAUSED-BY"]
+    priorities = [0] if rng.random() < 0.5 else [0, 1, 2]
+    indices = rng.sample(range(1, 8), 7)
+    verb = Token(indices.pop(), "v", "v", "VERB", 0, "root")
+    frame = SvoFrame(verb=verb)
+    if rng.random() < 0.8:
+        frame.subject = Token(indices.pop(), "s", "s", "NOUN", verb.index, "nsubj")
+    if rng.random() < 0.8:
+        frame.obj = Token(indices.pop(), "o", "o", "NOUN", verb.index, "obj")
+    anchors = [t for t in (verb, frame.subject, frame.obj) if t is not None]
+    for _ in range(rng.randint(0, 4)):
+        anchor = rng.choice(anchors)
+        mod = Token(indices.pop(), "m", "m", "ADJ", anchor.index, "amod")
+        frame.modifiers.append((mod, anchor))
+    options = {}
+    for token in anchors + [mod for mod, _ in frame.modifiers]:
+        if rng.random() < 0.2:
+            continue
+        p_concept = 0.25 if token.upos == "ADJ" else 0.75
+        options[token.index] = [
+            LexEntry(
+                token.lemma,
+                token.upos,
+                ConceptSense(rng.choice(concepts))
+                if rng.random() < p_concept
+                else PropertySense(rng.choice(properties)),
+                rng.choice(priorities),
+            )
+            for _ in range(rng.randint(2, 3))
+        ]
+    return frame, options
 
 
 class TestMergeAndSerialize:
