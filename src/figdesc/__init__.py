@@ -6,7 +6,6 @@ calibrate inverse-square-distance element weights on the referring
 sentences, and classify candidates against a scaled mean-weight threshold.
 """
 
-import importlib
 import os
 
 # BLAS runs on one thread unless the caller sets otherwise. Only the baseline
@@ -19,35 +18,28 @@ for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
-# The public names by the module that defines each. They load on first use
-# (PEP 562), so importing the package loads no module a command does not use,
-# and no command but baseline loads numpy.
-_HOMES = {
-    "corpus": (
-        "Article", "Paragraph", "ParsedSentence", "Sentence", "Token", "attach_parses",
-        "load_article_json", "load_article_xml", "segment_sentences",
-    ),
-    "figref": ("CandidateSet", "FigRefMatch", "detect_figure_refs", "select_neighbors"),
-    "lexres": (
-        "EmbeddingStore", "SynsetLexicon", "candidate_verb_lemmas", "load_embeddings",
-        "load_synsets",
-    ),
-    "ontology": ("OntologyGraph", "load_ontology"),
-    "scoring": ("WeightTable", "calibrate", "classify", "compute_threshold", "sentence_weight"),
-    "tmr": ("Tmr", "build_sentence_tmr", "build_tmr", "extract_frames"),
-}
-_EXPORTS = {name: home for home, names in _HOMES.items() for name in names}
+# None of these modules imports numpy, so no command but baseline loads it.
+from .corpus import (  # noqa: E402
+    Article, Paragraph, ParsedSentence, Sentence, Token, attach_parses, load_article_json,
+    load_article_xml, segment_sentences,
+)
+from .figref import CandidateSet, FigRefMatch, detect_figure_refs, select_neighbors  # noqa: E402
+from .lexres import (  # noqa: E402
+    EmbeddingStore, SynsetLexicon, candidate_verb_lemmas, load_embeddings, load_synsets,
+)
+from .ontology import OntologyGraph, load_ontology  # noqa: E402
+from .scoring import (  # noqa: E402
+    WeightTable, calibrate, classify, compute_threshold, sentence_weight,
+)
+from .tmr import Tmr, build_sentence_tmr, build_tmr, extract_frames  # noqa: E402
 
 __version__ = "0.1.0"
 
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS})
+__all__ = [
+    "Article", "CandidateSet", "EmbeddingStore", "FigRefMatch", "OntologyGraph", "Paragraph",
+    "ParsedSentence", "Sentence", "SynsetLexicon", "Tmr", "Token", "WeightTable",
+    "attach_parses", "build_sentence_tmr", "build_tmr", "calibrate", "candidate_verb_lemmas",
+    "classify", "compute_threshold", "detect_figure_refs", "extract_frames", "load_article_json",
+    "load_article_xml", "load_embeddings", "load_ontology", "load_synsets", "segment_sentences",
+    "select_neighbors", "sentence_weight",
+]

@@ -313,8 +313,9 @@ def cmd_evaluate(settings: dict) -> int:
         digests,
         "scores",
     )
-    recorded = scores_header.get("inputs")
-    scored_with = recorded.get("weights") if isinstance(recorded, dict) else None
+    where = f"{scores_path} line 1.provenance"
+    recorded = json_field(scores_header, "inputs", where, "an object of strings", {})
+    scored_with = recorded.get("weights")
     if scored_with is not None and scored_with != digests["weights"]:
         raise AlignmentError(
             f"{scores_path} was scored with weights of sha256 {scored_with}, "

@@ -11,7 +11,6 @@ of a typed field in a JSON object.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import sys
@@ -71,66 +70,6 @@ class Token(NamedTuple):
     deprel: str
 
 
-class ParsedSentence:
-    """One sentence's dependency parse.
-
-    ParsedSentence(tokens) holds its tokens. A parse that attach_parses takes
-    from a sidecar holds the columns of its token lines, which were checked
-    on load, and builds its tokens from them when they are first read. Two
-    parses are equal when their tokens are equal.
-    """
-
-    __slots__ = ("_tokens", "_rows")
-
-    def __init__(self, tokens: tuple[Token, ...]) -> None:
-        self._tokens: tuple[Token, ...] | None = tokens
-        self._rows: list[list] | None = None
-
-    @classmethod
-    def _from_rows(cls, rows: list[list]) -> ParsedSentence:
-        parse = cls.__new__(cls)
-        parse._tokens = None
-        parse._rows = rows
-        return parse
-
-    @property
-    def tokens(self) -> tuple[Token, ...]:
-        if self._tokens is None:
-            self._tokens = tuple(map(Token._make, map(_TOKEN_COLUMNS, self._rows)))
-            self._rows = None
-        return self._tokens
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.tokens == other.tokens
-
-    def __hash__(self) -> int:
-        return hash(self.tokens)
-
-    def __repr__(self) -> str:
-        return f"ParsedSentence(tokens={self.tokens!r})"
-
-
-class Sentence(NamedTuple):
-    """One body sentence: its position, its text and an optional parse.
-
-    A NamedTuple, so it can be built positionally as
-    Sentence(paragraph_index, index_in_paragraph, global_index, text, parse=None).
-    """
-
-    paragraph_index: int
-    index_in_paragraph: int
-    global_index: int
-    text: str
-    parse: ParsedSentence | None = None
-
-
-class Paragraph(NamedTuple):
-    index: int  # shadows tuple.index, as Token's does
-    sentences: tuple[Sentence, ...]
-
-
 class Record:
     """Base of the package's slotted records: those that are mutated, weakly
     referenced or no tuple. Every other record is a NamedTuple, which costs
@@ -151,6 +90,63 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__name__}({fields})"
+
+
+class ParsedSentence(Record):
+    """One sentence's dependency parse.
+
+    ParsedSentence(tokens) holds its tokens, which must be a tree as
+    _check_tree says, with token i at position i. A parse that attach_parses
+    takes from a sidecar holds the checked columns of its token lines and
+    builds its tokens from them when first read.
+    """
+
+    __slots__ = ("_tokens", "_rows")
+    _fields = ("tokens",)
+
+    def __init__(self, tokens: tuple[Token, ...]) -> None:
+        for position, token in enumerate(tokens, start=1):
+            if token.index != position:
+                raise AlignmentError(f"parse: token id {token.index} at position {position}")
+        _check_tree([token.head for token in tokens], "parse")
+        self._tokens: tuple[Token, ...] | None = tokens
+        self._rows: list[list] | None = None
+
+    @classmethod
+    def _from_rows(cls, rows: list[list]) -> ParsedSentence:
+        parse = cls.__new__(cls)
+        parse._tokens = None
+        parse._rows = rows
+        return parse
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        if self._tokens is None:
+            self._tokens = tuple(map(Token._make, map(_TOKEN_COLUMNS, self._rows)))
+            self._rows = None
+        return self._tokens
+
+    def __hash__(self) -> int:
+        return hash(self.tokens)
+
+
+class Sentence(NamedTuple):
+    """One body sentence: its position, its text and an optional parse.
+
+    A NamedTuple, so it can be built positionally as
+    Sentence(paragraph_index, index_in_paragraph, global_index, text, parse=None).
+    """
+
+    paragraph_index: int
+    index_in_paragraph: int
+    global_index: int
+    text: str
+    parse: ParsedSentence | None = None
+
+
+class Paragraph(NamedTuple):
+    index: int  # shadows tuple.index, as Token's does
+    sentences: tuple[Sentence, ...]
 
 
 class FrozenRecord(Record):
@@ -341,7 +337,13 @@ def parse_jsonl(
     """
     header: dict = {}
     records = []
-    for lineno, line in enumerate(io.StringIO(decode_utf8(data, source), newline=None), 1):
+    # The lines io.StringIO(text, newline=None) gives, \r\n and \r read as \n, cut
+    # from the text itself (replace returns it when it finds nothing), not a wide copy.
+    text = decode_utf8(data, source).replace("\r\n", "\n").replace("\r", "\n")
+    lineno, start = 0, 0
+    while start < len(text):
+        lineno, end = lineno + 1, text.find("\n", start) + 1 or len(text)
+        line, start = text[start:end], end
         if not line.strip():
             continue
         where = f"{source} line {lineno}"
@@ -441,9 +443,11 @@ def _conllu_blocks(text: str) -> Iterator[list[list]]:
     """The CoNLL-U line rule: yield the rows of each block.
 
     A block's rows are the columns of its token lines, with ID and HEAD
-    (columns 0 and 6) as ints. A whitespace-only line ends a block, a line
-    starting with # is a comment, and multiword or empty-node ids (containing
-    - or .) are skipped; lines holding no token make no block.
+    (columns 0 and 6) as ints; each ID must be its token's position in the
+    block, 1..n, else an AlignmentError naming the line. A whitespace-only
+    line ends a block, a line starting with # is a comment, and multiword or
+    empty-node ids (containing - or .) are skipped; lines holding no token
+    make no block.
     """
     rows: list[list] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -470,6 +474,10 @@ def _conllu_blocks(text: str) -> Iterator[list[list]]:
             cols[6] = int(cols[6])
         except ValueError as e:
             raise SchemaError(f"CoNLL-U line {lineno}: non-integer id or head") from e
+        if cols[0] != len(rows) + 1:
+            raise AlignmentError(
+                f"CoNLL-U line {lineno}: token id {cols[0]} at position {len(rows) + 1}"
+            )
         rows.append(cols)
     if rows:
         yield rows
@@ -486,25 +494,19 @@ def read_conllu(text: str) -> list[list[Token]]:
     return [list(map(make_token, map(_TOKEN_COLUMNS, rows))) for rows in _conllu_blocks(text)]
 
 
-def _validate_parse(rows: list[list], global_index: int, text: str) -> ParsedSentence:
-    """The parse of one block's rows once they fit the sentence."""
-    if "".join([cols[1] for cols in rows]) != "".join(text.split()):
-        raise AlignmentError(
-            f"sentence {global_index}: token forms do not match sentence text"
-        )
-    heads = [cols[6] for cols in rows]
+def _check_tree(heads: list[int], where: str) -> None:
+    """The rule that a parse is a tree over its positions 1..n, heads[i - 1] heading
+    token i: one root (head 0), heads in 0..n and no cycle, else an AlignmentError
+    that where begins. Token ids, checked where they are read, are the positions."""
     n = len(heads)
     n_roots = heads.count(0)
     if n_roots != 1:
-        raise AlignmentError(
-            f"sentence {global_index}: expected exactly one root token, got {n_roots}"
-        )
+        raise AlignmentError(f"{where}: expected exactly one root token, got {n_roots}")
     if min(heads) < 0 or max(heads) > n:
         bad = next(h for h in heads if not 0 <= h <= n)
-        raise AlignmentError(f"sentence {global_index}: head {bad} out of range 0..{n}")
-    # A tree: the walk up from each token reaches the root. walk[t] is the
-    # first walk to reach token t; a later walk stops there, so each token is
-    # stepped on once, and a walk that meets itself has found a cycle.
+        raise AlignmentError(f"{where}: head {bad} out of range 0..{n}")
+    # walk[t] is the first walk to reach token t; a later walk stops there, so
+    # each token is stepped on once, and a walk that meets itself has found a cycle.
     walk = [0] * (n + 1)
     for start in range(1, n + 1):
         t = start
@@ -513,7 +515,14 @@ def _validate_parse(rows: list[list], global_index: int, text: str) -> ParsedSen
             t = heads[t - 1]
         if t and walk[t] == start:
             cycle = f"token {t} heads itself" if heads[t - 1] == t else f"head cycle at token {t}"
-            raise AlignmentError(f"sentence {global_index}: {cycle}")
+            raise AlignmentError(f"{where}: {cycle}")
+
+
+def _validate_parse(rows: list[list], global_index: int, text: str) -> ParsedSentence:
+    """The parse of one block's rows once they fit the sentence."""
+    if "".join([cols[1] for cols in rows]) != "".join(text.split()):
+        raise AlignmentError(f"sentence {global_index}: token forms do not match sentence text")
+    _check_tree([cols[6] for cols in rows], f"sentence {global_index}")
     return ParsedSentence._from_rows(rows)
 
 

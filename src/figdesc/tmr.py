@@ -158,8 +158,6 @@ def extract_frames(
             continue
         frame = SvoFrame(verb=t, chemical_tokens=chemicals)
         for child in children.get(t.index, ()):
-            if child.index == t.index:
-                continue  # a head cycle among token ids
             if child.deprel in SUBJECT_DEPRELS and frame.subject is None:
                 frame.subject = child
             elif child.deprel in OBJECT_DEPRELS and frame.obj is None:
@@ -168,7 +166,7 @@ def extract_frames(
             if anchor is None:
                 continue
             for child in children.get(anchor.index, ()):
-                if child.deprel in MODIFIER_DEPRELS and child.index != t.index:
+                if child.deprel in MODIFIER_DEPRELS:
                     frame.modifiers.append((child, anchor))
         frames.append(frame)
     return frames

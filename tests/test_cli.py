@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 from figdesc import figref, fixtures, pipeline
-from figdesc.cli import _RECORDED, build_parser, main
+from figdesc.cli import _RECORDED, _row, build_parser, main
 from figdesc.corpus import Token
+from figdesc.errors import ArticleParseError
 from figdesc.scoring import load_weight_table
 
 from .helpers import (
@@ -929,6 +930,31 @@ class TestEvaluateInputs:
         path = tmp_path / f"{name}.jsonl"
         assert err == f"error: --{name} {path} repeats the id {row['uid']}@{row['global_index']}\n"
 
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    @pytest.mark.parametrize(
+        "name, field, kind", [("gold", "label", "0 or 1"), ("scores", "weight", "a finite number")]
+    )
+    def test_line_ends_and_unicode_breaks_load_the_same_rows(
+        self, tmp_path, outputs, newline, name, field, kind
+    ):
+        """\\r and \\r\\n end a line as \\n does; U+2028 and U+0085 inside a JSON
+        string do not, and a bad line is named by the same number."""
+        original = {"gold": MINI_CORPUS / "gold.jsonl", "scores": outputs / "scores.jsonl"}[name]
+        lines = original.read_text(encoding="utf-8").split("\n")
+        assert lines.pop() == ""
+        noted = [line.replace('{"', '{"note": "a\u2028b\x85c", "', 1) for line in lines]
+        path = tmp_path / f"{name}.jsonl"
+
+        def read(path):
+            return pipeline.read_jsonl(path, lambda doc, where: _row(doc, where, field, kind))
+
+        path.write_bytes((newline.join(noted) + newline).encode())
+        assert "\u2028" in path.read_text(encoding="utf-8")
+        assert read(path) == read(original)
+        path.write_bytes((newline.join([*noted, "", "{bad"]) + newline).encode())
+        with pytest.raises(ArticleParseError, match=f"line {len(lines) + 2}: malformed JSON"):
+            read(path)
+
     def test_scores_file_not_utf8(self, capsys, tmp_path, outputs):
         code, err = self.evaluate(capsys, tmp_path, outputs, "scores", b'{"uid": "caf\xe9"}\n')
         assert code == 2
@@ -997,15 +1023,38 @@ class TestEvaluateChecksWeights:
         assert code == 0, err
         assert (out / "metrics.json").read_bytes() == (outputs / "metrics.json").read_bytes()
 
-    @pytest.mark.parametrize("header", ['{"provenance": {}}', '{"provenance": {"inputs": 5}}'])
-    def test_nothing_recorded_nothing_checked(self, capsys, tmp_path, outputs, header):
+    def evaluate(self, capsys, tmp_path, outputs, header):
+        """evaluate of the scores rows under another header line."""
         rows = (outputs / "scores.jsonl").read_text().splitlines()[1:]
         scores = tmp_path / "scores.jsonl"
         scores.write_text("\n".join([header, *rows]) + "\n")
         out = tmp_path / "out"
         argv = replace_flag(command_argv("evaluate", outputs, out), "scores", scores)
         code, _, err = run(capsys, *argv)
+        return code, err.replace(str(scores), "<scores>")
+
+    @pytest.mark.parametrize("header", ['{"provenance": {}}', '{"provenance": {"inputs": {}}}'])
+    def test_nothing_recorded_nothing_checked(self, capsys, tmp_path, outputs, header):
+        code, err = self.evaluate(capsys, tmp_path, outputs, header)
         assert code == 0, err
+
+    @pytest.mark.parametrize(
+        "inputs, reason",
+        [
+            ('"x"', "inputs: must be an object"),
+            ("[]", "inputs: must be an object"),
+            ("5", "inputs: must be an object"),
+            ('{"weights": 5}', "inputs['weights']: must be a string"),
+        ],
+        ids=["string", "list", "number", "non-string-weights"],
+    )
+    def test_recorded_inputs_must_be_an_object_of_strings(
+        self, capsys, tmp_path, outputs, inputs, reason
+    ):
+        header = f'{{"provenance": {{"inputs": {inputs}}}}}'
+        code, err = self.evaluate(capsys, tmp_path, outputs, header)
+        assert code == 2
+        assert err == f"error: <scores> line 1.provenance.{reason}\n"
 
 
 class TestClassifyChecksCalibration:
@@ -1122,18 +1171,28 @@ class TestClassifyChecksCalibration:
 # Block 0 of M001 parses "No further treatment was applied.", a filler: no
 # figure reference in its paragraph, so it is neither a reference nor a
 # candidate. A bad parse there must still reject the corpus.
+# name: (old text, new text, what the error names)
 FILLER_CORRUPTIONS = {
-    "form-mismatch": ("\ttreatment\ttreatment\t", "\ttreatmnt\ttreatment\t"),
-    "two-roots": ("1\tNo\tno\tDET\t_\t_\t3\t", "1\tNo\tno\tDET\t_\t_\t0\t"),
-    "self-head": ("1\tNo\tno\tDET\t_\t_\t3\t", "1\tNo\tno\tDET\t_\t_\t1\t"),
-    "head-cycle": ("3\ttreatment\ttreatment\tNOUN\t_\t_\t5\t", "3\ttreatment\ttreatment\tNOUN\t_\t_\t1\t"),
+    "form-mismatch": ("\ttreatment\ttreatment\t", "\ttreatmnt\ttreatment\t", "sentence 0"),
+    "two-roots": ("1\tNo\tno\tDET\t_\t_\t3\t", "1\tNo\tno\tDET\t_\t_\t0\t", "sentence 0"),
+    "self-head": ("1\tNo\tno\tDET\t_\t_\t3\t", "1\tNo\tno\tDET\t_\t_\t1\t", "sentence 0"),
+    "head-cycle": (
+        "3\ttreatment\ttreatment\tNOUN\t_\t_\t5\t", "3\ttreatment\ttreatment\tNOUN\t_\t_\t1\t",
+        "sentence 0",
+    ),
+    "repeated-id": ("2\tfurther\t", "1\tfurther\t", "CoNLL-U line 2: token id 1 at position 2"),
+    "swapped-ids": (
+        "1\tNo\tno\tDET\t_\t_\t3\tdet\t_\t_\n2\tfurther",
+        "2\tNo\tno\tDET\t_\t_\t3\tdet\t_\t_\n1\tfurther",
+        "CoNLL-U line 1: token id 2 at position 1",
+    ),
 }
 
 
 class TestParseChecksGuardEveryCommand:
     @pytest.fixture(params=sorted(FILLER_CORRUPTIONS))
     def bad_corpus(self, request, tmp_path):
-        old, new = FILLER_CORRUPTIONS[request.param]
+        old, new, named = FILLER_CORRUPTIONS[request.param]
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "M001.json").write_text((MINI_CORPUS / "M001.json").read_text())
@@ -1141,7 +1200,7 @@ class TestParseChecksGuardEveryCommand:
         assert old in blocks[0]
         blocks[0] = blocks[0].replace(old, new)
         (corpus / "M001.conllu").write_text("\n\n".join(blocks))
-        return corpus
+        return corpus, named
 
     @pytest.mark.parametrize("command", ["detect", "calibrate", "classify"])
     def test_bad_filler_parse_is_a_data_error(
@@ -1152,17 +1211,18 @@ class TestParseChecksGuardEveryCommand:
             "calibrate": resource_args(),
             "classify": ["--weights", str(outputs / "weights.json"), *resource_args()],
         }[command]
+        corpus, named = bad_corpus
         code, _, err = run(
             capsys,
             command,
             "--corpus",
-            str(bad_corpus),
+            str(corpus),
             "--out",
             str(tmp_path / "out"),
             *extra,
         )
         assert code == 2
-        assert "sentence 0" in err
+        assert named in err
 
     def test_tokens_read_by_name(self):
         article = next(iter(pipeline.load_corpus_dir(MINI_CORPUS)))

@@ -419,6 +419,38 @@ class TestConllu:
         with pytest.raises(AlignmentError, match=f"^{message}$"):
             attach_parses(art, "\n".join(rows) + "\n")
 
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ((2, 1, 3), "CoNLL-U line 2: token id 2 at position 1"),  # shuffled
+            ((1, 1, 3), "CoNLL-U line 3: token id 1 at position 2"),  # repeated
+            ((1, 3, 4), "CoNLL-U line 3: token id 3 at position 2"),  # skipped
+            ((0, 1, 2), "CoNLL-U line 2: token id 0 at position 1"),
+        ],
+    )
+    def test_token_id_that_is_not_its_position_rejected(self, ids, message):
+        rows = ["# sent_id = 1"] + [
+            f"{i}\t{form}\t{form}\tX\t_\t_\t{head}\tdep\t_\t_"
+            for i, form, head in zip(ids, ["Rain", "falls", "."], [2, 0, 2])
+        ]
+        art = load_article_json(json.dumps({"uid": "P7", "body": [["Rain falls."]]}))
+        with pytest.raises(AlignmentError, match=f"^{message}$"):
+            attach_parses(art, "\n".join(rows) + "\n")
+        with pytest.raises(AlignmentError, match=f"^{message}$"):
+            read_conllu("\n".join(rows))
+
+    def test_hand_built_parse_must_be_a_tree(self):
+        def token(index, head):
+            return Token(index, "x", "x", "X", head, "dep")
+
+        with pytest.raises(AlignmentError, match="^parse: token id 2 at position 1$"):
+            ParsedSentence((token(2, 0), token(1, 2)))
+        with pytest.raises(AlignmentError, match="^parse: head 3 out of range 0..2$"):
+            ParsedSentence((token(1, 0), token(2, 3)))
+        with pytest.raises(AlignmentError, match="^parse: expected exactly one root token, got 0$"):
+            ParsedSentence(())
+        assert ParsedSentence((token(1, 2), token(2, 0))).tokens[1].head == 0
+
 
 # ---- oracle: the eager CoNLL-U loader that built every token on load ----
 
@@ -448,6 +480,10 @@ def _oracle_read_conllu(text):
             head = int(cols[6])
         except ValueError as e:
             raise SchemaError(f"CoNLL-U line {lineno}: non-integer id or head") from e
+        if index != len(current) + 1:
+            raise AlignmentError(
+                f"CoNLL-U line {lineno}: token id {index} at position {len(current) + 1}"
+            )
         current.append(make_token((index, cols[1], cols[2], cols[3], head, cols[7])))
     if current:
         blocks.append(current)
@@ -549,6 +585,8 @@ def _break_row(cols, n, fault):
         cols[:] = [f"{cols[0]}-9", "x", "_", "_", "_", "_", "_", "_", "_"]
     elif fault in ("root", "1.5", "", "٠.١"):  # not an integer
         cols[6] = fault
+    elif fault in ("id-zero", "id-too-big"):  # an integer id that is not its position
+        cols[0] = "0" if fault == "id-zero" else str(n + 1)
     elif fault == "negative-head":
         cols[6] = "-1"
     elif fault == "head-too-big":
@@ -565,7 +603,7 @@ def _break_row(cols, n, fault):
 
 # A fault the line rule catches, or (three times as often) one the sentence checks catch.
 _ROW_FAULTS = st.sampled_from(
-    ["columns", "nine-column-multiword", "root", "1.5", "", "٠.١"]
+    ["columns", "nine-column-multiword", "root", "1.5", "", "٠.١", "id-zero", "id-too-big"]
     + ["negative-head", "head-too-big", "extra-root", "form"] * 3
     + ["self-head", "head-first", "head-last"] * 2
 )
@@ -638,7 +676,8 @@ class TestLazyParsesMatchEagerOracle:
     @example((["Rain falls", "Rain falls"], _GOOD_ROWS + " \r#\r\r" + _GOOD_ROWS.replace("\t1\t", "\t0\t")))
     @example((["Rain falls", "Rain falls"], _GOOD_ROWS + "\r\u3000\r" + _GOOD_ROWS.replace("\t1\t", "\t3\t")))
     @example((["Rain falls", "Rain"], _GOOD_ROWS + "\r# x\r" + _GOOD_ROWS))
-    # Ids and heads that are not str.isdecimal() but may still be ints, and one that is.
+    # Ids and heads that are not str.isdecimal() but may still be ints, and one
+    # that is, but as id 3 at position 2 is rejected.
     @example((["Rain falls"], _GOOD_ROWS.replace("2\tfalls", "²\tfalls")))
     @example((["Rain falls"], _GOOD_ROWS.replace("\t1\t", "\t+1\t")))
     @example((["Rain falls"], _GOOD_ROWS.replace("2\tfalls", " 3\tfalls")))

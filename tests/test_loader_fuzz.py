@@ -6,9 +6,9 @@ values of other types or deleted, CoNLL-U lines broken against the rules at
 https://universaldependencies.org/format.html, and lines dropped or
 repeated. Structure is fuzzed too: JSON values nested up to 100,000 deep, XML
 elements nested up to 50,000 deep, CoNLL-U heads that make a token head itself
-or a cycle, IS-A chains up to 2,000 deep or diamonds of up to 100 levels,
-and embedding values at the edges of a double's range, which the loader must
-judge as a numpy check does.
+or a cycle, CoNLL-U token ids shuffled, repeated, skipped or 0, IS-A chains up
+to 2,000 deep or diamonds of up to 100 levels, and embedding values at the
+edges of a double's range, which the loader must judge as a numpy check does.
 A loader may accept the result or raise a FigdescError subclass, within a
 time bound; any other exception is a bug. The same mutations, written to the
 file behind each command-line flag, must never make main() return 3 or run
@@ -215,22 +215,36 @@ def break_conllu(draw, data: bytes) -> bytes:
 
 def rehead(draw, data: bytes) -> bytes:
     """One CoNLL-U block's heads redrawn: a token that heads itself, a head cycle,
-    or any heads at all."""
+    or any heads at all; or its ids renumbered: shuffled, repeated, skipped or 0."""
     blocks = data.decode("utf-8", "surrogateescape").split("\n\n")
     b = draw(st.integers(0, len(blocks) - 1))
     rows = [line.split("\t") for line in blocks[b].split("\n")]
     tokens = [cols for cols in rows if len(cols) == 10 and cols[0].isdecimal()]
     if not tokens:
         return data
-    shape = draw(st.sampled_from(["self", "cycle", "any"] if len(tokens) > 1 else ["self", "any"]))
+    shapes = ["self", "cycle", "any"] if len(tokens) > 1 else ["self", "any"]
+    shape = draw(st.sampled_from([*shapes, "shuffle", "repeat", "skip", "zero"]))
     if shape == "any":
         for cols in tokens:
             cols[6] = str(draw(st.integers(0, len(tokens))))
-    else:
+    elif shape in ("self", "cycle"):
         size = 1 if shape == "self" else draw(st.integers(2, len(tokens)))
         ring = draw(st.lists(st.sampled_from(tokens), min_size=size, max_size=size, unique_by=id))
         for cols, head in zip(ring, ring[1:] + ring[:1]):
             cols[6] = head[0]
+    else:
+        ids = [cols[0] for cols in tokens]
+        i = draw(st.integers(0, len(tokens) - 1))
+        if shape == "shuffle":
+            ids = draw(st.permutations(ids))
+        elif shape == "repeat":
+            ids[i] = ids[i - 1]
+        elif shape == "skip":
+            ids[i:] = [str(int(n) + 1) for n in ids[i:]]
+        else:
+            ids[i] = "0"
+        for cols, n in zip(tokens, ids):
+            cols[0] = n
     blocks[b] = "\n".join("\t".join(cols) for cols in rows)
     return "\n\n".join(blocks).encode("utf-8", "surrogateescape")
 
@@ -355,10 +369,14 @@ GOLD = (MINI_CORPUS / "gold.jsonl").read_bytes()
 
 
 def _attach_trees(data: bytes):
-    """attach_parses of M001.json; every parse it accepts must be a tree."""
+    """attach_parses of M001.json; every parse it accepts must be a tree over
+    its positions, its token ids running 1..n."""
     article = attach_parses(load_article_json(M001_JSON), data)
     for sentence in article.sentences():
-        heads = [0] + [token.head for token in sentence.parse.tokens]
+        tokens = sentence.parse.tokens
+        ids = [token.index for token in tokens]
+        assert ids == list(range(1, len(tokens) + 1)), f"sentence {sentence.global_index}: {ids}"
+        heads = [0] + [token.head for token in tokens]
         for token in range(1, len(heads)):
             for _ in heads:
                 token = heads[token]

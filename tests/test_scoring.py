@@ -249,6 +249,10 @@ class TestEvaluation:
         assert m["f1"] == 0.0
         assert m["accuracy"] == 1.0
 
+    def test_no_rows_score_zero(self):
+        m = evaluate([], [])
+        assert (m["accuracy"], m["precision"], m["recall"], m["f1"]) == (0.0, 0.0, 0.0, 0.0)
+
     def test_perfect(self):
         m = evaluate([True, False], [1, 0])
         assert m["f1"] == 1.0

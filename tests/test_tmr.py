@@ -4,6 +4,7 @@ import random
 import pytest
 
 from figdesc.corpus import ParsedSentence, Token, attach_parses, load_article_json
+from figdesc.errors import AlignmentError
 from figdesc.ontology import (
     UNKNOWN,
     ConceptSense,
@@ -129,27 +130,41 @@ class TestFrameExtraction:
         (frame,) = extract_frames(parse_rows(rows))
         assert frame.chemical_tokens == frozenset({1})
 
+    def test_the_first_of_two_subjects_and_objects_is_taken(self):
+        rows = [
+            (1, "Curves", "curve", "NOUN", 3, "nsubj"),
+            (2, "bands", "band", "NOUN", 3, "nsubj"),
+            (3, "show", "show", "VERB", 0, "root"),
+            (4, "peaks", "peak", "NOUN", 3, "obj"),
+            (5, "dips", "dip", "NOUN", 3, "obj"),
+        ]
+        (frame,) = extract_frames(parse_rows(rows))
+        assert (frame.subject.form, frame.obj.form) == ("Curves", "peaks")
+
     def test_the_verb_is_never_its_own_dependent(self):
-        # a head cycle among token ids, built by hand or read from a sidecar
-        # whose ids are out of order (the tree check follows row positions)
-        graph = load_ontology(
-            "concept E is-a EVENT\nproperty SIZE kind attribute values big domain E\n"
-            "lex v pos verb -> concept E\nlex v pos verb -> property SIZE=big\n"
-        )
+        # A parse is a tree over its positions, so no verb heads itself or
+        # hangs from its own dependent: such a parse is rejected, built by
+        # hand or read from a sidecar whose ids are out of order.
         for deprel in ("nsubj", "obj", "amod"):
-            parse = ParsedSentence((Token(1, "v", "v", "VERB", 1, deprel),))
-            (frame,) = extract_frames(parse)
-            assert (frame.subject, frame.obj, frame.modifiers) == (None, None, [])
-            assert elements(build_tmr(frame, graph)) == [(CONCEPT, "E", 1)]
-        # a two-token cycle: the verb hangs from its own subject
-        parse = parse_rows([(1, "v", "v", "VERB", 2, "amod"), (2, "s", "s", "NOUN", 1, "nsubj")])
-        (frame,) = extract_frames(parse)
-        assert frame.subject.form == "s" and frame.modifiers == []
+            with pytest.raises(AlignmentError, match="^parse: expected exactly one root token"):
+                ParsedSentence((Token(1, "v", "v", "VERB", 1, deprel),))
+        cases = [
+            ([(1, "v", "v", "VERB", 1, "amod"), (2, "r", "r", "NOUN", 0, "root")],
+             "parse: token 1 heads itself"),
+            ([(1, "v", "v", "VERB", 2, "amod"), (2, "s", "s", "NOUN", 1, "nsubj"),
+              (3, "r", "r", "NOUN", 0, "root")],
+             "parse: head cycle at token 1"),
+            ([(1, "figure", "figure", "NOUN", 2, "nsubj"), (2, "shows", "show", "VERB", 0, "root"),
+              (1, "small", "small", "ADJ", 2, "amod")],
+             "parse: token id 1 at position 3"),
+        ]
+        for rows, message in cases:
+            with pytest.raises(AlignmentError, match=f"^{message}$"):
+                parse_rows(rows)
         article = load_article_json(json.dumps({"uid": "X", "title": "", "body": [["a v"]]}))
         sidecar = "2\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\n1\tv\tv\tVERB\t_\t_\t1\tamod\t_\t_\n"
-        (sentence,) = attach_parses(article, sidecar).paragraphs[0].sentences
-        (frame,) = extract_frames(sentence.parse)
-        assert frame.verb.form == "v" and frame.modifiers == []
+        with pytest.raises(AlignmentError, match="^CoNLL-U line 1: token id 2 at position 1$"):
+            attach_parses(article, sidecar)
 
 
 class TestGoldenSentence:
