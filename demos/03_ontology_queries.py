@@ -41,17 +41,12 @@ print()
 
 # an adjective sense names an attribute and a value; when its bearer is
 # unexpressed, an UNKNOWN placeholder stands in for the described object,
-# and check_completion says whether the attribute may take one
-from figdesc.errors import CompletionError
-from figdesc.ontology import PropertySense
-
-direction = PropertySense("DIRECTIONALITY", "horizontal")
-graph.check_completion("SHOW-INFORMATION", direction)
-print("DIRECTIONALITY may take an UNKNOWN bearer under SHOW-INFORMATION")
+# and completes says whether the attribute may take one
+print("DIRECTIONALITY may take an UNKNOWN bearer:", graph.completes("DIRECTIONALITY"))
 
 # an attribute whose domain holds no object concept cannot take an
-# inferred bearer, so the unexpressed case is refused outright
-try:
-    graph.check_completion("SHOW-INFORMATION", PropertySense("SPEED", "fast"))
-except CompletionError as err:
-    print("rejected:", err)
+# inferred bearer, so the unexpressed case grounds nothing
+print("SPEED may take an UNKNOWN bearer:", graph.completes("SPEED"))
+
+# a case role is no attribute, so nothing completes through it
+print("AGENT may take an UNKNOWN bearer:", graph.completes("AGENT"))

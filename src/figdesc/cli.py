@@ -356,8 +356,9 @@ def cmd_evaluate(settings: dict) -> int:
 
 
 def _concept_metrics(data: bytes) -> dict:
+    """An evaluate metrics.json's "metrics" object, or a whole document without one."""
     doc = load_json_object(data, "concept metrics")
-    return doc.get("metrics", doc)
+    return json_field(doc, "metrics", "concept metrics", "an object", doc)
 
 
 def cmd_baseline(settings: dict) -> int:
@@ -367,6 +368,10 @@ def cmd_baseline(settings: dict) -> int:
     folds = settings["folds"]
     digests: dict[str, str] = {}
     dataset = pipeline.read_input(settings["labeled"], "labeled", digests, bl.load_labeled_jsonl)
+    if len(dataset) < folds:
+        raise SchemaError(
+            f"--labeled {settings['labeled']} has {len(dataset)} rows, fewer than --folds {folds}"
+        )
     metrics_path = settings["concept_metrics"]
     concept = (
         pipeline.read_input(metrics_path, "concept-metrics", None, _concept_metrics)

@@ -42,10 +42,6 @@ class IntegrityError(OntologyError):
     """Dangling reference, reserved-name clash, or domain violation in the ontology."""
 
 
-class CompletionError(OntologyError):
-    """A property path could not be completed against the graph."""
-
-
 class OovError(FigdescError):
     """Word absent from the embedding vocabulary."""
 

@@ -4,8 +4,9 @@ The graph has two fixed roots, EVENT and OBJECT. Every declared concept
 reaches exactly one of them through IS-A parent links; ancestor chains used
 for distance computation always follow the first declared parent. Properties
 come in five kinds; the hierarchy, mereology, case-role, and causality
-builtins are always present. The lexicon maps (lemma, part-of-speech) pairs
-to concept or property senses, ordered by priority.
+builtins are always present, and the graph says what an attribute may
+describe (attribute_applies, completes). The lexicon maps (lemma,
+part-of-speech) pairs to concept or property senses, ordered by priority.
 
 Two on-disk forms are accepted: a line-oriented text format and a JSON
 mirror of the same schema. Text format::
@@ -24,13 +25,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .corpus import Record, decode_utf8, json_field, load_json_object
-from .errors import (
-    CompletionError,
-    CycleError,
-    IntegrityError,
-    PreconditionError,
-    SchemaError,
-)
+from .errors import CycleError, IntegrityError, SchemaError
 
 ROOT_EVENT = "EVENT"
 ROOT_OBJECT = "OBJECT"
@@ -153,31 +148,22 @@ class OntologyGraph(Record):
         lineage = {bearer_concept, *self.ancestors(bearer_concept)}
         return bool(lineage & set(prop.applicable_domains))
 
-    def check_completion(self, event_concept: str, sense: PropertySense) -> None:
-        """Check that an UNKNOWN placeholder filling a role of the event may
-        bear the sense's attribute, its bearer being unexpressed.
+    def is_attribute(self, prop_name: str) -> bool:
+        """Whether the property is a declared ATTRIBUTE, the one kind that describes a concept."""
+        prop = self.properties.get(prop_name)
+        return prop is not None and prop.kind == KIND_ATTRIBUTE
 
-        Raises IntegrityError for an unknown event or property,
-        PreconditionError for a property that is no ATTRIBUTE, and
-        CompletionError when the attribute applies to no object concept.
-        """
-        if not self.has_concept(event_concept):
-            raise IntegrityError(f"unknown concept {event_concept}")
-        prop = self.properties.get(sense.prop)
-        if prop is None:
-            raise IntegrityError(f"unknown property {sense.prop}")
-        if prop.kind != KIND_ATTRIBUTE:
-            raise PreconditionError(
-                f"{sense.prop} is {prop.kind}, path completion needs an ATTRIBUTE"
-            )
-        if prop.applicable_domains and not any(
-            d == ROOT_OBJECT or self.root_of(d) == ROOT_OBJECT
-            for d in prop.applicable_domains
-            if self.has_concept(d)
-        ):
-            raise CompletionError(
-                f"{prop.name} applies to no object concept; cannot infer a bearer"
-            )
+    def completes(self, prop_name: str) -> bool:
+        """Whether the property may describe an unexpressed object, an UNKNOWN
+        placeholder filling an event's role: an ATTRIBUTE with no domain or one
+        under OBJECT. IntegrityError for an unknown property."""
+        if prop_name not in self.properties:
+            raise IntegrityError(f"unknown property {prop_name}")
+        domains = self.properties[prop_name].applicable_domains
+        return self.is_attribute(prop_name) and (
+            not domains
+            or any(self.has_concept(d) and self.root_of(d) == ROOT_OBJECT for d in domains)
+        )
 
 
 # ---- loading ----

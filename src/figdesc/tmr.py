@@ -9,8 +9,9 @@ takes an edge to the sense's value, or to UNKNOWN plus one UNKNOWN value
 placeholder when the sense names none. The bearer is the event for a verb's
 modifier, the concept for a subject's or object's, and for an attribute that
 has none expressed, a sentence-scoped UNKNOWN placeholder filling the event's
-role. Ambiguous tokens take the sense combination that satisfies the most
-ontology relations, found exactly by a search along the frame's tree.
+role, if OntologyGraph.completes lets an object bear it. Ambiguous tokens take
+the sense combination that satisfies the most ontology relations, found
+exactly by a search along the frame's tree.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import re
 from typing import NamedTuple
 
 from .corpus import ParsedSentence, Record, Token, decode_utf8
-from .errors import CompletionError, SchemaError
+from .errors import SchemaError
 from .lexres import EmbeddingStore, SynsetLexicon, candidate_verb_lemmas
 from .ontology import (
-    KIND_ATTRIBUTE,
     ROOT_EVENT,
     ROOTS,
     UNKNOWN,
@@ -213,7 +213,7 @@ def _describes(graph: OntologyGraph, entry: LexEntry, bearer: str | None) -> boo
     return (
         bearer is not None
         and isinstance(entry.sense, PropertySense)
-        and _is_attribute(graph, entry.sense.prop)
+        and graph.is_attribute(entry.sense.prop)
         and graph.attribute_applies(entry.sense.prop, bearer)
     )
 
@@ -272,12 +272,6 @@ def _choose_assignment(
     return {idx: options[idx][picks[idx]] for idx in sorted(picks)}
 
 
-def _is_attribute(graph: OntologyGraph, prop_name: str) -> bool:
-    """Whether the property is an ATTRIBUTE, the only kind a path completes."""
-    prop = graph.properties.get(prop_name)
-    return prop is not None and prop.kind == KIND_ATTRIBUTE
-
-
 def _emit_concept(tmr: Tmr, graph: OntologyGraph, concept: str) -> None:
     tmr.elements.append(TmrElement(CONCEPT, concept, 1))
     for step, ancestor in enumerate(graph.ancestors(concept), start=2):
@@ -295,20 +289,6 @@ def _emit_attribute(tmr: Tmr, bearer: str, sense: PropertySense) -> None:
     tmr.edges.append((bearer, sense.prop, sense.value or UNKNOWN))
     if sense.value is None:
         tmr.elements.append(TmrElement(CONCEPT, UNKNOWN, 1))
-
-
-def _emit_completion(
-    tmr: Tmr, graph: OntologyGraph, event: str, role: str, sense: PropertySense
-) -> None:
-    """An UNKNOWN placeholder fills the event's role and bears the attribute.
-
-    Raises CompletionError, having emitted nothing, when the attribute
-    applies to no object concept.
-    """
-    graph.check_completion(event, sense)
-    tmr.elements.append(TmrElement(CONCEPT, UNKNOWN, 1))
-    tmr.edges.append((event, role, UNKNOWN))
-    _emit_attribute(tmr, UNKNOWN, sense)
 
 
 def build_tmr(
@@ -369,14 +349,15 @@ def build_tmr(
     for sense, bearer, role, linked in evoked:
         if bearer is not None:
             _emit_attribute(tmr, bearer, sense)
-        elif event is None or not _is_attribute(graph, sense.prop):
+        elif event is None or not graph.is_attribute(sense.prop):
             # Nothing to anchor a completion, or no attribute to complete.
             tmr.elements.append(TmrElement(PROPERTY, sense.prop, 1))
-        else:
-            try:
-                _emit_completion(tmr, graph, event, role, sense)
-            except CompletionError:
-                continue  # that token alone stays ungrounded
+        elif graph.completes(sense.prop):
+            # An UNKNOWN placeholder fills the event's role and bears the
+            # attribute. An attribute that no object may bear grounds nothing.
+            tmr.elements.append(TmrElement(CONCEPT, UNKNOWN, 1))
+            tmr.edges.append((event, role, UNKNOWN))
+            _emit_attribute(tmr, UNKNOWN, sense)
             if linked:
                 tmr.elements.append(TmrElement(PROPERTY, role, 1))
     return tmr

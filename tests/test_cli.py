@@ -1665,9 +1665,32 @@ class TestBaselineInputs:
 
     def test_more_folds_than_rows(self, capsys, tmp_path):
         got, err = self.baseline(capsys, tmp_path, LABELED_PATH, "--folds", "500")
-        assert got == 1
-        assert "fold count 500 invalid for 200 items" in err
+        assert got == 2
+        assert f"--labeled {LABELED_PATH} has 200 rows, fewer than --folds 500" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "rows, extra, folds",
+        [(0, (), 10), (0, ("--folds", "2"), 2), (3, (), 10)],
+        ids=["empty", "empty-2-folds", "3-rows-default-folds"],
+    )
+    def test_fewer_rows_than_folds_is_bad_data(self, capsys, tmp_path, rows, extra, folds):
+        labeled = tmp_path / "labeled.jsonl"
+        labeled.write_text("".join(LABELED_PATH.read_text().splitlines(keepends=True)[:rows]))
+        got, err = self.baseline(capsys, tmp_path, labeled, *extra)
+        assert got == 2
+        assert f"--labeled {labeled} has {rows} rows, fewer than --folds {folds}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_as_many_folds_as_rows_runs(self, capsys, tmp_path):
+        labeled = tmp_path / "labeled.jsonl"
+        labeled.write_text("".join(LABELED_PATH.read_text().splitlines(keepends=True)[:3]))
+        out = tmp_path / "out"
+        code, _, _ = run(
+            capsys, "baseline", "--labeled", str(labeled), "--folds", "3", "--out", str(out)
+        )
+        assert code == 0
+        assert len(json.loads((out / "baseline.json").read_text())["report"]["folds"]) == 3
 
     def test_missing_labeled_file(self, capsys, tmp_path):
         got, err = self.baseline(capsys, tmp_path, tmp_path / "ghost.jsonl")
@@ -1694,6 +1717,28 @@ class TestBaselineInputs:
         )
         assert got == 2
         assert reason in err
+
+    @pytest.mark.parametrize("value", ["5", "[]", '"x"', "null"])
+    def test_concept_metrics_must_be_an_object(self, capsys, tmp_path, value):
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text('{"metrics": %s}' % value)
+        got, err = self.baseline(
+            capsys, tmp_path, LABELED_PATH, "--concept-metrics", str(metrics)
+        )
+        assert got == 2
+        assert f"{metrics}: concept metrics.metrics: must be an object" in err
+
+    def test_concept_metrics_without_a_metrics_key_are_copied_whole(self, capsys, tmp_path):
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text('{"f1": 0.5, "note": "by hand"}')
+        out = tmp_path / "out"
+        code, _, _ = run(
+            capsys, "baseline", "--labeled", str(LABELED_PATH), "--folds", "2",
+            "--concept-metrics", str(metrics), "--out", str(out),
+        )
+        assert code == 0
+        report = json.loads((out / "baseline.json").read_text())["report"]
+        assert report["concept_model"] == {"f1": 0.5, "note": "by hand"}
 
 
 class TestImportBudget:

@@ -1,20 +1,16 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from figdesc import cli
-from figdesc.errors import (
-    ArticleParseError,
-    CompletionError,
-    CycleError,
-    IntegrityError,
-    PreconditionError,
-    SchemaError,
-)
+from figdesc.errors import ArticleParseError, CycleError, IntegrityError, SchemaError
 from figdesc.ontology import (
     BUILTIN_PROPERTIES,
     ROOT_EVENT,
     ROOT_OBJECT,
+    ROOTS,
     UNKNOWN,
     ConceptSense,
     PropertySense,
@@ -128,7 +124,7 @@ class TestAttributeDomains:
 
 class TestPathCompletion:
     """An attribute whose bearer is unexpressed completes through an UNKNOWN
-    placeholder filling the event's role; check_completion says whether it may."""
+    placeholder filling the event's role; completes says whether it may."""
 
     def completed(self, graph, lemma):
         rows = [(1, lemma, lemma, "ADJ", 2, "nsubj"), (2, "moves", "move", "VERB", 0, "root")]
@@ -136,7 +132,7 @@ class TestPathCompletion:
         return build_tmr(frame, graph)
 
     def test_without_bearer_inserts_placeholder(self, small):
-        assert small.check_completion("MOTION", PropertySense("SIZE", "small")) is None
+        assert small.completes("SIZE")
         tmr = self.completed(small, "small")
         assert tmr.edges == [("MOTION", "AGENT", UNKNOWN), (UNKNOWN, "SIZE", "small")]
         assert sorted(tmr.elements) == [
@@ -146,26 +142,58 @@ class TestPathCompletion:
 
     def test_missing_value_becomes_placeholder(self):
         graph = load_ontology(SMALL + "lex big pos adj -> property SIZE\n")
-        assert graph.check_completion("MOTION", PropertySense("SIZE")) is None
+        assert graph.completes("SIZE")
         tmr = self.completed(graph, "big")
         assert tmr.edges == [("MOTION", "AGENT", UNKNOWN), (UNKNOWN, "SIZE", UNKNOWN)]
         assert [e.name for e in tmr.elements].count(UNKNOWN) == 2
 
     def test_event_only_domain_cannot_infer_bearer(self, small):
-        with pytest.raises(CompletionError, match="SPEED"):
-            small.check_completion("MOTION", PropertySense("SPEED", "fast"))
+        assert not small.completes("SPEED")
+        graph = load_ontology(SMALL + "lex fast pos adj -> property SPEED=fast\n")
+        tmr = self.completed(graph, "fast")
+        assert tmr.edges == []
+        assert tmr.elements == [("CONCEPT", "MOTION", 1)]
 
     def test_non_attribute_rejected(self, small):
-        with pytest.raises(PreconditionError, match="AGENT"):
-            small.check_completion("MOTION", PropertySense("AGENT"))
+        assert not small.completes("AGENT")
 
     def test_unknown_property_rejected(self, small):
         with pytest.raises(IntegrityError, match="WAT"):
-            small.check_completion("MOTION", PropertySense("WAT"))
+            small.completes("WAT")
 
-    def test_unknown_event_rejected(self, small):
-        with pytest.raises(IntegrityError, match="NOPE"):
-            small.check_completion("NOPE", PropertySense("SIZE"))
+    @given(st.data())
+    def test_matches_the_first_parent_walk_on_random_trees(self, data):
+        """completes against its rule restated: an attribute with no domain,
+        or with a domain whose first-parent chain ends at OBJECT."""
+        parents: dict[str, list[str]] = {}
+        root_of: dict[str, str] = {}  # only to keep extra parents under one root
+        for i in range(data.draw(st.integers(0, 12))):
+            first = data.draw(st.sampled_from([*ROOTS, *parents]))
+            root = root_of.get(first, first)
+            same_root = [c for c in parents if root_of[c] == root]
+            extra = data.draw(st.lists(st.sampled_from(same_root), max_size=2)) if same_root else []
+            parents[f"C{i}"], root_of[f"C{i}"] = list(dict.fromkeys([first, *extra])), root
+        names = [*ROOTS, *parents]
+        kinds = st.sampled_from(["attribute", "causality", "mereology"])
+        props = data.draw(st.lists(st.tuples(kinds, st.lists(st.sampled_from(names))), max_size=6))
+        lines = [f"concept {c} is-a {','.join(ps)}" for c, ps in parents.items()]
+        for j, (kind, domains) in enumerate(props):
+            domain = f" domain {','.join(domains)}" if domains else ""
+            lines.append(f"property P{j} kind {kind} values v{domain}")
+        graph = load_ontology("\n".join(lines))
+
+        def walk(concept):
+            while concept not in ROOTS:
+                concept = parents[concept][0]
+            return concept
+
+        for j, (kind, domains) in enumerate(props):
+            expected = kind == "attribute" and (
+                not domains or any(walk(d) == ROOT_OBJECT for d in domains)
+            )
+            assert graph.completes(f"P{j}") == expected
+        for name, _ in BUILTIN_PROPERTIES:
+            assert not graph.completes(name)
 
 
 class TestValidation:

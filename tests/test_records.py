@@ -106,6 +106,12 @@ class TestSlottedRecords:
         frame = SvoFrame(Token(2, "shows", "show", "VERB", 0, "root"))
         frame.subject = Token(1, "Figure", "figure", "NOUN", 2, "nsubj")
         assert SvoFrame(frame.verb).modifiers is not frame.modifiers
+        # and keep the lists they are given
+        modifiers = [(frame.subject, frame.verb)]
+        assert SvoFrame(frame.verb, modifiers=modifiers).modifiers is modifiers
+        given = Tmr(1, [TmrElement("CONCEPT", "LENS", 1)], [("SHOW", "AGENT", "LENS")])
+        assert given.elements == [("CONCEPT", "LENS", 1)]
+        assert given.edges == [("SHOW", "AGENT", "LENS")]
 
     def test_mutable_records_equal_by_fields_and_are_unhashable(self):
         assert Tmr(1, [TmrElement("CONCEPT", "LENS", 1)]) == Tmr(1, [("CONCEPT", "LENS", 1)])

@@ -23,6 +23,7 @@ from figdesc.tmr import (
     CONCEPT,
     PROPERTY,
     SvoFrame,
+    Tmr,
     _choose_assignment,
     build_sentence_tmr,
     build_tmr,
@@ -55,10 +56,12 @@ class TestChemicalDetection:
     def test_formula_with_digits(self):
         assert is_chemical_token("TiO2", frozenset())
         assert is_chemical_token("CO2", frozenset())
+        assert is_chemical_token("H2", frozenset())
 
     def test_multi_unit_formula_without_digits(self):
         assert is_chemical_token("NaCl", frozenset())
         assert is_chemical_token("GaAs", frozenset())
+        assert is_chemical_token("CO", frozenset())
 
     def test_lone_symbol_rejected(self):
         # "He" and "In" are usually just words
@@ -72,6 +75,7 @@ class TestChemicalDetection:
     def test_ordinary_words_rejected(self):
         assert not is_chemical_token("Count", frozenset())
         assert not is_chemical_token("peak", frozenset())
+        assert not is_chemical_token("NaCl-doped", frozenset())  # symbols, but no formula
 
     def test_gazetteer_loader(self):
         gaz = load_gazetteer("# comment\nwater\n\n tio2 \n")
@@ -336,6 +340,8 @@ class TestBuildTmr:
         sent = parsed_sentence("It indicates.", rows)
         tmr = build_sentence_tmr(sent, resources.graph, resources.gazetteer)
         assert tmr.unmappable
+        (frame,) = extract_frames(sent.parse)
+        assert build_tmr(frame, resources.graph) == Tmr(-1, [], [], unmappable=True)
 
     def test_chemical_maps_straight_to_concept(self, resources):
         rows = [
@@ -391,6 +397,21 @@ class TestBuildTmr:
         # no grounded verb: no event concept, no case roles
         assert all(k != CONCEPT or resources.graph.root_of(n) != "EVENT" for k, n, _ in got)
         assert "AGENT" not in names(tmr) and "THEME" not in names(tmr)
+
+    def test_a_verb_grounded_as_an_object_bears_no_modifier(self):
+        """A verb's modifier describes its event; a verb sense under OBJECT has
+        none, so the modifier's attribute stands alone."""
+        graph = load_ontology(
+            "concept WAVE is-a OBJECT\n"
+            "property SIZE kind attribute values small\n"
+            "lex wave pos VERB -> concept WAVE\n"
+            "lex hugely pos ADV -> property SIZE=small\n"
+        )
+        rows = [(1, "waves", "wave", "VERB", 0, "root"), (2, "hugely", "hugely", "ADV", 1, "advmod")]
+        (frame,) = extract_frames(parse_rows(rows))
+        tmr = build_tmr(frame, graph)
+        assert elements(tmr) == [(CONCEPT, "WAVE", 1), (PROPERTY, "SIZE", 1)]
+        assert tmr.edges == []
 
     def test_non_attribute_slot_property_stands_alone(self):
         """A subject whose sense is a case role is not completed as an attribute."""
