@@ -11,9 +11,9 @@ import os
 # BLAS runs on one thread unless the caller sets otherwise. Only the baseline
 # computes with numpy, and its matrix is small (thousands of rows by hundreds
 # of columns), so a second BLAS thread spins between products: on a 2-core
-# host with one other busy process, k-fold training went from 0.5 s to
-# 1.1-1.8 s on two threads and stayed at 0.6 s on one. OpenBLAS and MKL read
-# these variables when numpy first loads them, so this precedes every import.
+# host with one other busy process, k-fold training took 0.72-0.81 s on two
+# threads and 0.28-0.34 s on one (idle: 0.23-0.26 s on two, 0.26-0.35 on one).
+# OpenBLAS and MKL read these when numpy first loads them, so this comes first.
 for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var

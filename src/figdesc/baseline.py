@@ -6,10 +6,11 @@ k-fold cross-validation. The loss/gradient pair is exposed separately so the
 analytic gradient can be checked against finite differences.
 
 Cross-validation featurizes the labelled set once and trains the k folds
-together: one weight column per fold, one row mask marking each fold's
-training rows and one column mask marking its vocabulary, in a single
-gradient-descent run. This matches training each fold on its own, with its
-own vocabulary and matrices, up to rounding.
+together in one gradient-descent run, fold-major: one weight row per fold,
+one mask row marking each fold's training rows and one its vocabulary. This
+matches training each fold on its own, with its own vocabulary and matrices,
+up to rounding. Training computes no loss: a fold's loss is non-finite
+exactly when its bias gradient or L2 penalty is, and that is what it checks.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ class LogRegModel(NamedTuple):
 
     weights: np.ndarray
     bias: float | np.ndarray
-    losses: list
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(X @ self.weights + self.bias)
@@ -74,10 +74,30 @@ class LogRegModel(NamedTuple):
         return (self.predict_proba(X) >= 0.5).astype(int)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None, scratch=None) -> np.ndarray:
+    """The logistic function of z, into out (which may be z), scratch as work space."""
+    pos = z >= 0
     # exp of a non-positive argument only, so neither branch can overflow
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    e = np.exp(np.negative(np.abs(z, out=out), out=out), out=out)
+    den = np.add(e, 1.0, out=scratch)
+    np.divide(e, den, out=e)
+    return np.divide(1.0, den, out=e, where=pos)
+
+
+def _gradient(w, b, X, y, l2, rows, m, p=None, r=None, grad_w=None) -> tuple:
+    """k models' gradient, fold-major: w (k, V), b (k, 1), rows (k, n) or None
+    for every row, m their counts. Fills p (probabilities) and r (masked
+    residuals), both (k, n), and grad_w (k, V), new arrays where None; returns
+    p, grad_w, the bias gradient (k, 1) and the L2 penalty (k,)."""
+    p = np.add(np.matmul(w, X.T, out=p), b, out=p)
+    _sigmoid(p, out=p, scratch=r)
+    r = np.subtract(p, y, out=r)
+    if rows is not None:
+        r *= rows
+    grad_w = np.matmul(r, X, out=grad_w)
+    grad_w /= m
+    grad_w += l2 * w
+    return p, grad_w, np.sum(r, axis=1, keepdims=True) / m, 0.5 * l2 * np.sum(w * w, axis=1)
 
 
 def loss_and_gradient(
@@ -88,7 +108,7 @@ def loss_and_gradient(
     l2: float,
     rows: np.ndarray | None = None,
 ) -> tuple:
-    """Mean cross-entropy plus (l2/2)*||w||^2, with its exact gradient.
+    """Mean cross-entropy plus (l2/2)*||w||^2, with the gradient training takes.
 
     With w of shape (V,) this is one model and returns (float, (V,), float).
     With w of shape (V, k) and b of shape (k,) it is k models at once and
@@ -98,26 +118,19 @@ def loss_and_gradient(
     are clipped only inside the logs, keeping loss and gradient consistent
     for finite-difference checks.
     """
-    p = _sigmoid(X @ w + b)
-    target = y if w.ndim == 1 else y[:, None]
-    eps = 1e-12
-    log_lik = target * np.log(np.clip(p, eps, None)) + (1 - target) * np.log(
-        np.clip(1 - p, eps, None)
+    rows = None if rows is None else np.asarray(rows, dtype=np.float64).T
+    m = len(y) if rows is None else rows.sum(axis=1, keepdims=True)
+    p, grad_w, grad_b, penalty = _gradient(
+        np.atleast_2d(w.T), np.reshape(b, (-1, 1)), X, y, l2, rows, m
     )
-    residual = p - target
-    if rows is None:
-        m = len(y)
-    else:
-        m = rows.sum(axis=0)
-        log_lik = log_lik * rows
-        residual = residual * rows
-    ce = -np.sum(log_lik, axis=0) / m
-    loss = ce + 0.5 * l2 * np.sum(w * w, axis=0)
-    grad_w = X.T @ residual / m + l2 * w
-    grad_b = np.sum(residual, axis=0) / m
+    eps = 1e-12
+    log_lik = y * np.log(np.clip(p, eps, None)) + (1 - y) * np.log(np.clip(1 - p, eps, None))
+    if rows is not None:
+        log_lik *= rows
+    loss = (-np.sum(log_lik, axis=1, keepdims=True) / m).ravel() + penalty
     if w.ndim == 1:
-        return float(loss), grad_w, float(grad_b)
-    return loss, grad_w, grad_b
+        return loss.item(), grad_w.ravel(), grad_b.item()
+    return loss, grad_w.T, grad_b.ravel()
 
 
 def train_logreg(
@@ -133,31 +146,34 @@ def train_logreg(
     array of shape (n, k), it fits k models in the same run, model j on the
     rows where rows[:, j] is 1. cols, a boolean array of shape (V, k), then
     marks the features each model may use; every other weight stays exactly
-    0. Raises DivergenceError naming the epoch if a loss goes non-finite,
-    and with rows the fold (the column of rows) it went non-finite in.
+    0. Either way one loop runs, fold-major (a row of weights per model, so
+    both products take BLAS's faster orientation with no copy of X), into
+    buffers made once, and computes no loss: it raises DivergenceError,
+    naming the epoch and with rows the fold (the column of rows), when a
+    model's bias gradient or L2 penalty goes non-finite, as its loss then does.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if rows is None:
-        w = np.zeros(X.shape[1])
-        b = 0.0
+        k, m = 1, len(y)
     else:
-        rows = np.asarray(rows, dtype=np.float64)
-        w = np.zeros((X.shape[1], rows.shape[1]))
-        b = np.zeros(rows.shape[1])
-    losses = []
+        rows = np.ascontiguousarray(np.transpose(rows), dtype=np.float64)
+        k, m = len(rows), rows.sum(axis=1, keepdims=True)
+    w, b = np.zeros((k, X.shape[1])), np.zeros((k, 1))
+    p, r, grad_w = np.empty((k, len(y))), np.empty((k, len(y))), np.empty_like(w)
     for epoch in range(config.epochs):
-        loss, grad_w, grad_b = loss_and_gradient(w, b, X, y, config.l2, rows)
-        finite = np.isfinite(loss)
-        if not np.all(finite):
-            where = f" in fold {int(np.argmin(finite))}" if np.ndim(loss) else ""
+        _, _, grad_b, penalty = _gradient(w, b, X, y, config.l2, rows, m, p, r, grad_w)
+        finite = np.isfinite(grad_b.ravel()) & np.isfinite(penalty)
+        if not finite.all():
+            where = "" if rows is None else f" in fold {int(np.argmin(finite))}"
             raise DivergenceError(f"non-finite loss at epoch {epoch}{where}")
-        losses.append(loss)
         if cols is not None:
-            grad_w = grad_w * cols
-        w = w - config.learning_rate * grad_w
-        b = b - config.learning_rate * grad_b
-    return LogRegModel(w, b, losses)
+            grad_w *= cols.T
+        w -= config.learning_rate * grad_w
+        b -= config.learning_rate * grad_b
+    if rows is None:
+        return LogRegModel(w.ravel(), b.item())
+    return LogRegModel(w.T, b.ravel())
 
 
 def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
@@ -199,11 +215,11 @@ def kfold_cv(
     folds = kfold_split(len(dataset), k, seed)
     vocab = build_vocab(texts)
     X = to_matrix([featurize(t, vocab) for t in texts], len(vocab))
-    train = np.ones((len(dataset), k))
+    train = np.ones((k, len(dataset)))  # fold-major, so train_logreg takes it uncopied
     for j, test_idx in enumerate(folds):
-        train[test_idx, j] = 0.0
-    in_vocab = X.T @ train >= min_freq
-    preds = train_logreg(X, labels, cfg, rows=train, cols=in_vocab).predict(X)
+        train[j, test_idx] = 0.0
+    in_vocab = X.T @ train.T >= min_freq
+    preds = train_logreg(X, labels, cfg, rows=train.T, cols=in_vocab).predict(X)
     per_fold = []
     for j, test_idx in enumerate(folds):
         m = evaluate(preds[test_idx, j].tolist(), labels[test_idx].tolist())

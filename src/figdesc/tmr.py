@@ -246,10 +246,12 @@ def _choose_assignment(
         best; one sense of None if the token has no pool."""
         for k, entry in enumerate(options.get(token.index) or [None]):
             concept, score = _concept(entry), 0
+            # build_tmr grounds a verb's modifier only on the verb's event
+            bearer = _event(graph, concept) if token is frame.verb else concept
             psum, picks = (0, {}) if entry is None else (entry.priority, {token.index: k})
             for m in mods.get(token.index, ()):
                 miss, priority, picks[m] = min(
-                    (not _describes(graph, e, concept), e.priority, j)
+                    (not _describes(graph, e, bearer), e.priority, j)
                     for j, e in enumerate(options[m])
                 )
                 score, psum = score + (not miss), psum + priority

@@ -275,7 +275,7 @@ def _oracle_score(assignment, frame, graph):
         prop = graph.properties.get(entry.sense.prop)
         if prop is None or prop.kind != "ATTRIBUTE":
             continue
-        bearer = concept_of.get(anchor.index)
+        bearer = event if anchor.index == frame.verb.index else concept_of.get(anchor.index)
         if bearer is None:
             continue
         domains = set(prop.applicable_domains)

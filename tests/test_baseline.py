@@ -1,4 +1,6 @@
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from figdesc import baseline
 from figdesc.baseline import (
+    LogRegModel,
     TrainConfig,
     _sigmoid,
     build_vocab,
@@ -70,6 +73,10 @@ class TestGradient:
         lm, _, _ = loss_and_gradient(w, b - h, X, y, l2)
         assert grad_b == pytest.approx((lp - lm) / (2 * h), rel=1e-5, abs=1e-8)
 
+    def test_one_model_gives_floats_and_a_vector(self):
+        loss, grad_w, grad_b = loss_and_gradient(np.zeros(3), 0.0, np.eye(3), np.ones(3), 0.0)
+        assert type(loss) is float and type(grad_b) is float and grad_w.shape == (3,)
+
     def test_bias_not_regularized(self):
         X = np.zeros((4, 2))
         y = np.array([0.0, 1.0, 0.0, 1.0])
@@ -101,7 +108,15 @@ class TestTraining:
         X = rng.standard_normal((30, 4))
         y = (X[:, 0] > 0).astype(float)
         model = train_logreg(X, y, TrainConfig(epochs=50))
-        assert model.losses[-1] < model.losses[0]
+        trained, _, _ = loss_and_gradient(model.weights, model.bias, X, y, 0.0)
+        untrained, _, _ = loss_and_gradient(np.zeros(4), 0.0, X, y, 0.0)
+        assert trained < untrained
+
+    def test_defaults_are_what_the_baseline_command_trains_with(self):
+        assert TrainConfig() == (0.5, 300, 0.0)
+
+    def test_a_zero_logit_predicts_positive(self):
+        np.testing.assert_array_equal(LogRegModel(np.zeros(2), 0.0).predict(np.eye(2)), [1, 1])
 
     def test_training_is_deterministic(self):
         rng = np.random.default_rng(5)
@@ -117,8 +132,55 @@ class TestTraining:
         X = np.array([[1.0], [-1.0]])
         y = np.array([0.0, 1.0])
         with np.errstate(over="ignore"):
-            with pytest.raises(DivergenceError, match="epoch"):
+            with pytest.raises(DivergenceError, match=r"^non-finite loss at epoch \d+$"):
                 train_logreg(X, y, TrainConfig(learning_rate=1e12, epochs=100, l2=1.0))
+
+
+def _first_non_finite_loss(X, y, config, rows):
+    """(epoch, fold) where the per-epoch loss of loss_and_gradient first goes
+    non-finite along training's own steps, or None."""
+    w, b = np.zeros((rows.shape[1], X.shape[1])).T, np.zeros(rows.shape[1])
+    for epoch in range(config.epochs):
+        loss, grad_w, grad_b = loss_and_gradient(w, b, X, y, config.l2, rows)
+        finite = np.isfinite(loss)
+        if not finite.all():
+            return epoch, int(np.argmin(finite))
+        w = w - config.learning_rate * grad_w
+        b = b - config.learning_rate * grad_b
+    return None
+
+
+@st.composite
+def _divergence_cases(draw):
+    n, v, k = draw(st.integers(1, 8)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    value = st.one_of(
+        st.floats(-3, 3), st.sampled_from([0.0, 1e150, -1e150, 1e300, -1e300, 1.7e308])
+    )
+    X = np.array(draw(st.lists(value, min_size=n * v, max_size=n * v))).reshape(n, v)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    bits = draw(st.lists(st.integers(0, 1), min_size=n * k, max_size=n * k))
+    rows = np.array(bits, dtype=float).reshape(n, k)
+    if draw(st.booleans()):
+        rows[:, draw(st.integers(0, k - 1))] = 0.0  # a fold with no training rows
+    rate = draw(st.one_of(st.floats(0.01, 10), st.sampled_from([1e3, 1e6, 1e9, 1e12])))
+    config = TrainConfig(rate, draw(st.integers(1, 40)), draw(st.sampled_from([0.0, 0.01, 1.0])))
+    return X, y, rows, config
+
+
+class TestDivergence:
+    @settings(max_examples=300, deadline=None)
+    @given(_divergence_cases())
+    def test_raises_where_the_per_epoch_loss_goes_non_finite(self, case):
+        X, y, rows, config = case
+        with np.errstate(all="ignore"):
+            want = _first_non_finite_loss(X, y, config, rows)
+            try:
+                train_logreg(X, y, config, rows=rows)
+                got = None
+            except DivergenceError as e:
+                where = re.fullmatch(r"non-finite loss at epoch (\d+) in fold (\d+)", str(e))
+                got = int(where[1]), int(where[2])
+        assert got == want
 
 
 class TestKfold:
@@ -160,6 +222,23 @@ class TestKfold:
         assert len(report["folds"]) == 5
         assert report["mean"]["accuracy"] == 1.0
         assert report["mean"]["f1"] == 1.0
+
+    def test_defaults(self):
+        # Each word is in two rows of one label, so a test row's word is in
+        # at most one training row: at min_freq 2 no test row has evidence.
+        dataset = [("q" * (i // 2 + 1), (i // 2) % 2) for i in range(20)]
+        report = kfold_cv(dataset)
+        assert report == kfold_cv(dataset, 10, 0, TrainConfig(), 1)
+        assert report != kfold_cv(dataset, 10, 0, TrainConfig(), 2)
+        assert (report["k"], report["seed"]) == (10, 0)
+
+    def test_means_add_the_folds_in_order(self):
+        # on these folds math.fsum would round both means differently
+        dataset = [("q" * (i // 2 + 1) + " up", (i // 3) % 2) for i in range(26)]
+        report = kfold_cv(dataset, k=7, seed=1)
+        for key in ("accuracy", "f1"):
+            values = [fold[key] for fold in report["folds"]]
+            assert report["mean"][key] == sum(values) / 7 != math.fsum(values) / 7
 
     def test_cv_report_is_deterministic(self):
         dataset = [(f"word{i} up", i % 2) for i in range(12)]
@@ -317,13 +396,15 @@ class TestBatchedFoldsMatchPerFoldTraining:
         config = TrainConfig(epochs=40, l2=0.05)
         batched = train_logreg(X, y, config, rows=rows)
         assert batched.weights.shape == (3, 4) and batched.bias.shape == (4,)
-        assert len(batched.losses) == 40 and batched.losses[0].shape == (4,)
+        losses, _, _ = loss_and_gradient(batched.weights, batched.bias, X, y, config.l2, rows)
+        assert losses.shape == (4,)
         for j in range(4):
             keep = rows[:, j] == 1
             single = train_logreg(X[keep], y[keep], config)
             np.testing.assert_allclose(batched.weights[:, j], single.weights, atol=1e-12)
             assert batched.bias[j] == pytest.approx(single.bias, abs=1e-12)
-            assert batched.losses[-1][j] == pytest.approx(single.losses[-1], abs=1e-12)
+            loss, _, _ = loss_and_gradient(single.weights, single.bias, X[keep], y[keep], config.l2)
+            assert losses[j] == pytest.approx(loss, abs=1e-12)
 
 
 class TestSigmoid:

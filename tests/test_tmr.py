@@ -407,7 +407,10 @@ class TestBuildTmr:
             "lex wave pos VERB -> concept WAVE\n"
             "lex hugely pos ADV -> property SIZE=small\n"
         )
-        rows = [(1, "waves", "wave", "VERB", 0, "root"), (2, "hugely", "hugely", "ADV", 1, "advmod")]
+        rows = [
+            (1, "waves", "wave", "VERB", 0, "root"),
+            (2, "hugely", "hugely", "ADV", 1, "advmod"),
+        ]
         (frame,) = extract_frames(parse_rows(rows))
         tmr = build_tmr(frame, graph)
         assert elements(tmr) == [(CONCEPT, "WAVE", 1), (PROPERTY, "SIZE", 1)]
@@ -475,6 +478,29 @@ lex ragged pos adj -> property GAIT=ragged
         assert "ANIMAL" in names(tmr, CONCEPT)
         assert "MACHINE" not in names(tmr, CONCEPT)
         assert ("ANIMAL", "GAIT", "ragged") in tmr.edges
+
+    def test_a_verbs_modifier_relates_only_to_an_event(self):
+        # SIZE fits the object sense WAVE, but build_tmr hangs a verb's
+        # modifier on the verb's event alone, so that fit is no relation
+        graph = load_ontology(
+            "concept WAVE is-a OBJECT\nconcept SWAY is-a EVENT\n"
+            "property SPEED kind attribute values fast domain SWAY\n"
+            "property SIZE kind attribute values small\n"
+            "lex wave pos verb -> concept WAVE\nlex wave pos verb -> concept SWAY\n"
+            "lex hugely pos adv -> property SPEED=fast\n"
+            "lex hugely pos adv -> property SIZE=small\n"
+        )
+        rows = [
+            (1, "waves", "wave", "VERB", 0, "root"),
+            (2, "hugely", "hugely", "ADV", 1, "advmod"),
+        ]
+        (frame,) = extract_frames(parse_rows(rows))
+        tmr = build_tmr(frame, graph)
+        assert names(tmr, CONCEPT) == ["SWAY"]
+        assert tmr.edges == [("SWAY", "SPEED", "fast")]
+        # with the object sense alone, the preferred SPEED stands unrelated
+        options = {1: graph.senses("wave", "VERB")[:1], 2: graph.senses("hugely", "ADV")}
+        assert _choose_assignment(options, frame, graph)[2].sense == PropertySense("SPEED", "fast")
 
     def test_tie_prefers_lower_priority_sum(self, resources):
         (frame,) = extract_frames(parse_rows(REF_PARSE_ROWS))
