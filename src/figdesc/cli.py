@@ -4,8 +4,11 @@ Subcommands: detect, calibrate, classify, evaluate, baseline. _SETTINGS
 declares every setting once, and each command takes the flags that _COMMANDS
 names for it. A setting comes from its flag, else its FIGDESC_* environment
 variable, else the JSON --config file, else its default; main resolves them
-all before the command runs. Exit codes: 0 success, 1 usage/config error,
-2 data error, 3 internal error.
+all before the command runs. A command reads its inputs into the digests
+main gives it, and returns its output files, in write order, each with its
+write(path, header), and the text of its summary line; main alone builds the
+provenance header, creates --out, writes and prints. Exit codes: 0 success,
+1 usage/config error, 2 data error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -71,6 +74,12 @@ def _pattern(value: str) -> str:
     return value
 
 
+def _out(value: str) -> str:
+    if not value:  # Path("") is the working directory
+        raise ConfigError("--out must not be empty")
+    return value
+
+
 # Every setting: what parses its flag, FIGDESC_* or config value (a ValueError
 # if it does not parse, a ConfigError if it is out of range); the JSON kind
 # json_field checks its config value against; its default, or _REQUIRED; its help.
@@ -83,7 +92,7 @@ _SETTINGS = {
     "weights": (str, "a string", _REQUIRED, "calibrated weight table JSON"),
     "lambda": (_scale, "a finite number", 0.5, "threshold scale factor"),
     "window": (_window, "an integer", figref.DEFAULT_WINDOW, "neighbor window size"),
-    "out": (str, "a string", _REQUIRED, "output directory"),
+    "out": (_out, "a string", _REQUIRED, "output directory"),
     "seed": (_seed, "an integer", 0, "random seed (baseline folds)"),
     "pattern": (_pattern, "a string", None, "override figure-reference regex"),
     "config": (str, "a string", None, "JSON config file with flag defaults"),
@@ -153,22 +162,17 @@ def _resolve(args: dict, names: tuple[str, ...]) -> dict:
 
 
 @contextmanager
-def _writing(out: str | Path) -> Iterator[None]:
+def _writing(out: Path) -> Iterator[None]:
     """Creates --out for the writes in the block; an OSError there is a ConfigError.
 
-    A command enters it only once it has all it writes, so a command that
-    fails leaves no --out behind.
+    main enters it only once the command has returned all it writes, so a
+    command that fails leaves no --out behind.
     """
     try:
-        Path(out).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
         yield
     except OSError as e:
         raise ConfigError(f"cannot write --out {out}: {e.strerror or e}") from e
-
-
-def _header(settings: dict, digests: dict[str, str]) -> dict:
-    recorded = {name: settings[name] for name in _RECORDED if name in settings}
-    return pipeline.provenance(recorded, digests)
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -177,9 +181,12 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def cmd_detect(settings: dict) -> int:
-    out = Path(settings["out"])
-    digests: dict[str, str] = {}
+def _under_header(key: str, value):
+    """A write(path, header) of {"provenance": header, key: value} as JSON."""
+    return lambda path, header: _write_json(path, {"provenance": header, key: value})
+
+
+def cmd_detect(settings: dict, digests: dict[str, str]) -> tuple[dict, str]:
     pattern = settings["pattern"]
     corpus = pipeline.load_corpus_dir(settings["corpus"], digests)
 
@@ -194,39 +201,30 @@ def cmd_detect(settings: dict) -> int:
         return [row(det.uid, *ref) for ref in det.refs], len(det.candidates)
 
     detections = pipeline.detect_by_uid(corpus, settings["window"], pattern, encoded)
-    header = _header(settings, digests)
-    with _writing(out):
-        pipeline.write_jsonl(
-            out / "detect.jsonl", header, chain.from_iterable(lines for lines, _ in detections)
-        )
+    rows = chain.from_iterable(lines for lines, _ in detections)
     n_refs = sum(len(lines) for lines, _ in detections)
     n_candidates = sum(n for _, n in detections)
-    print(
-        f"detect: {len(detections)} articles, {n_refs} figure-referring sentences, "
-        f"{n_candidates} candidate sentences -> {out / 'detect.jsonl'}"
+    return {"detect.jsonl": lambda path, header: pipeline.write_jsonl(path, header, rows)}, (
+        f"{len(detections)} articles, {n_refs} figure-referring sentences, "
+        f"{n_candidates} candidate sentences"
     )
-    return 0
 
 
-def cmd_calibrate(settings: dict) -> int:
-    out = Path(settings["out"])
-    digests: dict[str, str] = {}
+def cmd_calibrate(settings: dict, digests: dict[str, str]) -> tuple[dict, str]:
     res = pipeline.load_resources(*(settings[k] for k in _RESOURCES), digests)
     corpus = pipeline.load_corpus_dir(settings["corpus"], digests)
     refs = pipeline.reference_tmrs(corpus, res, settings["pattern"])
     table = scoring.calibrate(refs)
     weights = scoring.save_weight_table(table).encode()
-    header = {**_header(settings, digests), "weights": sha256(weights).hexdigest()}
-    with _writing(out):
-        (out / "weights.json").write_bytes(weights)
-        _write_json(out / "weights.meta.json", header)
+    digest = sha256(weights).hexdigest()
     n_tmr, n_c, n_p = table.calibration_counts
-    print(
-        f"calibrate: {n_tmr} reference representations, {n_c} concepts, "
-        f"{n_p} properties, mean reference weight {table.mean_ref_weight:.6f} "
-        f"-> {out / 'weights.json'}"
+    return {
+        "weights.json": lambda path, header: path.write_bytes(weights),
+        "weights.meta.json": lambda path, header: _write_json(path, {**header, "weights": digest}),
+    }, (
+        f"{n_tmr} reference representations, {n_c} concepts, "
+        f"{n_p} properties, mean reference weight {table.mean_ref_weight:.6f}"
     )
-    return 0
 
 
 def _recorded_inputs(data: bytes) -> tuple[dict, str]:
@@ -259,9 +257,7 @@ def _check_calibrated_with(settings: dict, digests: dict[str, str]) -> None:
             )
 
 
-def cmd_classify(settings: dict) -> int:
-    out = Path(settings["out"])
-    digests: dict[str, str] = {}
+def cmd_classify(settings: dict, digests: dict[str, str]) -> tuple[dict, str]:
     res = pipeline.load_resources(*(settings[k] for k in _RESOURCES), digests)
     table = pipeline.read_input(
         settings["weights"], "weights", digests, scoring.load_weight_table
@@ -272,15 +268,12 @@ def cmd_classify(settings: dict) -> int:
     scored = pipeline.score_candidates(
         corpus, res, table, threshold, settings["window"], settings["pattern"]
     )
-    header = _header(settings, digests)
-    with _writing(out):
-        pipeline.write_jsonl(out / "scores.jsonl", header, (row.line for row in scored))
     n_pos = sum(row.is_descriptive for row in scored)
-    print(
-        f"classify: {len(scored)} candidates, {n_pos} descriptive at "
-        f"lambda={settings['lambda']:g} (threshold {threshold:.6f}) -> {out / 'scores.jsonl'}"
+    lines = (row.line for row in scored)
+    return {"scores.jsonl": lambda path, header: pipeline.write_jsonl(path, header, lines)}, (
+        f"{len(scored)} candidates, {n_pos} descriptive at "
+        f"lambda={settings['lambda']:g} (threshold {threshold:.6f})"
     )
-    return 0
 
 
 def _row(doc: dict, where: str, field: str, kind: str) -> tuple:
@@ -300,12 +293,10 @@ def _by_id(rows: list[tuple], flag: str, path: str) -> dict:
     return by_id
 
 
-def cmd_evaluate(settings: dict) -> int:
+def cmd_evaluate(settings: dict, digests: dict[str, str]) -> tuple[dict, str]:
     scores_path = settings["scores"]
     gold_path = settings["gold"]
     weights_path = settings["weights"]
-    out = Path(settings["out"])
-    digests: dict[str, str] = {}
     table = pipeline.read_input(weights_path, "weights", digests, scoring.load_weight_table)
     scores_header, rows = pipeline.read_jsonl(
         scores_path,
@@ -335,24 +326,17 @@ def cmd_evaluate(settings: dict) -> int:
     keys = sorted(gold)
     weights = [by_id[k] for k in keys]
     labels = [gold[k] for k in keys]
-    rows = scoring.lambda_sweep(weights, table.mean_ref_weight, settings["lambdas"], labels)
-    lam = settings["lambda"]
-    threshold = scoring.compute_threshold(table.mean_ref_weight, lam)
-    preds = [scoring.classify(w, threshold) for w in weights]
-    headline = scoring.evaluate(preds, labels)
-    headline["lambda"] = lam
-    headline["threshold"] = threshold
-    header = _header(settings, digests)
-    with _writing(out):
-        (out / "sweep.tsv").write_text(scoring.sweep_to_tsv(rows))
-        _write_json(out / "metrics.json", {"provenance": header, "metrics": headline})
-        _write_json(out / "sweep.meta.json", header)
-    print(
-        f"evaluate: {len(keys)} labeled candidates, lambda={lam:g}: "
-        f"accuracy {headline['accuracy']:.4f}, F1 {headline['f1']:.4f} "
-        f"-> {out / 'sweep.tsv'}"
+    mean, lam = table.mean_ref_weight, settings["lambda"]
+    rows = scoring.lambda_sweep(weights, mean, settings["lambdas"], labels)
+    headline = scoring.lambda_sweep(weights, mean, [lam], labels)[0]
+    return {
+        "sweep.tsv": lambda path, header: path.write_text(scoring.sweep_to_tsv(rows)),
+        "metrics.json": _under_header("metrics", headline),
+        "sweep.meta.json": _write_json,
+    }, (
+        f"{len(keys)} labeled candidates, lambda={lam:g}: "
+        f"accuracy {headline['accuracy']:.4f}, F1 {headline['f1']:.4f}"
     )
-    return 0
 
 
 def _concept_metrics(data: bytes) -> dict:
@@ -361,12 +345,10 @@ def _concept_metrics(data: bytes) -> dict:
     return json_field(doc, "metrics", "concept metrics", "an object", doc)
 
 
-def cmd_baseline(settings: dict) -> int:
+def cmd_baseline(settings: dict, digests: dict[str, str]) -> tuple[dict, str]:
     from . import baseline as bl  # imported here, so no other command loads numpy for it
 
-    out = Path(settings["out"])
     folds = settings["folds"]
-    digests: dict[str, str] = {}
     dataset = pipeline.read_input(settings["labeled"], "labeled", digests, bl.load_labeled_jsonl)
     if len(dataset) < folds:
         raise SchemaError(
@@ -381,15 +363,11 @@ def cmd_baseline(settings: dict) -> int:
     report = bl.kfold_cv(dataset, k=folds, seed=settings["seed"])
     if concept is not None:
         report["concept_model"] = concept
-    header = _header(settings, digests)
-    with _writing(out):
-        _write_json(out / "baseline.json", {"provenance": header, "report": report})
-    print(
-        f"baseline: {len(dataset)} sentences, {folds}-fold CV: "
+    return {"baseline.json": _under_header("report", report)}, (
+        f"{len(dataset)} sentences, {folds}-fold CV: "
         f"mean accuracy {report['mean']['accuracy']:.4f}, "
-        f"mean F1 {report['mean']['f1']:.4f} -> {out / 'baseline.json'}"
+        f"mean F1 {report['mean']['f1']:.4f}"
     )
-    return 0
 
 
 # Each command: its function, its help and the names of the settings it reads.
@@ -413,9 +391,20 @@ def main(argv: list[str] | None = None) -> int:
         args = vars(build_parser().parse_args(argv))
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
-    run, _, names = _COMMANDS[args["command"]]
+    command = args["command"]
+    run, _, names = _COMMANDS[command]
     try:
-        return run(_resolve(args, names))
+        settings = _resolve(args, names)
+        digests: dict[str, str] = {}
+        files, summary = run(settings, digests)
+        recorded = {name: settings[name] for name in _RECORDED if name in settings}
+        header = pipeline.provenance(recorded, digests)
+        out = Path(settings["out"])
+        with _writing(out):
+            for name, write in files.items():
+                write(out / name, header)
+        print(f"{command}: {summary} -> {out / next(iter(files))}")
+        return 0
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

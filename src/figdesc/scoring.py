@@ -136,7 +136,12 @@ def sentence_weight(elements: Iterable[Element], table: WeightTable) -> float:
 def compute_threshold(mean_ref_weight: float, lambda_: float) -> float:
     if not (math.isfinite(lambda_) and lambda_ > 0):
         raise ConfigError(f"lambda must be positive and finite, got {lambda_}")
-    return lambda_ * mean_ref_weight
+    threshold = lambda_ * mean_ref_weight
+    if not math.isfinite(threshold):
+        raise ConfigError(
+            f"lambda {lambda_} times mean reference weight {mean_ref_weight} overflows"
+        )
+    return threshold
 
 
 def classify(score: float, threshold: float) -> bool:
@@ -181,20 +186,12 @@ def lambda_sweep(
     lambdas: list[float],
     gold: list[int],
 ) -> list[dict[str, float]]:
-    """One row per lambda: threshold plus accuracy and F1 against gold."""
+    """One row per lambda: its threshold and every metric of evaluate against gold."""
     rows = []
     for lam in lambdas:
         threshold = compute_threshold(mean_ref_weight, lam)
         preds = [classify(s, threshold) for s in scores]
-        metrics = evaluate(preds, gold)
-        rows.append(
-            {
-                "lambda": lam,
-                "threshold": threshold,
-                "accuracy": metrics["accuracy"],
-                "f1": metrics["f1"],
-            }
-        )
+        rows.append({"lambda": lam, "threshold": threshold, **evaluate(preds, gold)})
     return rows
 
 

@@ -595,6 +595,50 @@ class TestExitCodes:
         assert "lambda" in err
         assert not (tmp_path / "scores.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("classify", "--lambda", "1e10"), ("evaluate", "--lambda", "1e10"),
+         ("evaluate", "--lambdas", "0.5,1e10")],
+    )
+    def test_threshold_that_overflows(self, capsys, tmp_path, outputs, command, flag, value):
+        """A finite lambda times a finite mean reference weight can be inf, which
+        no JSON output can hold."""
+        table = json.loads((outputs / "weights.json").read_text())
+        table["mean_ref_weight"] = 1e300
+        weights = tmp_path / "huge.json"
+        weights.write_text(json.dumps(table))
+        out = tmp_path / "out"
+        argv = replace_flag(command_argv(command, outputs, out), "weights", weights)
+        if command == "evaluate":  # scores that record no weights, so any table may read them
+            rows = (outputs / "scores.jsonl").read_text().splitlines()[1:]
+            (tmp_path / "scores.jsonl").write_text("\n".join(['{"provenance": {}}', *rows]))
+            argv = replace_flag(argv, "scores", tmp_path / "scores.jsonl")
+        code, _, err = run(capsys, *argv, flag, value)
+        assert code == 1
+        assert err == "error: lambda 10000000000.0 times mean reference weight 1e+300 overflows\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    @pytest.mark.parametrize(
+        "command", ["detect", "calibrate", "classify", "evaluate", "baseline"]
+    )
+    def test_empty_out(self, capsys, tmp_path, outputs, monkeypatch, command, source):
+        """Path("") is the working directory, so an empty --out would write there."""
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = command_argv(command, outputs, tmp_path / "out")[:-2]
+        if source == "flag":
+            argv += ["--out", ""]
+        elif source == "env":
+            monkeypatch.setenv("FIGDESC_OUT", "")
+        else:
+            (tmp_path / "cfg.json").write_text('{"out": ""}')
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: --out must not be empty\n")
+        assert list(work.iterdir()) == []
+
     def test_negative_window(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

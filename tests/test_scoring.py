@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -92,8 +94,21 @@ class TestCalibration:
         assert table.calibration_counts == (2, 2, 1)
 
     def test_empty_corpus(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(CalibrationError, match="^no reference representations to calibrate"):
             calibrate([])
+
+    def test_each_raw_sum_is_correctly_rounded(self):
+        # 1 + 1/36 + 1/121 added left to right is one ulp below its correctly rounded sum.
+        t = [(CONCEPT, "A", 1), (CONCEPT, "A", 6), (CONCEPT, "A", 11), (CONCEPT, "B", 1)]
+        raw = float(sum(Fraction(1 / d**2) for d in (1, 6, 11)))
+        alpha = 1.0 / (raw + 1.0)
+        assert calibrate([t]).concept_weights == {"A": raw * alpha, "B": alpha}
+
+    def test_each_category_total_is_correctly_rounded(self):
+        t = [(CONCEPT, "A", 1), (CONCEPT, "B", 6), (CONCEPT, "C", 11)]
+        raws = [1 / d**2 for d in (1, 6, 11)]
+        alpha = 1.0 / float(sum(map(Fraction, raws)))
+        assert calibrate([t]).concept_weights == {n: r * alpha for n, r in zip("ABC", raws)}
 
     def test_all_excluded_is_degenerate(self):
         t = [(CONCEPT, "EVENT", 1), (PROPERTY, "AGENT", 1)]
@@ -223,6 +238,17 @@ class TestThresholdAndDecision:
         with pytest.raises(ConfigError, match="finite"):
             compute_threshold(0.4, lam)
 
+    @pytest.mark.parametrize("mean, lam", [(1e300, 1e10), (2.0, 1.7e308), (-1e300, 1e10)])
+    def test_threshold_that_overflows_rejected(self, mean, lam):
+        reason = f"^{re.escape(f'lambda {lam} times mean reference weight {mean} overflows')}$"
+        with pytest.raises(ConfigError, match=reason):
+            compute_threshold(mean, lam)
+        with pytest.raises(ConfigError, match="overflows"):
+            lambda_sweep([0.1], mean, [0.5, lam], [1])
+
+    def test_largest_finite_threshold_kept(self):
+        assert compute_threshold(1.0, 1.7e308) == 1.7e308
+
     def test_decision_is_strict(self):
         assert not classify(0.5, 0.5)
         assert classify(0.5000001, 0.5)
@@ -292,7 +318,8 @@ class TestPersistence:
         table = WeightTable({"B": 0.25, "A": 0.75}, {"P": 1.0}, 0.5, (3, 2, 1))
         text = save_weight_table(table)
         assert text == save_weight_table(table)
-        assert text.index('"A"') < text.index('"B"')
+        assert text.startswith('{\n  "concepts": {\n    "A": 0.75,\n    "B": 0.25\n  },\n')
+        assert json.loads(text)["counts"] == {"tmrs": 3, "concepts": 2, "properties": 1}
 
     GOOD = {"concepts": {"A": 0.5}, "properties": {}, "mean_ref_weight": 0.25, "counts": {}}
 
@@ -338,6 +365,9 @@ class TestPersistence:
     def test_not_utf8(self):
         with pytest.raises(ArticleParseError, match="weights: not UTF-8"):
             load_weight_table(b'{"concepts": {"\xe9": 1}}')
+
+    def test_missing_counts_read_as_zero(self):
+        assert load_weight_table(json.dumps(self.GOOD)).calibration_counts == (0, 0, 0)
 
     def test_missing_field_rejected(self):
         with pytest.raises(SchemaError, match="^weights: missing field 'mean_ref_weight'$"):
