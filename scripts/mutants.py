@@ -3,12 +3,14 @@
 Each mutant changes one expression of the module, from a fixed catalogue:
 
 - flip `<` and `<=`, `>` and `>=`, `==` and `!=`;
-- swap `and` and `or`;
+- swap `and` and `or`, `<<` and `>>`, and `&` and `|`;
 - drop a `not` (a unary `not`, or the `not` of `not in` and `is not`);
 - add 1 to an integer constant, or take 1 from it;
 - swap `min` and `max`, and `math.fsum` and `sum`;
 - force the condition of an `if`, an `elif`, a conditional expression or a
   comprehension's filter true, or false.
+
+Nothing inside an annotation or an f-string is mutated.
 
 The mutants are written, one at a time, into a temporary copy of the
 repository. The module's own test files run on each mutant; the full tier-1
@@ -52,6 +54,9 @@ FLIPS = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
 }
 DROPPED_NOT = {ast.NotIn: ast.In, ast.IsNot: ast.Is}
+SWAPPED_BINOPS = {
+    ast.LShift: ast.RShift, ast.RShift: ast.LShift, ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd,
+}
 SWAPPED_CALLS = {"min": "max", "max": "min", "sum": "__import__('math').fsum", "fsum": "sum"}
 
 
@@ -77,9 +82,11 @@ class Mutant:
 
 
 def _op(op: ast.AST) -> str:
-    """The source text of a comparison or boolean operator."""
+    """The source text of a comparison, boolean or binary operator."""
     if isinstance(op, ast.boolop):
         return "and" if isinstance(op, ast.And) else "or"
+    if isinstance(op, ast.operator):
+        return ast.unparse(ast.BinOp(ast.Name("a"), op, ast.Name("b")))[2:-2]
     return ast.unparse(ast.Compare(ast.Name("a"), [op], [ast.Name("b")]))[2:-2]
 
 
@@ -89,15 +96,24 @@ def _replaced(node: ast.expr, **changes) -> str:
     return f"({ast.unparse(copy)})"
 
 
-def _in_fstring(tree: ast.AST) -> set[int]:
-    """ids of the nodes inside f-strings, whose source spans are not reliable."""
-    return {id(n) for j in ast.walk(tree) if isinstance(j, ast.JoinedStr) for n in ast.walk(j)}
+def _skipped(tree: ast.AST) -> set[int]:
+    """ids of the nodes inside f-strings, whose source spans are not reliable,
+    and inside annotations, which are types, not behaviour."""
+    roots = []
+    for j in ast.walk(tree):
+        if isinstance(j, ast.JoinedStr):
+            roots.append(j)
+        elif isinstance(j, (ast.arg, ast.AnnAssign)) and j.annotation is not None:
+            roots.append(j.annotation)
+        elif isinstance(j, (ast.FunctionDef, ast.AsyncFunctionDef)) and j.returns is not None:
+            roots.append(j.returns)
+    return {id(n) for root in roots for n in ast.walk(root)}
 
 
 def mutants(source: str) -> list[Mutant]:
     """Every mutant of the catalogue, in source order."""
     tree = ast.parse(source)
-    skip = _in_fstring(tree)
+    skip = _skipped(tree)
     found = []
     for node in ast.walk(tree):
         if id(node) in skip:
@@ -113,6 +129,9 @@ def mutants(source: str) -> list[Mutant]:
             swap = ast.Or() if isinstance(node.op, ast.And) else ast.And()
             label = f"{_op(node.op)} -> {_op(swap)}"
             found.append(Mutant(node, _replaced(node, op=swap), label))
+        elif isinstance(node, ast.BinOp) and type(node.op) in SWAPPED_BINOPS:
+            swap = SWAPPED_BINOPS[type(node.op)]()
+            found.append(Mutant(node, _replaced(node, op=swap), f"{_op(node.op)} -> {_op(swap)}"))
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
             found.append(Mutant(node, f"({ast.unparse(node.operand)})", "not dropped"))
         elif (

@@ -11,6 +11,11 @@ one mask row marking each fold's training rows and one its vocabulary. This
 matches training each fold on its own, with its own vocabulary and matrices,
 up to rounding. Training computes no loss: a fold's loss is non-finite
 exactly when its bias gradient or L2 penalty is, and that is what it checks.
+
+The folds split `np.random.default_rng(seed).permutation(n)`, drawn bit for
+bit by a port of numpy's SeedSequence, PCG64 and Generator.shuffle, so the
+module never loads `numpy.random` (nor the `secrets`, `hashlib` and OpenSSL
+libcrypto it imports) and its folds do not change with numpy's version.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from .errors import ConfigError, DivergenceError
 from .scoring import evaluate
 
 _TOKEN_RE = re.compile(r"[a-z]+")
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def tokenize(text: str) -> list[str]:
@@ -176,13 +183,80 @@ def train_logreg(
     return LogRegModel(w.T, b.ravel())
 
 
+def _seed_sequence(seed: int) -> tuple[int, int]:
+    """PCG64's state and increment seeds, from numpy's SeedSequence(seed):
+    the seed's 32-bit words, low first, hashed into a pool of four words,
+    then the four 64-bit words of generate_state(4, np.uint64) hashed out."""
+    words = [seed >> shift & _MASK32 for shift in range(0, seed.bit_length(), 32)]
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _MASK32
+        value = value * hash_a & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    # a seed of fewer than four words is padded with zeros, 0 itself included
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b, out = 0x8B51F9DD, []
+    for word in pool + pool:
+        value = word ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _MASK32
+        value = value * hash_b & _MASK32
+        out.append(value ^ value >> 16)
+    w = [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
+    return w[0] << 64 | w[1], w[2] << 64 | w[3]
+
+
+def _pcg64_draws(seed: int):
+    """numpy's PCG64(seed), a 128-bit LCG with the XSL-RR output, as its
+    endless stream of 32-bit draws: each 64-bit output's low half, then its high."""
+    state, inc = _seed_sequence(seed)
+    inc = inc << 1 & _MASK128 | 1
+    state = ((inc + state) * _PCG64_MULT + inc) & _MASK128
+    while True:
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        rot = state >> 122
+        out = (state >> 64 ^ state) & _MASK64
+        out = (out >> rot | out << 64 - rot) & _MASK64
+        yield out & _MASK32
+        yield out >> 32
+
+
+def _permutation(n: int, seed: int) -> list[int]:
+    """np.random.default_rng(seed).permutation(n) for n up to 2**32: from the
+    last index down, swap index i with j, the first draw masked to i's bit
+    length that is at most i."""
+    draws = _pcg64_draws(seed)
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = next(draws) & mask
+        while j > i:
+            j = next(draws) & mask
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     """Deterministic shuffled index folds; sizes differ by at most one."""
     if k < 2 or k > n:
         raise ConfigError(f"fold count {k} invalid for {n} items")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = np.array(_permutation(n, seed), dtype=np.int64)
     base, extra = divmod(n, k)
     folds = []
     start = 0

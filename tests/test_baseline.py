@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -212,6 +213,54 @@ class TestKfold:
     def test_negative_seed(self):
         with pytest.raises(ConfigError, match="seed"):
             kfold_split(10, 2, seed=-1)
+
+    # (n, k, seed) -> the folds, as index lists, or the sha256 of their indices
+    # joined by commas, fold after fold. Drawn by numpy 2.4.6's
+    # default_rng(seed).permutation(n); pinned here so that they hold
+    # whatever numpy is installed.
+    GOLDEN = [
+        (2, 2, 0, [[0], [1]]),
+        (2, 2, 3, [[1], [0]]),
+        # index 2's first two draws, masked to 2 bits, are both 3 and rejected
+        (3, 3, 0, [[2], [0], [1]]),
+        (23, 4, 0, [[18, 4, 20, 10, 11, 2], [21, 6, 19, 3, 22, 8], [0, 12, 16, 13, 7, 5],
+                    [17, 14, 9, 1, 15]]),
+        (23, 4, 2**32, [[15, 19, 18, 16, 14, 1], [22, 3, 4, 0, 11, 21], [10, 17, 9, 13, 7, 20],
+                        [6, 8, 12, 2, 5]]),
+        # five 32-bit words of seed: more than the four of SeedSequence's pool
+        (23, 4, 2**128 + 1, [[3, 20, 0, 14, 10, 11], [6, 19, 7, 5, 15, 16],
+                             [2, 17, 18, 21, 22, 9], [12, 13, 4, 1, 8]]),
+        (2000, 10, 0, "2f11dbcc1214c69966d4f843402cdca265b1c08e61ab4948b966402bdc9b8e50"),
+        (2000, 10, 2**32, "8930b81f87762636688ff94c25ef2f87e5a1174d130a791bf021e9d3f33a808d"),
+        (2000, 10, 2**128 + 1,
+         "519d57badec36b4b76eb727a47168833cb951d53c0622a29f25f3e175ab3ec7d"),
+    ]
+
+    @pytest.mark.parametrize("n, k, seed, want", GOLDEN)
+    def test_golden_folds(self, n, k, seed, want):
+        folds = kfold_split(n, k, seed)
+        assert all(fold.dtype == np.int64 for fold in folds)
+        got = [fold.tolist() for fold in folds]
+        if isinstance(want, str):
+            got = hashlib.sha256(",".join(str(i) for fold in got for i in fold).encode())
+            got = got.hexdigest()
+        assert got == want
+
+    def test_draws_are_pcg64s_outputs_low_half_first(self):
+        draws = baseline._pcg64_draws(0)
+        # np.random.PCG64(0).random_raw(2): 0xa30febcfd9c2825f, 0x4510bdf882d9d721
+        assert [next(draws) for _ in range(4)] == [
+            0xD9C2825F, 0xA30FEBCF, 0x82D9D721, 0x4510BDF8,
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5000), st.integers(0, 2**200))
+    def test_permutation_matches_numpy(self, n, seed):
+        """numpy is only the oracle here: kfold_split never loads numpy.random."""
+        want = np.random.default_rng(seed).permutation(n).tolist()
+        assert baseline._permutation(n, seed) == want
+        if n > 1:
+            assert np.concatenate(kfold_split(n, 2, seed)).tolist() == want
 
     def test_cv_on_separable_texts(self):
         dataset = [(f"rising peak number {i}", 1) for i in range(10)] + [

@@ -1787,7 +1787,7 @@ class TestBaselineInputs:
 
 class TestImportBudget:
     """Only baseline loads numpy or the baseline module, and no command loads
-    OpenSSL's hashing, or XML and logging where it reads none."""
+    numpy.random or OpenSSL's hashing, or XML and logging where it reads none."""
 
     PROBE = (
         "import json, sys\n"
@@ -1844,7 +1844,11 @@ class TestImportBudget:
 
     @pytest.mark.parametrize("command, loaded", [("baseline", "0 True True")])
     def test_commands_that_need_numpy(self, tmp_path, outputs, command, loaded):
-        assert self.loaded(command_argv(command, outputs, tmp_path)) == loaded
+        """They load numpy but not numpy.random, whose import of secrets loads
+        hashlib and OpenSSL's libcrypto."""
+        last, modules = self.probe(command_argv(command, outputs, tmp_path))
+        assert last == loaded
+        assert {"numpy.random", "secrets", "hashlib", "_hashlib"} & modules == set()
 
     @pytest.mark.parametrize("command", [None, *CORPUS_COMMANDS, "evaluate", "baseline"])
     def test_no_command_loads_dataclasses_or_inspect(self, tmp_path, outputs, command):
