@@ -346,7 +346,15 @@ def _concept_metrics(data: bytes) -> dict:
 
 
 def cmd_baseline(settings: dict, digests: dict[str, str]) -> tuple[dict, str]:
-    from . import baseline as bl  # imported here, so no other command loads numpy for it
+    try:
+        from . import baseline as bl  # imported here, so no other command loads numpy for it
+    except ModuleNotFoundError as e:
+        if e.name != "numpy":
+            raise
+        raise ConfigError(
+            "baseline needs numpy, which is not installed: install the 'baseline' extra"
+            " (pip install 'figdesc[baseline]')"
+        ) from e
 
     folds = settings["folds"]
     dataset = pipeline.read_input(settings["labeled"], "labeled", digests, bl.load_labeled_jsonl)

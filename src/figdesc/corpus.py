@@ -48,6 +48,7 @@ DEFAULT_ABBREVIATIONS: tuple[str, ...] = (
     "no.",
     "approx.",
 )
+_LONGEST_DEFAULT = max(map(len, DEFAULT_ABBREVIATIONS))
 
 # A sentence ends at . ! or ? followed by whitespace and an uppercase letter
 # or digit. Everything else (decimal points, inline abbreviations) stays put.
@@ -221,7 +222,11 @@ def segment_sentences(
     whitespace-normalized input.
     """
     abbreviations = tuple(abbreviations)  # str.endswith takes only a tuple
-    longest = max(map(len, abbreviations), default=0)
+    longest = (
+        _LONGEST_DEFAULT
+        if abbreviations is DEFAULT_ABBREVIATIONS
+        else max(map(len, abbreviations), default=0)
+    )
     cuts = []
     for m in _SPLIT_RE.finditer(text):
         end = m.end()

@@ -105,8 +105,9 @@ def corpus_files(path: str | Path) -> list[str]:
 
 
 def _read_bytes(path: str | Path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
+    # Unbuffered: readall() sizes one read from fstat, with no buffer in between.
+    with open(path, "rb", buffering=0) as fh:
+        return fh.readall()
 
 
 def read_input(
@@ -223,6 +224,8 @@ def detect_article(
         sentences = para.sentences
         # One search per sentence. A match object is true even when it matched nothing.
         referring = [j for j, sentence in enumerate(sentences) if search(sentence.text)]
+        if not referring:
+            continue
         is_referring = set(referring).__contains__
         near: set[int] = set()
         for local_idx in referring:
@@ -441,9 +444,13 @@ def provenance(settings: dict, digests: dict[str, str]) -> dict:
     return {"inputs": inputs, "settings": dict(sorted(settings.items()))}
 
 
+# json.dumps(record, sort_keys=True) builds this encoder anew on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def encode_record(record: dict) -> str:
     """One JSONL line, newline excluded; keys sorted for stable bytes."""
-    return json.dumps(record, sort_keys=True)
+    return _ENCODER.encode(record)
 
 
 def write_jsonl(path: Path, header: dict, lines: Iterable[str]) -> None:

@@ -16,6 +16,10 @@ DATA_ROOT = Path(__file__).resolve().parent.parent / "data"
 MINI_CORPUS = DATA_ROOT / "minicorpus"
 LABELED_PATH = DATA_ROOT / "labeled.jsonl"
 
+# The built-in figure-reference pattern in the form the README gives it.
+# Under re.IGNORECASE it matches what figref.DEFAULT_PATTERN matches.
+DOCUMENTED_PATTERN = r"\b(?:figures|figure|figs|fig)\.?\s*(S?\d+(?:\s*[-–,]\s*\d+)*)"
+
 
 def resource_args() -> list[str]:
     """CLI flags pointing at the bundled resource files."""

@@ -21,6 +21,7 @@ from figdesc.scoring import load_weight_table
 
 from .helpers import (
     DATA_ROOT,
+    DOCUMENTED_PATTERN,
     LABELED_PATH,
     MINI_CORPUS,
     no_child_left,
@@ -196,6 +197,19 @@ class TestPipelineCommands:
             {"uid": "T1", "global_index": 0, "labels": ["2"], "spans": spans[pattern],
              "neighbors": [1]}
         ]
+
+    def test_documented_pattern_detects_what_the_default_does(self, capsys, tmp_path, outputs):
+        """The same rows, byte for byte; only the header, which records the pattern, differs."""
+        out = tmp_path / "documented"
+        code, _, err = run(
+            capsys, "detect", "--corpus", str(MINI_CORPUS), "--out", str(out),
+            "--pattern", DOCUMENTED_PATTERN,
+        )
+        assert code == 0, err
+        header, rows = (out / "detect.jsonl").read_bytes().split(b"\n", 1)
+        default_header, default_rows = (outputs / "detect.jsonl").read_bytes().split(b"\n", 1)
+        assert rows == default_rows
+        assert header != default_header
 
     def test_calibrate_output(self, outputs):
         table = load_weight_table((outputs / "weights.json").read_bytes())
@@ -1740,6 +1754,27 @@ class TestBaselineInputs:
         got, err = self.baseline(capsys, tmp_path, tmp_path / "ghost.jsonl")
         assert got == 1
         assert "cannot read --labeled file" in err
+
+    def test_without_numpy_is_a_config_error(self, tmp_path):
+        """An interpreter without numpy: exit 1 naming the extra, and no --out."""
+        probe = (
+            "import sys\n"
+            "sys.modules['numpy'] = None  # import numpy now fails as if it were missing\n"
+            "from figdesc.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "out"
+        argv = ["baseline", "--labeled", str(LABELED_PATH), "--out", str(out)]
+        env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parent.parent)}
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            "error: baseline needs numpy, which is not installed: install the 'baseline'"
+            " extra (pip install 'figdesc[baseline]')\n"
+        )
+        assert not out.exists()
 
     def test_missing_concept_metrics_file(self, capsys, tmp_path):
         got, err = self.baseline(

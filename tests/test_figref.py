@@ -1,5 +1,8 @@
+import re
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from figdesc.errors import PreconditionError
@@ -11,7 +14,7 @@ from figdesc.figref import (
     select_neighbors,
 )
 
-from .helpers import make_paragraph, make_sentence
+from .helpers import DOCUMENTED_PATTERN, make_paragraph, make_sentence
 
 
 class TestDetection:
@@ -79,6 +82,52 @@ class TestDetection:
         assert is_figure_referring(sentence, pattern)
 
 
+# Letters that fold to or from the pattern's under re.IGNORECASE (dotless i,
+# dotted capital I, long s, the Kelvin sign), the characters of a label, the
+# ones \b and \s tell apart, and pieces of the words the pattern takes.
+_PIECES = st.sampled_from([
+    *"fFiIıİſK\u212a0123456789.,-–_é\t\n\x85\u2028 ",
+    "g", "S", "ig", "igs", "igure", "IGURES", "fig", "Fig.", "figs", "Figure", "figures",
+])
+
+
+class TestDefaultPattern:
+    """DEFAULT_PATTERN finds what its documented form finds, with the same groups."""
+
+    documented = re.compile(DOCUMENTED_PATTERN, re.IGNORECASE)
+
+    @staticmethod
+    def hits(rx, text):
+        return [(m.span(), m.groups()) for m in rx.finditer(text)]
+
+    @settings(max_examples=1000)
+    @given(st.lists(_PIECES, max_size=24).map("".join))
+    def test_matches_the_documented_form(self, text):
+        assert self.hits(compile_pattern(None), text) == self.hits(self.documented, text)
+
+    def test_only_f_and_F_open_a_match(self):
+        """Every code point, after a space and before the rest of a reference."""
+        text = "".join(f" {chr(c)}ig 1" for c in range(sys.maxunicode + 1))
+        for rx in (compile_pattern(None), self.documented):
+            assert sorted(text[m.start()] for m in rx.finditer(text)) == ["F", "f"]
+
+    @pytest.mark.parametrize(
+        "text, hits",
+        [
+            ("Fig. 1", [((0, 6), ("1",))]),
+            ("xFig. 1", []),
+            ("_fig 1", []),
+            ("éfig 1", []),
+            ("(fig 1", [((1, 6), ("1",))]),
+            ("\nFIGURES S1, 2", [((1, 14), ("S1, 2",))]),
+            ("figsure 1", []),
+            ("figſ 2", [((0, 6), ("2",))]),
+        ],
+    )
+    def test_word_boundary_and_case(self, text, hits):
+        assert self.hits(compile_pattern(None), text) == hits
+
+
 def brute_force_neighbors(paragraph, ref_pos, window, pattern=None):
     """Independent re-derivation: scan every sentence, keep the ones whose
     paragraph position is within the window, not the reference itself, and
@@ -142,6 +191,13 @@ class TestNeighborSelection:
         para = make_paragraph(["Fig. 1 shows X."])
         with pytest.raises(PreconditionError, match="outside paragraph"):
             select_neighbors(para, 5)
+
+    @pytest.mark.parametrize("index", [-1, 1])
+    def test_first_index_past_either_end_rejected(self, index):
+        """-1 would wrap round to the last sentence, and 1 is one past it."""
+        para = make_paragraph(["Fig. 1 shows X."])
+        with pytest.raises(PreconditionError, match="outside paragraph"):
+            select_neighbors(para, index)
 
     def test_global_indices_survive_offsets(self):
         para = make_paragraph(

@@ -10,6 +10,10 @@ say in CHANGES.md which rows changed and why.
 
 from __future__ import annotations
 
+import os
+import platform
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -56,6 +60,34 @@ def test_output_bytes_are_pinned(digests, name):
 @pytest.mark.parametrize("parts", [2, 3])
 def test_split_corpus_gives_the_pinned_bytes(tmp_path, parts):
     assert corpus_chain_mismatches(tmp_path, parts) == []
+
+
+def other_pythons() -> list[Path]:
+    """pyenv's interpreters of version 3.10 or later, the running one left out."""
+    found = []
+    for python in sorted(Path.home().glob(".pyenv/versions/*/bin/python")):
+        version = python.parent.parent.name
+        if (m := re.fullmatch(r"3\.(\d+)\.\d+", version)) and int(m[1]) >= 10:
+            if version != platform.python_version():
+                found.append(python)
+    return found
+
+
+@pytest.mark.parametrize(
+    "python", other_pythons() or [None], ids=lambda p: p.parent.parent.name if p else "none"
+)
+def test_corpus_chains_hold_under_other_pythons(python):
+    """pyproject.toml promises Python 3.10 and later: the corpus chains, which
+    need no numpy, give the pinned bytes under each other interpreter found."""
+    if python is None:
+        pytest.skip("no other Python 3.10 or later under ~/.pyenv/versions")
+    script = Path(__file__).with_name("pinned_chains.py")
+    # The script puts the checkout's src/ on its path; this one's may not suit python.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [str(python), str(script)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 if __name__ == "__main__":
